@@ -2,11 +2,11 @@
 
 One binary, seven subcommands (perron, kakeya, tubes, heisenberg,
 fefferman, multiplier, dim) sharing config, manifest, and emission
-machinery.  Exit codes: 0 success, 2 validation error, 3 failed
-acceptance check under --check.  Config files are key=value lines
-mirroring the flags; explicit flags override file values.  The CLI
-layer itself is single threaded; subcommands parallelize internally
-under the KAKEYA_LAB_THREADS cap.
+machinery.  Exit codes: 0 success, 2 validation error or a file that
+cannot be read or written, 3 failed acceptance check under --check.
+Config files are key=value lines mirroring the flags; explicit flags
+override file values.  The CLI layer itself is single threaded;
+subcommands parallelize internally under the KAKEYA_LAB_THREADS cap.
 """
 
 from __future__ import annotations
@@ -527,7 +527,7 @@ def dispatch(argv) -> int:
     try:
         args = _resolve(args)
         result = _SUBCOMMANDS[args.cmd][2](args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     wall = time.perf_counter() - started

@@ -47,9 +47,6 @@ class Point2:
     def __repr__(self):
         return "Point2(%s, %s)" % (self.x, self.y)
 
-    def as_floats(self):
-        return (float(self.x), float(self.y))
-
 
 ORIGIN = Point2(ZERO, ZERO)
 

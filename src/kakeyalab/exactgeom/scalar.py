@@ -18,7 +18,7 @@ from fractions import Fraction
 
 try:
     from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - gmpy2 is normally present
+except ImportError:
     _Q = Fraction
 
 _SQRT3_FLOAT = 1.7320508075688772

@@ -7,10 +7,9 @@ while the union sits inside the delta-neighbourhood of the surface,
 whose volume is only ~ delta: over C the strong discretized volume
 bound fails outright, and this module measures that failure.
 
-Two charts appear below.  The historical chart (z, w + a z,
-z conj(w) + b) lands on the surface only for real w with a b = 1 + w^2;
-the gauge-fixed chart (b + conj(w) z, z, w + a z) with a, b real lies
-on it identically, so the full parameter lattice is usable.
+Segments use the gauge-fixed chart (b + conj(w) z, z, w + a z) with
+a, b real, which lies on the surface identically, so the full
+parameter lattice is usable.
 """
 
 from __future__ import annotations
@@ -20,23 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .parallel import map_ordered
-from .rng import make_rng
+from .rng import mc_hit_fraction
 from .tubelab.core import VolumeEstimate
 
 __all__ = [
     "CPoint3",
     "ComplexLineParams",
-    "ComplexTubeFamily",
     "MEMBERSHIP_CALIBRATION",
     "membership_defect",
-    "complex_line_point",
-    "complex_segment_points",
     "surface_line_point",
     "surface_segment_points",
     "lattice_count",
     "complex_tube_volume",
-    "build_complex_family",
     "heisenberg_neighborhood_volume",
 ]
 
@@ -49,8 +43,6 @@ MEMBERSHIP_CALIBRATION = 2.1
 
 # Volume of the sampling domain: three independent discs of radius 2.
 _POLYDISC_VOLUME = (4.0 * math.pi) ** 3
-
-_MC_CHUNK = 1 << 18
 
 _BOUND_TOL = 1e-12
 
@@ -103,10 +95,6 @@ class ComplexLineParams:
         ):
             raise HeisenbergError("line parameters must satisfy |a|,|b|,|w| <= 1")
 
-    def box_coords(self) -> tuple[float, float, float, float]:
-        """The parameter as a point of the real box [-1,1]^4."""
-        return (self.a, self.b, self.w.real, self.w.imag)
-
 
 def membership_defect(p: CPoint3) -> float:
     """Distance of a point from the surface equation: |Im z1 - Im(z2 conj(z3))|."""
@@ -123,23 +111,6 @@ def _disc_spiral(n: int, radius: float) -> np.ndarray:
     r = radius * np.sqrt((k + 0.5) / n)
     phi = k * (math.pi * (3.0 - math.sqrt(5.0)))
     return r * np.exp(1j * phi)
-
-
-def complex_line_point(params: ComplexLineParams, z: complex) -> CPoint3:
-    """Historical chart: z maps to (z, w + a z, z conj(w) + b).
-
-    On the surface only for real w with a b = 1 + w^2; kept for the
-    defect diagnostics.  Family construction uses surface_line_point.
-    """
-    a, b, w = params.a, params.b, params.w
-    return CPoint3.from_complex(z, w + a * z, z * w.conjugate() + b)
-
-
-def complex_segment_points(params: ComplexLineParams, n: int) -> list[CPoint3]:
-    """Historical chart sampled over the core disc |z| <= 1/2."""
-    if n < 1:
-        raise HeisenbergError("need at least one sample")
-    return [complex_line_point(params, complex(z)) for z in _disc_spiral(n, 0.5)]
 
 
 def surface_line_point(params: ComplexLineParams, z: complex) -> CPoint3:
@@ -195,71 +166,6 @@ def complex_tube_volume(delta: float) -> float:
     return (math.pi * delta**2) ** 2 * (math.pi / 4.0)
 
 
-@dataclass(frozen=True)
-class ComplexTubeFamily:
-    """Parameter family with pairwise sup-distance >= delta in the box."""
-
-    delta: float
-    params: tuple[ComplexLineParams, ...]
-
-    def __post_init__(self):
-        if not self.params:
-            raise HeisenbergError("family must be nonempty")
-        box = np.array([p.box_coords() for p in self.params])
-        # Lattice-aligned families are validated by cell uniqueness;
-        # pairwise checking is quadratic and reserved for small ones.
-        idx = np.rint(box / self.delta)
-        if np.max(np.abs(idx * self.delta - box)) <= 1e-9 * self.delta:
-            cells = {tuple(row) for row in idx.astype(int)}
-            if len(cells) == len(self.params):
-                return
-            raise HeisenbergError("duplicate parameter point")
-        if len(self.params) > 2048:
-            raise HeisenbergError(
-                "off-lattice family too large for pairwise separation check"
-            )
-        diff = np.abs(box[:, None, :] - box[None, :, :]).max(axis=2)
-        np.fill_diagonal(diff, np.inf)
-        if diff.min() < self.delta * (1.0 - 1e-12):
-            raise HeisenbergError("parameters closer than delta in sup-distance")
-
-    def __len__(self) -> int:
-        return len(self.params)
-
-
-def build_complex_family(delta: float) -> ComplexTubeFamily:
-    """Lattice parameters (delta Z)^4 cut to [-1,1]^4 and |w| <= 1.
-
-    The disc cut keeps the parameter contract |w| <= 1, which the box
-    corners would break.  Under the gauge-fixed chart every remaining
-    lattice point is admissible: the defect vanishes identically along
-    each segment, which the build verifies on a seeded spot-check
-    before returning.
-    """
-    inv = _inverse_delta(delta)
-    ticks = [k * delta for k in range(-inv, inv + 1)]
-    inside = [
-        complex(wr, wi)
-        for wr in ticks
-        for wi in ticks
-        if abs(complex(wr, wi)) <= 1.0 + _BOUND_TOL
-    ]
-    params = tuple(
-        ComplexLineParams(a, b, w) for a in ticks for b in ticks for w in inside
-    )
-    if len(params) != lattice_count(delta):
-        raise HeisenbergError("lattice enumeration disagrees with its count")
-    rng = make_rng(0, 0)
-    probe = rng.choice(len(params), size=min(len(params), 128), replace=False)
-    worst = 0.0
-    for i in probe:
-        for q in surface_segment_points(params[int(i)], 16):
-            worst = max(worst, membership_defect(q))
-    if worst > 1e-9:
-        raise HeisenbergError("segment left the surface; chart is broken")
-    return ComplexTubeFamily(delta, params)
-
-
 def heisenberg_neighborhood_volume(
     delta: float, samples: int, seed: int = 0
 ) -> VolumeEstimate:
@@ -271,18 +177,13 @@ def heisenberg_neighborhood_volume(
     """
     if samples < 10**4:
         raise HeisenbergError("need at least 10^4 samples")
-    n_chunks = max(1, math.ceil(samples / _MC_CHUNK))
-    sizes = [_MC_CHUNK] * (n_chunks - 1) + [samples - _MC_CHUNK * (n_chunks - 1)]
 
-    def run(job) -> int:
-        stream, size = job
-        rng = make_rng(seed, stream)
+    def hits(rng, size: int) -> int:
         r = 2.0 * np.sqrt(rng.uniform(0.0, 1.0, size=(size, 3)))
         phi = rng.uniform(0.0, 2.0 * math.pi, size=(size, 3))
         z = r * np.exp(1j * phi)
         return int((_defect(z[:, 0], z[:, 1], z[:, 2]) <= delta).sum())
 
-    hits = sum(map_ordered(run, list(enumerate(sizes))))
-    p = hits / samples
+    p = mc_hit_fraction(hits, samples, seed)
     se = _POLYDISC_VOLUME * math.sqrt(p * (1.0 - p) / samples)
     return VolumeEstimate(_POLYDISC_VOLUME * p, se, "monte-carlo", samples=samples)

@@ -21,11 +21,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from ..exactgeom import GeomError
 from ..parallel import map_ordered
 from ..perron import PerronTree, covering_segment
 from .grid import GridField, SpectralError, dft_inverse, lp_norm
 from .multipliers import MultiplierSpec, multiplier_symbol
-from .packets import FreqRect, WavePacket, _check_grid, packet_symbol_block
+from .packets import (FreqRect, WavePacket, _check_grid, packet_symbol_block,
+                      required_samples)
 
 __all__ = [
     "PacketDiagnostic",
@@ -81,13 +83,14 @@ def minimal_grid(r: float) -> tuple[int, float]:
     """Smallest canonical grid for scale r: period 4/r^2 (the tube plus
     clearance), N the next power of two whose Nyquist clears the circle."""
     L = 4.0 / r ** 2
-    n = max(8, int(math.ceil(2.0 * L * (1.0 + r))))
-    return 1 << (n - 1).bit_length(), L
+    return required_samples(r, L), L
 
 
 def _abscissa(phi: float) -> Fraction:
-    """Base abscissa of the direction at angle phi, nudged inside the
-    sector when rounding lands exactly on an endpoint."""
+    """Base abscissa of the direction at angle phi, rounded from floats.
+
+    Rounding can land just outside the apex sector; plan_placements
+    then retries with the abscissa nudged toward zero."""
     return Fraction(-math.cos(phi) / math.sin(phi))
 
 
@@ -131,7 +134,7 @@ def plan_placements(tree: PerronTree, r: float, L: float,
             try:
                 seg, leaf = covering_segment(tree, t)
                 break
-            except Exception:
+            except GeomError:
                 t = Fraction(math.nextafter(float(t), 0.0))
         else:
             raise SpectralError(f"direction {phi} missed the sector")
@@ -150,7 +153,7 @@ def _norm_and_filtered(fhat: np.ndarray, N: int, L: float, p: float):
     in_norm = lp_norm(field, p)
     del field
     freqs = np.fft.fftfreq(N, d=L / N)
-    sym = multiplier_symbol(MultiplierSpec.lowpass_unit(), [freqs, freqs])
+    sym = multiplier_symbol(MultiplierSpec.ball(1.0), [freqs, freqs])
     fhat *= sym
     del sym
     field = dft_inverse(GridField(2, N, N / L, fhat))

@@ -22,14 +22,13 @@ __all__ = [
     "partial_integral_1d",
 ]
 
-_KINDS = ("ball", "square", "bochner-riesz", "lowpass-unit")
+_KINDS = ("ball", "square", "bochner-riesz")
 
 
 @dataclass(frozen=True)
 class MultiplierSpec:
     """A named frequency symbol: sharp ball or square cutoff at radius R,
-    Bochner-Riesz means (1 - |xi|^2/R^2)^alpha on the ball, or the unit
-    low-pass filter (the ball cutoff pinned at R = 1)."""
+    or Bochner-Riesz means (1 - |xi|^2/R^2)^alpha on the ball."""
 
     kind: str
     R: float = 1.0
@@ -42,8 +41,6 @@ class MultiplierSpec:
             raise SpectralError(f"R must be positive, got {self.R}")
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise SpectralError(f"alpha must be >= 0, got {self.alpha}")
-        if self.kind == "lowpass-unit" and self.R != 1.0:
-            raise SpectralError("lowpass-unit is the ball cutoff at R = 1")
 
     @classmethod
     def ball(cls, R: float) -> "MultiplierSpec":
@@ -56,10 +53,6 @@ class MultiplierSpec:
     @classmethod
     def bochner_riesz(cls, R: float, alpha: float) -> "MultiplierSpec":
         return cls("bochner-riesz", R, alpha)
-
-    @classmethod
-    def lowpass_unit(cls) -> "MultiplierSpec":
-        return cls("lowpass-unit", 1.0)
 
 
 def multiplier_symbol(spec: MultiplierSpec, axes: list[np.ndarray]) -> np.ndarray:
@@ -77,7 +70,7 @@ def multiplier_symbol(spec: MultiplierSpec, axes: list[np.ndarray]) -> np.ndarra
     for ax in axes[1:]:
         q = np.add.outer(q, np.square(ax / spec.R))
     inside = q <= 1.0
-    if spec.kind in ("ball", "lowpass-unit"):
+    if spec.kind == "ball":
         return inside.astype(float)
     t = np.where(inside, 1.0 - q, 0.0)
     return np.where(inside, t ** spec.alpha, 0.0)

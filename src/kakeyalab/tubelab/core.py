@@ -181,21 +181,6 @@ class Prism:
     def volume(self) -> float:
         return float(np.prod(2.0 * self.half_extents))
 
-    def contains_tube(self, tube: Tube) -> bool:
-        """Whole closed tube inside the closed prism.
-
-        Along prism axis n the tube's extremal offset from its core is
-        delta * sqrt(1 - (n.omega)^2), so containment reduces to both
-        core endpoints clearing every face by that margin.
-        """
-        n_dot_w = self.frame @ tube.omega
-        margin = tube.delta * np.sqrt(np.maximum(0.0, 1.0 - n_dot_w**2))
-        for p in (tube.a, tube.b):
-            coord = self.frame @ (p - self.center)
-            if (np.abs(coord) + margin > self.half_extents + 1e-15).any():
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class VolumeEstimate:

@@ -30,20 +30,6 @@ def direction_chord(u: np.ndarray, v: np.ndarray) -> float:
     return min(float(np.linalg.norm(u - v)), float(np.linalg.norm(u + v)))
 
 
-def _chords_to_set(pts: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """Min chord distance from each row of pts to the kept set."""
-    k2 = np.sum(kept**2, axis=1)[None, :]
-    out = np.empty(len(pts))
-    step = max(1, (1 << 22) // max(len(kept), 1))
-    for a in range(0, len(pts), step):
-        blk = pts[a : a + step]
-        d2 = np.sum(blk**2, axis=1)[:, None] + k2
-        # |p-k|^2 = |p|^2+|k|^2-2p.k, |p+k|^2 = ... + 2p.k; min over sign.
-        near = d2 - 2.0 * np.abs(blk @ kept.T)
-        out[a : a + step] = np.sqrt(np.maximum(near.min(axis=1), 0.0))
-    return out
-
-
 # Relative padding on the separation target.  Spacings are computed
 # for delta*(1+pad), so the 1e-16-scale rounding of the emitted float
 # coordinates can never drag a chord below delta itself.

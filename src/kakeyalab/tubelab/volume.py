@@ -11,8 +11,7 @@ import math
 
 import numpy as np
 
-from ..parallel import map_ordered
-from ..rng import make_rng
+from ..rng import mc_hit_fraction
 from .core import (
     Tube,
     TubeError,
@@ -23,8 +22,6 @@ from .core import (
 )
 
 __all__ = ["union_volume", "kakeya_ratio", "TubeIndex"]
-
-_MC_CHUNK = 1 << 18
 
 
 class TubeIndex:
@@ -122,17 +119,12 @@ def _mc_volume(fam: TubeFamily, samples: int, seed: int) -> VolumeEstimate:
     index = TubeIndex(fam)
     lo, hi = index.lo, index.hi
     box = float(np.prod(hi - lo))
-    n_chunks = max(1, math.ceil(samples / _MC_CHUNK))
-    sizes = [_MC_CHUNK] * (n_chunks - 1) + [samples - _MC_CHUNK * (n_chunks - 1)]
 
-    def run(job) -> int:
-        stream, size = job
-        rng = make_rng(seed, stream)
+    def hits(rng, size: int) -> int:
         pts = rng.uniform(0.0, 1.0, size=(size, fam.dim)) * (hi - lo) + lo
         return int(index.contains(pts).sum())
 
-    hits = sum(map_ordered(run, list(enumerate(sizes))))
-    p = hits / samples
+    p = mc_hit_fraction(hits, samples, seed)
     se = box * math.sqrt(p * (1.0 - p) / samples)
     return VolumeEstimate(box * p, se, "monte-carlo", samples=samples)
 

@@ -10,7 +10,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import kakeyalab.boxdim as bd
 from kakeyalab.boxdim import (
     BoxCountCurve,
     DimError,
@@ -223,12 +222,6 @@ class TestInvariants:
         b = neighborhood_volume_curve(sq, [1 / 16, 1 / 32], cell_factor=8.0)
         for va, vb in zip(a.volumes, b.volumes):
             assert abs(va - vb) < 0.05 * va
-
-    def test_scan_path_agrees_with_exact(self, monkeypatch):
-        # force the scanline raster onto a grid the exact path owns
-        monkeypatch.setattr(bd, "_MAX_CELLS", 1)
-        v = neighborhood_volume_curve(unit_square(), [1 / 8]).volumes[0]
-        assert abs(v - (1 + 0.25) ** 2) <= 0.05 * (1.25) ** 2
 
     def test_deterministic_and_thread_invariant(self, monkeypatch, tree_region):
         ds = [2.0 ** -k for k in range(3, 7)]

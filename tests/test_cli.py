@@ -58,6 +58,18 @@ class TestDispatch:
         assert dispatch(["perron", "--m", "four",
                          "--out", str(tmp_path / "t.json")]) == 2
 
+    def test_missing_input_file_is_exit_2(self, tmp_path, capsys):
+        for argv in (["multiplier", "--kind", "ball", "--R", "1.0",
+                      "--in", str(tmp_path / "missing.bin"),
+                      "--out", str(tmp_path / "g.bin")],
+                     ["dim", "--in", str(tmp_path / "missing.json"),
+                      "--deltas", "2^-3..2^-6", "--out", str(tmp_path / "d.csv")],
+                     ["perron", "--m", "2",
+                      "--out", str(tmp_path / "no-such-dir" / "t.json")]):
+            assert dispatch(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+
     def test_check_failure_is_exit_3(self, tmp_path):
         # a segment's neighborhood volume decays too fast for the
         # dimension-2 lower bound, so --check must reject it
@@ -163,6 +175,11 @@ class TestConfigFile:
         cfg.write_text("delta 0.125\n")
         assert dispatch(["heisenberg", "--config", str(cfg),
                          "--out", str(tmp_path / "h.csv")]) == 2
+
+    def test_missing_config_file_rejected(self, tmp_path, capsys):
+        assert dispatch(["heisenberg", "--config", str(tmp_path / "none.cfg"),
+                         "--out", str(tmp_path / "h.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_load_config_normalizes_dashes(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -14,6 +14,7 @@ import pytest
 from kakeyalab.perron import PerronSpec, build_perron_tree
 from kakeyalab.spectral import (
     SpectralError,
+    fefferman,
     fefferman_experiment,
     minimal_grid,
     plan_placements,
@@ -100,6 +101,14 @@ class TestPlacements:
         base_bin = 0.6 * 128
         _, peak_y = np.unravel_index(np.argmax(rep.heatmap), rep.heatmap.shape)
         assert base_bin < peak_y < base_bin + 32
+
+    def test_only_sector_misses_are_retried(self, tree, monkeypatch):
+        def broken(tree, t):
+            raise TypeError("not a sector miss")
+
+        monkeypatch.setattr(fefferman, "covering_segment", broken)
+        with pytest.raises(TypeError, match="not a sector miss"):
+            plan_placements(tree, 1 / 8, minimal_grid(1 / 8)[1])
 
     def test_full_circle_uses_three_rotations(self, tree):
         r, (N, L) = 1 / 8, minimal_grid(1 / 8)

@@ -172,8 +172,6 @@ class TestMultipliers:
             MultiplierSpec.ball(0.0)
         with pytest.raises(SpectralError):
             MultiplierSpec.bochner_riesz(1.0, -0.5)
-        with pytest.raises(SpectralError):
-            MultiplierSpec("lowpass-unit", 2.0)
 
     def test_riesz_zero_equals_ball_bitwise(self):
         f = random_field(2, 64, 8.0, seed=800)
@@ -204,12 +202,6 @@ class TestMultipliers:
         norms = [lp_norm(apply_multiplier(f, MultiplierSpec.bochner_riesz(2.0, a)), 2)
                  for a in (0.0, 0.5, 1.0, 2.0)]
         assert all(n1 >= n2 - 1e-12 for n1, n2 in zip(norms, norms[1:]))
-
-    def test_lowpass_unit_is_unit_ball(self):
-        f = random_field(2, 64, 8.0, seed=804)
-        a = apply_multiplier(f, MultiplierSpec.lowpass_unit())
-        b = apply_multiplier(f, MultiplierSpec.ball(1.0))
-        assert a.data.tobytes() == b.data.tobytes()
 
     def test_boundary_bin_is_kept(self):
         # frequencies 16/8 = 2.0 land exactly on R: the closed cutoff keeps them

@@ -33,6 +33,15 @@ from kakeyalab.tubelab import (
     union_volume,
     wolff_axiom_check,
 )
+from kakeyalab.tubelab.checks import _prism_count
+
+
+def prism_count(prism: Prism, *tubes: Tube) -> int:
+    """Tubes wholly inside the prism, counted by the Wolff check's kernel."""
+    A = np.array([t.a for t in tubes])
+    B = np.array([t.b for t in tubes])
+    W = np.array([t.omega for t in tubes])
+    return _prism_count(prism, A, B, W, tubes[0].delta)
 
 
 def overlap_fraction(t1: Tube, t2: Tube, n: int, seed: int) -> float:
@@ -377,6 +386,15 @@ class TestUnionVolume:
         mc = union_volume(fam, "monte-carlo", samples=400_000, seed=11)
         assert abs(g.value - mc.value) <= 3 * (g.std_error + mc.std_error)
 
+    def test_mc_pinned_seeded_value(self):
+        # two sample chunks; the values were recorded before the Monte
+        # Carlo chunk driver moved into kakeyalab.rng
+        fam = generate_family(1 / 16, 2, "bush", seed=0)
+        est = union_volume(fam, "monte-carlo", samples=300_000, seed=5)
+        assert est.value == 1.669359800613845
+        assert est.std_error == 0.0020002877015317467
+        assert est.samples == 300_000
+
     def test_mc_deterministic_and_thread_invariant(self, monkeypatch):
         fam = generate_family(0.2, 2, "bush", seed=0)
         a = union_volume(fam, "monte-carlo", samples=300_000, seed=7)
@@ -498,17 +516,18 @@ class TestWolff:
             Tube(3, [0, 3, 0], [1, 0, 0], delta),
         )
         prism = Prism([0.5, 0.1, 0.0], [0.7, 0.5, 0.3], np.eye(3))
-        assert prism.contains_tube(tubes[0])
-        assert prism.contains_tube(tubes[1])
-        assert not prism.contains_tube(tubes[2])
+        assert prism_count(prism, tubes[0]) == 1
+        assert prism_count(prism, tubes[1]) == 1
+        assert prism_count(prism, tubes[2]) == 0
+        assert prism_count(prism, *tubes) == 2
 
     def test_grazing_containment_margin(self):
         delta = 0.125
         t = Tube(3, [0, 0, 0], [1, 0, 0], delta)
         snug = Prism([0.5, 0.0, 0.0], [0.5, delta, delta], np.eye(3))
-        assert snug.contains_tube(t)
+        assert prism_count(snug, t) == 1
         shifted = Tube(3, [0, 0, 1e-9], [1, 0, 0], delta)
-        assert not snug.contains_tube(shifted)
+        assert prism_count(snug, shifted) == 0
 
     def test_random_family_no_violations(self):
         fam = generate_family(1 / 16, 3, "random", seed=13)
