@@ -97,6 +97,24 @@ def on_segment(p: Point2, a: Point2, b: Point2) -> bool:
     return t_num <= dot(a, b, b)  # |b-a|^2
 
 
+_SLACK = 1e-9  # floats of coordinates err far below this
+
+
+def _seg_bbox(p: Point2, q: Point2):
+    xs = (float(p.x), float(q.x))
+    ys = (float(p.y), float(q.y))
+    return min(xs), max(xs), min(ys), max(ys)
+
+
+def _bbox_touch(a, b) -> bool:
+    return (
+        a[0] <= b[1] + _SLACK
+        and b[0] <= a[1] + _SLACK
+        and a[2] <= b[3] + _SLACK
+        and b[2] <= a[3] + _SLACK
+    )
+
+
 # segment_hits result kinds
 HIT_NONE = "none"
 HIT_POINT = "point"
@@ -179,7 +197,8 @@ def validate_simple_polygon(poly):
     """Check a vertex list is a simple polygon with positive area.
 
     Returns the CCW-oriented copy; raises GeomError with a diagnostic
-    otherwise.  O(n^2) edge-pair checks, exact.
+    otherwise.  Exact tests on the edge pairs whose bounding boxes touch,
+    in (i, j) order, so the first defect reported is the first of all.
     """
     n = len(poly)
     if n < 3:
@@ -190,8 +209,11 @@ def validate_simple_polygon(poly):
     if len({(p.x, p.y) for p in poly}) != n:
         raise GeomError("polygon repeats a vertex")
     edges = [(poly[i], poly[(i + 1) % n]) for i in range(n)]
+    boxes = [_seg_bbox(*e) for e in edges]
     for i in range(n):
         for j in range(i + 1, n):
+            if not _bbox_touch(boxes[i], boxes[j]):
+                continue
             adjacent = (j == i + 1) or (i == 0 and j == n - 1)
             hit = segment_hits(edges[i][0], edges[i][1], edges[j][0], edges[j][1])
             if hit[0] == HIT_NONE:
@@ -214,20 +236,25 @@ def validate_simple_polygon(poly):
 def point_in_polygon_closed(p: Point2, poly) -> bool:
     """Closed membership: boundary counts as inside.  Exact ray parity."""
     n = len(poly)
+    px, py = float(p.x), float(p.y)
     inside = False
     for i in range(n):
         v = poly[i]
         w = poly[(i + 1) % n]
-        if on_segment(p, v, w):
+        box = _seg_bbox(v, w)
+        if _bbox_touch(box, (px, px, py, py)) and on_segment(p, v, w):
             return True
         below_v = v.y <= p.y
         below_w = w.y <= p.y
         if below_v != below_w:
-            # x where the edge crosses the horizontal through p
-            t = (p.y - v.y) / (w.y - v.y)
-            xat = v.x + t * (w.x - v.x)
-            if xat > p.x:
-                inside = not inside
+            if px + _SLACK < box[0]:
+                inside = not inside  # the crossing lies right of p
+            elif px - _SLACK <= box[1]:
+                # x where the edge crosses the horizontal through p
+                t = (p.y - v.y) / (w.y - v.y)
+                xat = v.x + t * (w.x - v.x)
+                if xat > p.x:
+                    inside = not inside
     return inside
 
 

@@ -18,6 +18,8 @@ from .primitives import (
     Point2,
     RigidMotion,
     Segment2,
+    _bbox_touch,
+    _seg_bbox,
     point_in_polygon_closed,
     polygon_area,
     segment_hits,
@@ -154,13 +156,15 @@ def contains_segment(a: Region2, s: Segment2) -> bool:
     # candidate parameters: segment ends plus every boundary hit; only
     # polygons near the segment can contribute hits or contain its points
     ts = {ZERO, ONE}
-    sb = _seg_bbox(s)
+    sb = _seg_bbox(s.p, s.q)
     near = [p for p in a.polygons if _bbox_touch(sb, _poly_bbox(p))]
     for poly in near:
         n = len(poly)
         for i in range(n):
             v = poly[i]
             w = poly[(i + 1) % n]
+            if not _bbox_touch(sb, _seg_bbox(v, w)):
+                continue
             hit = segment_hits(s.p, s.q, v, w)
             if hit[0] == HIT_NONE:
                 continue
@@ -179,25 +183,7 @@ def contains_segment(a: Region2, s: Segment2) -> bool:
     return True
 
 
-def _seg_bbox(s: Segment2):
-    xs = (float(s.p.x), float(s.q.x))
-    ys = (float(s.p.y), float(s.q.y))
-    return min(xs), max(xs), min(ys), max(ys)
-
-
 def _poly_bbox(poly):
     xs = [float(v.x) for v in poly]
     ys = [float(v.y) for v in poly]
     return min(xs), max(xs), min(ys), max(ys)
-
-
-_SLACK = 1e-9
-
-
-def _bbox_touch(a, b) -> bool:
-    return (
-        a[0] <= b[1] + _SLACK
-        and b[0] <= a[1] + _SLACK
-        and a[2] <= b[3] + _SLACK
-        and b[2] <= a[3] + _SLACK
-    )

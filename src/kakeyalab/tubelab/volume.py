@@ -24,50 +24,45 @@ from .core import (
 __all__ = ["union_volume", "kakeya_ratio", "TubeIndex"]
 
 
+# Candidate (point, tube) pairs tested per batch of a query.
+_PAIR_BATCH = 1 << 18
+
+
 class TubeIndex:
-    """Spatial hash of a family for batched point-in-union queries."""
+    """Spatial hash of a family for batched point-in-union queries.
+
+    Lattice cell k holds candidate tubes members[starts[k]:starts[k + 1]].
+    """
 
     def __init__(self, fam: TubeFamily):
         self.dim = fam.dim
         self.delta = fam.delta
-        self.anchors = np.array([t.a for t in fam.tubes])
-        self.omegas = np.array([t.omega for t in fam.tubes])
+        # Per-axis columns: 1-D gathers are several times cheaper than rows.
+        self.anchors = np.array([t.a for t in fam.tubes]).T.copy()
+        self.omegas = np.array([t.omega for t in fam.tubes]).T.copy()
         self.lengths = np.array([t.length for t in fam.tubes])
         self.lo, self.hi = family_bbox(fam)
         span = float(np.max(self.hi - self.lo))
-        # Cells no finer than a tube width; cap the lattice at 64^dim.
-        self.h = max(2.0 * fam.delta, span / 64.0)
+        # Cells no finer than a tube width; at most 2^18 of them.
+        self.h = max(2.0 * fam.delta, span / {2: 512, 3: 64}[self.dim])
         self.shape = np.maximum(
             1, np.ceil((self.hi - self.lo) / self.h - 1e-12).astype(int)
         )
-        self.buckets: dict[int, np.ndarray] = {}
-        self._fill(fam)
+        cells = [self._cells_near_tube(t).astype(np.int32) for t in fam.tubes]
+        tube = np.repeat(np.arange(len(cells), dtype=np.int32), [len(c) for c in cells])
+        cells = np.concatenate(cells)
+        self.members = tube[np.argsort(cells, kind="stable")]
+        self.starts = np.r_[0, np.cumsum(np.bincount(cells, minlength=np.prod(self.shape)))]
+
+    @property
+    def buckets(self) -> dict[int, np.ndarray]:
+        """Candidate tube ids of every non-empty cell."""
+        return {int(k): self.members[self.starts[k]:self.starts[k + 1]]
+                for k in np.flatnonzero(np.diff(self.starts))}
 
     def _cell_ids(self, pts: np.ndarray) -> np.ndarray:
-        ix = ((pts - self.lo) / self.h).astype(int)
-        ix = np.clip(ix, 0, self.shape - 1)
-        flat = ix[:, 0]
-        for d in range(1, self.dim):
-            flat = flat * self.shape[d] + ix[:, d]
-        return flat
-
-    def _fill(self, fam: TubeFamily) -> None:
-        cids = []
-        tids = []
-        for i, t in enumerate(fam.tubes):
-            c = self._cells_near_tube(t)
-            cids.append(c)
-            tids.append(np.full(len(c), i))
-        cid = np.concatenate(cids)
-        tid = np.concatenate(tids)
-        order = np.argsort(cid, kind="stable")
-        cid = cid[order]
-        tid = tid[order]
-        starts = np.flatnonzero(np.r_[True, cid[1:] != cid[:-1]])
-        bounds = np.r_[starts, len(cid)]
-        self.buckets = {
-            int(cid[a]): tid[a:b] for a, b in zip(bounds[:-1], bounds[1:])
-        }
+        ix = np.clip(((pts - self.lo) / self.h).astype(int), 0, self.shape - 1)
+        return np.ravel_multi_index(ix.T, self.shape)
 
     def _cells_near_tube(self, t: Tube) -> np.ndarray:
         # Walk the core, mark every cell whose points might touch the
@@ -77,41 +72,45 @@ class TubeIndex:
         pts = t.a[None, :] + np.linspace(0.0, t.length, n)[:, None] * t.omega[None, :]
         reach = t.delta + step / 2.0 + self.h * math.sqrt(self.dim) / 2.0
         r = int(math.ceil(reach / self.h))
-        base = ((pts - self.lo) / self.h).astype(int)
-        base = np.unique(np.clip(base, 0, self.shape - 1), axis=0)
+        base = np.unique(self._cell_ids(pts))
+        base = np.stack(np.unravel_index(base, self.shape), axis=1)
         offs = np.stack(
             np.meshgrid(*([np.arange(-r, r + 1)] * self.dim), indexing="ij"), axis=-1
         ).reshape(-1, self.dim)
         cells = (base[:, None, :] + offs[None, :, :]).reshape(-1, self.dim)
         cells = cells[((cells >= 0) & (cells < self.shape)).all(axis=1)]
-        flat = cells[:, 0]
-        for d in range(1, self.dim):
-            flat = flat * self.shape[d] + cells[:, d]
-        return np.unique(flat)
+        return np.unique(np.ravel_multi_index(cells.T, self.shape))
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         """Boolean mask over rows of pts: inside the union of tubes."""
         n = len(pts)
         out = np.zeros(n, dtype=bool)
-        if n == 0:
-            return out
         ids = self._cell_ids(pts)
-        order = np.argsort(ids, kind="stable")
-        ids_sorted = ids[order]
-        starts = np.flatnonzero(np.r_[True, ids_sorted[1:] != ids_sorted[:-1]])
-        bounds = np.r_[starts, n]
+        first = self.starts[ids]
+        count = self.starts[ids + 1] - first
+        ends = np.cumsum(count)
+        # Axes are summed in a fixed order, whatever numpy's SIMD width.
+        p_ax = pts.T.copy()
         d2 = self.delta * self.delta
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            cand = self.buckets.get(int(ids_sorted[a]))
-            if cand is None:
-                continue
-            sel = order[a:b]
-            p = pts[sel]
-            rel = p[:, None, :] - self.anchors[cand][None, :, :]
-            t = np.einsum("pcd,cd->pc", rel, self.omegas[cand])
-            perp2 = np.einsum("pcd,pcd->pc", rel, rel) - t * t
-            hit = (t >= 0.0) & (t <= self.lengths[cand][None, :]) & (perp2 <= d2)
-            out[sel] = hit.any(axis=1)
+        a = 0
+        while a < n:
+            base = ends[a - 1] if a else 0
+            b = max(a + 1, int(np.searchsorted(ends, base + _PAIR_BATCH, side="right")))
+            c = count[a:b]
+            row = np.repeat(np.arange(a, b), c)
+            # a row's candidates sit at first[row] + 0, 1, ..., count[row] - 1
+            slot = np.arange(len(row)) + np.repeat(first[a:b] - ends[a:b] + base + c, c)
+            tube = self.members[slot]
+            rel = [p[row] - q[tube] for p, q in zip(p_ax, self.anchors)]
+            t = rel[0] * self.omegas[0][tube]
+            perp2 = rel[0] * rel[0]
+            for d in range(1, self.dim):
+                t += rel[d] * self.omegas[d][tube]
+                perp2 += rel[d] * rel[d]
+            perp2 -= t * t
+            hit = (t >= 0.0) & (t <= self.lengths[tube]) & (perp2 <= d2)
+            out[row[hit]] = True
+            a = b
         return out
 
 
@@ -137,11 +136,9 @@ def _grid_volume(fam: TubeFamily, resolution: int) -> VolumeEstimate:
     axes = [lo[d] + (np.arange(shape[d]) + 0.5) * h for d in range(fam.dim)]
     grid = np.zeros(tuple(shape), dtype=bool)
     # Stream slices along the first axis; a full 3D mesh is too large.
-    tail = np.meshgrid(*axes[1:], indexing="ij") if fam.dim > 1 else []
-    tail = [m.ravel() for m in tail]
+    tail = [m.ravel() for m in np.meshgrid(*axes[1:], indexing="ij")]
     for i, x0 in enumerate(axes[0]):
-        cols = [np.full(len(tail[0]) if tail else 1, x0)] + tail
-        pts = np.stack(cols, axis=1)
+        pts = np.stack([np.full(len(tail[0]), x0)] + tail, axis=1)
         grid[i] = index.contains(pts).reshape(grid.shape[1:])
     cell = h**fam.dim
     value = float(grid.sum()) * cell

@@ -1,5 +1,6 @@
 """Segment intersection classification, polygon validation, rigid motions."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -126,6 +127,52 @@ class TestPolygonValidation:
         cw = [P(0, 0), P(0, 1), P(1, 0)]
         assert signed_area2(ensure_ccw(cw)) > ZERO
 
+    def test_bbox_filter_reports_what_all_pairs_report(self):
+        # Vertices on a coarse Q(sqrt3) grid make touching, collinear and
+        # overlapping edges common; every pair the float filter skips
+        # must be a pair the exact test would pass.
+        def all_pairs(poly):
+            n = len(poly)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    a, b = poly[i], poly[(i + 1) % n]
+                    c, d = poly[j], poly[(j + 1) % n]
+                    hit = segment_hits(a, b, c, d)
+                    if hit[0] == HIT_NONE:
+                        continue
+                    if hit[0] == HIT_OVERLAP:
+                        return "edges %d and %d overlap" % (i, j)
+                    if not (j == i + 1 or (i == 0 and j == n - 1)):
+                        return "edges %d and %d cross" % (i, j)
+                    ok = ((hit[1] == ONE and hit[2] == ZERO) if j == i + 1
+                          else (hit[1] == ZERO and hit[2] == ONE))
+                    if not ok:
+                        return "adjacent edges %d and %d re-touch" % (i, j)
+            return None
+
+        rng = random.Random(0)
+        ticks = [scalar(0), scalar(F(1, 2)), scalar(1), SQRT3 * F(1, 2), SQRT3]
+        outcomes = set()
+        for _ in range(400):
+            n = rng.randint(3, 9)
+            pts = {(rng.randrange(5), rng.randrange(5)) for _ in range(n)}
+            if len(pts) < 3:
+                continue
+            poly = [Point2(ticks[i], ticks[j]) for i, j in rng.sample(sorted(pts), len(pts))]
+            want = all_pairs(poly)
+            try:
+                validate_simple_polygon(poly)
+                got = None
+            except GeomError as exc:
+                got = str(exc)
+            if want is None and got is not None:
+                # simple but collinear: the area check, not the filter
+                assert got == "polygon has zero area"
+            else:
+                assert got == want
+            outcomes.add(want.split()[-1] if want else "simple")
+        assert {"simple", "cross", "overlap"} <= outcomes
+
 
 class TestPointInPolygon:
     square = [P(0, 0), P(2, 0), P(2, 2), P(0, 2)]
@@ -146,6 +193,38 @@ class TestPointInPolygon:
         assert point_in_polygon_closed(P(1, 2), diamond)
         assert not point_in_polygon_closed(P(5, 2), diamond)
         assert not point_in_polygon_closed(P(-1, 2), diamond)
+
+    def test_float_filter_agrees_with_exact_parity(self):
+        def exact(p, poly):
+            inside = False
+            for v, w in zip(poly, poly[1:] + poly[:1]):
+                if on_segment(p, v, w):
+                    return True
+                if (v.y <= p.y) != (w.y <= p.y):
+                    t = (p.y - v.y) / (w.y - v.y)
+                    if v.x + t * (w.x - v.x) > p.x:
+                        inside = not inside
+            return inside
+
+        # Queries on vertices, on edges, a hair (1e-12) off them and in
+        # the open: every branch of the filter, exact and float.
+        rng = random.Random(1)
+        ticks = [scalar(0), scalar(F(1, 2)), scalar(1), SQRT3 * F(1, 2), SQRT3]
+        hair = scalar(F(1, 10**12))
+        seen = set()
+        for _ in range(150):
+            cells = rng.sample([(i, j) for i in range(5) for j in range(5)], rng.randint(3, 7))
+            poly = [Point2(ticks[i], ticks[j]) for i, j in cells]
+            for _ in range(12):
+                v, w = rng.sample(poly, 2)
+                mid = Point2((v.x + w.x) * F(1, 2), (v.y + w.y) * F(1, 2))
+                base = rng.choice([v, mid, Point2(ticks[rng.randrange(5)], ticks[rng.randrange(5)])])
+                dx, dy = rng.choice([(0, 0), (1, 0), (0, -1), (1, 1)])
+                q = Point2(base.x + hair * dx, base.y + hair * dy)
+                want = exact(q, poly)
+                assert point_in_polygon_closed(q, poly) == want
+                seen.add(want)
+        assert seen == {True, False}
 
 
 class TestRigidMotion:

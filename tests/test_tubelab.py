@@ -418,6 +418,56 @@ class TestUnionVolume:
         assert kakeya_ratio(fam, est) <= 8 * delta
 
 
+class TestTubeIndex:
+    @staticmethod
+    def brute_force(fam, pts):
+        # every tube, same arithmetic as the index: axes summed in order
+        out = np.zeros(len(pts), dtype=bool)
+        for tube in fam.tubes:
+            rel = pts - tube.a
+            t = rel[:, 0] * tube.omega[0]
+            perp2 = rel[:, 0] * rel[:, 0]
+            for d in range(1, fam.dim):
+                t = t + rel[:, d] * tube.omega[d]
+                perp2 = perp2 + rel[:, d] * rel[:, d]
+            out |= (t >= 0.0) & (t <= tube.length) & (perp2 - t * t <= fam.delta ** 2)
+        return out
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate_family(2.0 ** -7, 2, "bush", seed=0),
+        lambda: generate_family(0.125, 3, "random", seed=0),
+        lambda: parallel_lines_family(1 / 16),
+    ], ids=["bush-2d", "random-3d", "parallel-lines-3d"])
+    def test_contains_matches_brute_force(self, make):
+        # Uniform points, plus points a hair inside and outside tube
+        # walls, where a missed candidate cell would show.
+        fam = make()
+        index = TubeIndex(fam)
+        rng = make_rng(11, 0)
+        lo, hi = family_bbox(fam)
+        pts = [rng.uniform(lo, hi, size=(20_000, fam.dim))]
+        for tube in fam.tubes[::max(1, len(fam.tubes) // 64)]:
+            normal = np.linalg.svd(tube.omega[None, :])[2][-1]
+            t = rng.uniform(0.0, tube.length, size=(40, 1))
+            r = fam.delta * (1.0 + rng.choice([-1e-9, 1e-9], size=(40, 1)))
+            pts.append(tube.a + t * tube.omega + r * normal)
+        pts = np.vstack(pts)
+        got = index.contains(pts)
+        want = self.brute_force(fam, pts)
+        assert np.array_equal(got, want)
+        assert 0 < want.sum() < len(pts)
+
+    def test_buckets_hold_the_cells_of_each_core(self):
+        fam = generate_family(2.0 ** -6, 2, "random", seed=3)
+        index = TubeIndex(fam)
+        buckets = index.buckets
+        assert sum(len(b) for b in buckets.values()) == len(index.members)
+        for i, tube in enumerate(fam.tubes):
+            core = tube.a + np.linspace(0.0, tube.length, 9)[:, None] * tube.omega
+            for cell in index._cell_ids(core):
+                assert i in buckets[int(cell)]
+
+
 class TestEssentiallyDistinct:
     def test_identical_tubes_flagged(self):
         t = Tube(3, [0, 0, 0], [1, 0, 0], 0.1)
