@@ -1,8 +1,12 @@
 """Box-counting dimension estimates for the sets this package builds.
 
 Neighbourhood volume |N_dK| is measured by occupancy of a cell grid
-at pitch d/4.  For tube families and point clouds a cell counts when
-its centre lies within d of the set.  A region is rasterized by a
+at pitch d/4.  For a point cloud a cell counts when its centre lies
+within d of a point.  For a tube family it counts when its centre lies
+within delta + d of a core segment: that is the d-neighbourhood of the
+tube with round end caps (a capsule), not of the capless tube that
+tubelab's `in_tube` tests, so it keeps its own distance test; the caps
+add at most a (delta + d)-ball per tube end.  A region is rasterized by a
 scanline parity fill with its outline stamped in, then dilated by the
 digital disc of radius d.  That overstates the band N_dK minus K by
 about 11-13% of the band's area at every scale: on the unit square it

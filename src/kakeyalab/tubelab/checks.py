@@ -18,8 +18,10 @@ from .core import (
     Tube,
     TubeError,
     TubeFamily,
+    _axis_dot,
     _segment_distance_batch,
     family_bbox,
+    in_tube,
 )
 
 __all__ = [
@@ -49,7 +51,7 @@ def _perp_frame(omegas: np.ndarray) -> tuple[np.ndarray, ...]:
     axis = np.argmin(np.abs(omegas), axis=1)
     h = np.zeros_like(omegas)
     h[np.arange(n), axis] = 1.0
-    e1 = h - np.einsum("ij,ij->i", h, omegas)[:, None] * omegas
+    e1 = h - _axis_dot(h.T, omegas.T)[:, None] * omegas
     e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
     e2 = np.cross(omegas, e1)
     return e1, e2
@@ -101,23 +103,15 @@ def essentially_distinct_check(
     cut = 2.0 * fam.delta + 1e-12
 
     # Core-distance prefilter, in row blocks to bound memory.
-    keep_i = []
-    keep_j = []
+    keep = []
     block_rows = max(1, (1 << 21) // max(n, 1))
     for i0 in range(0, n, block_rows):
-        i1 = min(i0 + block_rows, n)
-        ii, jj = np.meshgrid(np.arange(i0, i1), np.arange(n), indexing="ij")
-        mask = jj > ii
-        ii = ii[mask]
-        jj = jj[mask]
-        if len(ii) == 0:
-            continue
-        dist = _segment_distance_batch(A[ii], B[ii], A[jj], B[jj])
-        near = dist <= cut
-        keep_i.append(ii[near])
-        keep_j.append(jj[near])
-    I = np.concatenate(keep_i) if keep_i else np.empty(0, dtype=int)
-    J = np.concatenate(keep_j) if keep_j else np.empty(0, dtype=int)
+        rows = np.arange(i0, min(i0 + block_rows, n))
+        ii, jj = np.nonzero(np.arange(n) > rows[:, None])  # pairs i < j, row-major
+        ii += i0
+        near = _segment_distance_batch(A[ii], B[ii], A[jj], B[jj]) <= cut
+        keep.append(np.stack((ii[near], jj[near])))
+    I, J = np.concatenate(keep, axis=1)
 
     flagged = []
     S = samples_per_pair
@@ -127,24 +121,21 @@ def essentially_distinct_check(
         bj = J[p0 : p0 + pair_block]
         rng = make_rng(seed, bidx)
         t = rng.uniform(0.0, 1.0, size=(len(bi), S)) * L[bi][:, None]
-        pts = A[bi][:, None, :] + t[..., None] * W[bi][:, None, :]
+        # Per-axis (pairs, S) coordinates of points sampled in tube i.
+        pts = [a[:, None] + t * w[:, None] for a, w in zip(A[bi].T, W[bi].T)]
         if d == 2:
             (e1,) = _perp_frame(W[bi])
             r = fam.delta * rng.uniform(-1.0, 1.0, size=(len(bi), S))
-            pts = pts + r[..., None] * e1[:, None, :]
+            pts = [p + r * e[:, None] for p, e in zip(pts, e1.T)]
         else:
             e1, e2 = _perp_frame(W[bi])
             rad = fam.delta * np.sqrt(rng.uniform(0.0, 1.0, size=(len(bi), S)))
             ang = rng.uniform(0.0, 2.0 * math.pi, size=(len(bi), S))
-            pts = (
-                pts
-                + (rad * np.cos(ang))[..., None] * e1[:, None, :]
-                + (rad * np.sin(ang))[..., None] * e2[:, None, :]
-            )
-        rel = pts - A[bj][:, None, :]
-        tj = np.einsum("psd,pd->ps", rel, W[bj])
-        perp2 = np.einsum("psd,psd->ps", rel, rel) - tj * tj
-        hit = (tj >= 0.0) & (tj <= L[bj][:, None]) & (perp2 <= fam.delta**2)
+            x, y = rad * np.cos(ang), rad * np.sin(ang)
+            pts = [p + x * u[:, None] + y * v[:, None]
+                   for p, u, v in zip(pts, e1.T, e2.T)]
+        hit = in_tube(pts, A[bj].T[:, :, None], W[bj].T[:, :, None],
+                      L[bj][:, None], fam.delta)
         phat = hit.mean(axis=1)
         se = np.sqrt(phat * (1.0 - phat) / S)
         bad = phat > 0.5 + 3.0 * se
@@ -294,9 +285,9 @@ def fatten(fam: TubeFamily, rho: float) -> FattenResult:
             diff_p = np.linalg.norm(kw + W[i], axis=1)
             dir_close = np.minimum(diff_m, diff_p) < rho
             off = A[i] - ka
-            pos = np.abs(np.einsum("kd,kd->k", off, kf[0]))
+            pos = np.abs(_axis_dot(off.T, kf[0].T))
             for f in kf[1:]:
-                pos = np.maximum(pos, np.abs(np.einsum("kd,kd->k", off, f)))
+                pos = np.maximum(pos, np.abs(_axis_dot(off.T, f.T)))
             close = np.flatnonzero(dir_close & (pos < rho))
         else:
             close = np.empty(0, dtype=int)

@@ -2,8 +2,9 @@
 
 A tube is the closed delta-neighbourhood of a core segment, without end
 caps: points a + t*omega + v with 0 <= t <= len and v perpendicular to
-omega, |v| <= delta.  Families carry a common scale and a tag recording
-how they were placed.
+omega, |v| <= delta.  `in_tube` is the one membership test for that
+set.  Families carry a common scale and a tag recording how they were
+placed.
 """
 
 from __future__ import annotations
@@ -193,26 +194,35 @@ class VolumeEstimate:
     samples: int | None = None
 
 
+def _axis_dot(xs, ys):
+    """Sum of xs[d] * ys[d], added in axis order whatever the SIMD width."""
+    total = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        total += x * y
+    return total
+
+
+def in_tube(p, a, w, length, delta):
+    """Closed-tube membership of p; p, a, w are per-axis sequences whose
+    entries broadcast together, p - a to the full shape.  The perpendicular
+    part is explicit: |rel|^2 - t^2 cancels near the wall when t is large."""
+    rel = [pd - ad for pd, ad in zip(p, a)]
+    t = _axis_dot(rel, w)
+    for r, wd in zip(rel, w):
+        np.subtract(r, t * wd, out=r)  # in place: rel becomes the perpendicular part
+    return (t >= 0.0) & (t <= length) & (_axis_dot(rel, rel) <= delta * delta)
+
+
 def points_in_tube(pts: np.ndarray, tube: Tube) -> np.ndarray:
     """Boolean mask: which rows of pts lie in the closed tube."""
-    rel = pts - tube.a
-    t = rel @ tube.omega
-    # explicit perpendicular component; |rel|^2 - t^2 cancels badly
-    # near the wall when t is large
-    perp = rel - t[:, None] * tube.omega
-    perp2 = np.einsum("ij,ij->i", perp, perp)
-    return (t >= 0.0) & (t <= tube.length) & (perp2 <= tube.delta**2)
+    return in_tube(np.asarray(pts, dtype=float).T, tube.a, tube.omega,
+                   tube.length, tube.delta)
 
 
 def segment_distance(p1, q1, p2, q2) -> float:
     """Minimal distance between segments [p1,q1] and [p2,q2]."""
-    d = _segment_distance_batch(
-        np.asarray(p1, float)[None],
-        np.asarray(q1, float)[None],
-        np.asarray(p2, float)[None],
-        np.asarray(q2, float)[None],
-    )
-    return float(d[0])
+    rows = [np.asarray(v, float)[None] for v in (p1, q1, p2, q2)]
+    return float(_segment_distance_batch(*rows)[0])
 
 
 def _segment_distance_batch(p1, q1, p2, q2) -> np.ndarray:
@@ -220,11 +230,11 @@ def _segment_distance_batch(p1, q1, p2, q2) -> np.ndarray:
     d1 = q1 - p1
     d2 = q2 - p2
     r = p1 - p2
-    a = np.einsum("ij,ij->i", d1, d1)
-    e = np.einsum("ij,ij->i", d2, d2)
-    b = np.einsum("ij,ij->i", d1, d2)
-    c = np.einsum("ij,ij->i", d1, r)
-    f = np.einsum("ij,ij->i", d2, r)
+    a = _axis_dot(d1.T, d1.T)
+    e = _axis_dot(d2.T, d2.T)
+    b = _axis_dot(d1.T, d2.T)
+    c = _axis_dot(d1.T, r.T)
+    f = _axis_dot(d2.T, r.T)
     den = a * e - b * b
     # Parallel pairs: pick s = 0 and rely on the clamp passes below.
     s = np.where(den > 1e-30, (b * f - c * e) / np.where(den > 1e-30, den, 1.0), 0.0)
@@ -235,4 +245,4 @@ def _segment_distance_batch(p1, q1, p2, q2) -> np.ndarray:
     s = np.where(a > 1e-30, (b * t - c) / np.where(a > 1e-30, a, 1.0), 0.0)
     s = np.clip(s, 0.0, 1.0)
     diff = (p1 + s[:, None] * d1) - (p2 + t[:, None] * d2)
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return np.sqrt(_axis_dot(diff.T, diff.T))

@@ -19,13 +19,15 @@ from .core import (
     VolumeEstimate,
     family_bbox,
     family_total_volume,
+    in_tube,
 )
 
 __all__ = ["union_volume", "kakeya_ratio", "TubeIndex"]
 
 
-# Candidate (point, tube) pairs tested per batch of a query.
-_PAIR_BATCH = 1 << 18
+# Candidate (point, tube) pairs tested per batch of a query; the
+# kernel's per-axis temporaries stay cache-sized.
+_PAIR_BATCH = 1 << 15
 
 
 class TubeIndex:
@@ -89,9 +91,7 @@ class TubeIndex:
         first = self.starts[ids]
         count = self.starts[ids + 1] - first
         ends = np.cumsum(count)
-        # Axes are summed in a fixed order, whatever numpy's SIMD width.
         p_ax = pts.T.copy()
-        d2 = self.delta * self.delta
         a = 0
         while a < n:
             base = ends[a - 1] if a else 0
@@ -101,14 +101,8 @@ class TubeIndex:
             # a row's candidates sit at first[row] + 0, 1, ..., count[row] - 1
             slot = np.arange(len(row)) + np.repeat(first[a:b] - ends[a:b] + base + c, c)
             tube = self.members[slot]
-            rel = [p[row] - q[tube] for p, q in zip(p_ax, self.anchors)]
-            t = rel[0] * self.omegas[0][tube]
-            perp2 = rel[0] * rel[0]
-            for d in range(1, self.dim):
-                t += rel[d] * self.omegas[d][tube]
-                perp2 += rel[d] * rel[d]
-            perp2 -= t * t
-            hit = (t >= 0.0) & (t <= self.lengths[tube]) & (perp2 <= d2)
+            hit = in_tube([p[row] for p in p_ax], [q[tube] for q in self.anchors],
+                          [w[tube] for w in self.omegas], self.lengths[tube], self.delta)
             out[row[hit]] = True
             a = b
         return out

@@ -3,10 +3,12 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kakeyalab.tubelab as tubelab
 from kakeyalab.rng import make_rng
 from kakeyalab.tubelab import (
     DistinctReport,
@@ -119,9 +121,13 @@ class TestTubeBasics:
                 [-0.001, 0.0],  # behind the start face
                 [1.001, 0.0],   # past the end face
                 [1.0, 0.1],     # corner, closed set
+                [0.7, 0.1],     # on the wall, where |rel|^2 - t^2 rounds up
+                [0.3, -0.1],    # on the opposite wall
             ]
         )
-        assert points_in_tube(pts, t).tolist() == [True, False, False, False, True]
+        want = [True, False, False, False, True, True, True]
+        assert points_in_tube(pts, t).tolist() == want
+        assert TubeIndex(TubeFamily(0.1, (t,))).contains(pts).tolist() == want
 
     def test_family_validation(self):
         t = Tube(2, [0, 0], [1, 0], 0.1)
@@ -156,6 +162,29 @@ class TestSegmentDistance:
             )
             assert d <= brute + 1e-12
             assert brute - d <= 2e-2  # grid resolution slack
+
+    def test_bit_identical_to_fixed_order_reference(self):
+        # Every dot product adds its axes as (x0 + x1) + x2, so the
+        # result does not depend on the SIMD width numpy was built for.
+        def dot(u, v):
+            return (u[0] * v[0] + u[1] * v[1]) + u[2] * v[2]
+
+        def clamp(x):
+            return min(max(x, 0.0), 1.0)
+
+        def reference(p1, q1, p2, q2):
+            d1, d2, r = q1 - p1, q2 - p2, p1 - p2
+            a, e, b, c, f = dot(d1, d1), dot(d2, d2), dot(d1, d2), dot(d1, r), dot(d2, r)
+            den = a * e - b * b
+            s = clamp((b * f - c * e) / den if den > 1e-30 else 0.0)
+            t = clamp((b * s + f) / e if e > 1e-30 else 0.0)
+            s = clamp((b * t - c) / a if a > 1e-30 else 0.0)
+            diff = (p1 + s * d1) - (p2 + t * d2)
+            return math.sqrt(dot(diff, diff))
+
+        rng = make_rng(73, 0)
+        for p1, q1, p2, q2 in rng.uniform(-1, 1, size=(500, 4, 3)):
+            assert segment_distance(p1, q1, p2, q2) == reference(p1, q1, p2, q2)
 
 
 class TestDirections2D:
@@ -421,16 +450,10 @@ class TestUnionVolume:
 class TestTubeIndex:
     @staticmethod
     def brute_force(fam, pts):
-        # every tube, same arithmetic as the index: axes summed in order
+        # every tube, no index: the union of the public predicate
         out = np.zeros(len(pts), dtype=bool)
         for tube in fam.tubes:
-            rel = pts - tube.a
-            t = rel[:, 0] * tube.omega[0]
-            perp2 = rel[:, 0] * rel[:, 0]
-            for d in range(1, fam.dim):
-                t = t + rel[:, d] * tube.omega[d]
-                perp2 = perp2 + rel[:, d] * rel[:, d]
-            out |= (t >= 0.0) & (t <= tube.length) & (perp2 - t * t <= fam.delta ** 2)
+            out |= points_in_tube(pts, tube)
         return out
 
     @pytest.mark.parametrize("make", [
@@ -531,6 +554,23 @@ class TestEssentiallyDistinct:
         )
         assert rep.n_sampled > 0
         assert rep.ok
+
+    def test_pinned_seeded_flags(self):
+        # Two pair blocks of 32 pairs; the flags were recorded before the
+        # sampler moved to per-axis arrays and the shared tube kernel.
+        fam = TubeFamily(1 / 8, parallel_lines_family(1 / 8).tubes[:10])
+        rep = essentially_distinct_check(fam, samples_per_pair=1 << 16, seed=4)
+        assert rep.n_sampled == 45
+        assert [(p.i, p.j, p.estimate) for p in rep.flagged] == [
+            (0, 1, 0.6889190673828125), (0, 8, 0.688385009765625),
+            (1, 2, 0.695526123046875), (1, 8, 0.6954803466796875),
+            (1, 9, 0.6876068115234375), (2, 3, 0.708587646484375),
+            (2, 8, 0.5152130126953125), (2, 9, 0.68096923828125),
+            (3, 4, 0.718475341796875), (3, 9, 0.5083770751953125),
+            (4, 5, 0.7314300537109375), (4, 6, 0.514617919921875),
+            (5, 6, 0.746978759765625), (5, 7, 0.5433807373046875),
+            (6, 7, 0.7622833251953125), (8, 9, 0.683807373046875),
+        ]
 
     def test_random_family_flags_are_genuine_and_rare(self):
         # Random anchors occasionally land two minimally-separated tubes
@@ -691,6 +731,13 @@ class TestSticky:
     def test_order_note_recorded(self):
         rep = sticky_check(make_dyadic_fixture(1 / 8))
         assert "order" in rep.order_note
+
+
+def test_no_einsum_in_tubelab():
+    # einsum's summation order over a 3-wide axis follows numpy's SIMD
+    # width, so seeded 3-D results would differ between machines.
+    for path in Path(tubelab.__file__).parent.glob("*.py"):
+        assert "einsum" not in path.read_text(), path.name
 
 
 class TestSerialization:
