@@ -1,13 +1,15 @@
 """Box-counting dimension estimates for the sets this package builds.
 
 Neighbourhood volume |N_dK| is measured by occupancy of a cell grid
-at pitch d/4.  For a point cloud a cell counts when its centre lies
-within d of a point.  For a tube family it counts when its centre lies
+at pitch d/4.  For a tube family a cell counts when its centre lies
 within delta + d of a core segment: that is the d-neighbourhood of the
 tube with round end caps (a capsule), not of the capless tube that
 tubelab's `in_tube` tests, so it keeps its own distance test; the caps
-add at most a (delta + d)-ball per tube end.  A region is rasterized by a
-scanline parity fill with its outline stamped in, then dilated by the
+add at most a (delta + d)-ball per tube end.  A point cloud is measured
+by the same test as zero-length segments of width 0: a cell counts when
+its centre lies within d of a point.  A region is rasterized by a
+scanline winding fill, so overlapping polygons count once (their union,
+not their parity), with its outline stamped in, then dilated by the
 digital disc of radius d.  That overstates the band N_dK minus K by
 about 11-13% of the band's area at every scale: on the unit square it
 gives 1.1436 where the exact 1 + 4d + pi d^2 is 1.1281 at d = 2^-5,
@@ -40,10 +42,12 @@ __all__ = [
     "neighborhood_volume_curve",
 ]
 
-# Grid caps: the per-tube and per-point tests cost per cell they touch,
-# the region scanline fill costs two bytes per cell of the whole grid.
+# Grid caps: the per-segment test costs per cell it touches, the region
+# scanline fill two bytes per cell of the whole grid.
 _MAX_CELLS = 1 << 27
 _SCAN_CELLS = 1 << 31
+# Grid pitch is delta / _CELL_FACTOR.
+_CELL_FACTOR = 4.0
 
 
 class DimError(ValueError):
@@ -89,7 +93,7 @@ class DimensionEstimate:
     """Least-squares Minkowski dimension with its fit residual.
 
     delta_range records the (coarsest, finest) scales the fit used
-    after any endpoint trimming.
+    after dropping one scale at each end.
     """
 
     dimension: float
@@ -140,10 +144,6 @@ def _window(lo, counts, cell, wlo, whi):
     return i0, i1
 
 
-def _centers(lo: float, i0: int, i1: int, cell: float) -> np.ndarray:
-    return lo + (np.arange(i0, i1) + 0.5) * cell
-
-
 def _boundary_edges(region: Region2, polys: list[np.ndarray]) -> np.ndarray:
     """Edges of the union outline, as an (n, 2, 2) float array.
 
@@ -178,7 +178,9 @@ def _region_volume(polys, bedges, delta, cell):
     lo, counts = _axes(verts.min(axis=0) - pad, verts.max(axis=0) + pad, cell,
                        cap=_SCAN_CELLS)
     nx, ny = int(counts[0]), int(counts[1])
-    par = np.zeros((nx, ny), dtype=np.uint8)
+    # Winding count (int8: depths up to 127): a CCW edge crossing a row
+    # downward adds 1, upward -1.
+    wind = np.zeros((nx, ny), dtype=np.int8)
     for V in polys:
         for (ax, ay), (bx, by) in zip(V, np.roll(V, -1, axis=0)):
             if ay == by:
@@ -196,10 +198,11 @@ def _region_volume(polys, bedges, delta, cell):
             xc = ax + (yc[m] - ay) * (bx - ax) / (by - ay)
             ix = np.ceil((xc - lo[0]) / cell - 0.5).astype(np.int64)
             keep = ix < nx
-            np.add.at(par, (np.clip(ix[keep], 0, nx - 1), rows[keep]), 1)
-    par &= 1
-    np.bitwise_xor.accumulate(par, axis=0, out=par)
-    inside = par.view(bool)
+            np.add.at(wind, (np.clip(ix[keep], 0, nx - 1), rows[keep]),
+                      1 if ay > by else -1)
+    np.add.accumulate(wind, axis=0, out=wind)
+    np.clip(wind, 0, 1, out=wind)
+    inside = wind.view(bool)
     # stamp the outline so slivers thinner than a cell still register
     for (a, b) in bedges:
         n = int(np.hypot(b[0] - a[0], b[1] - a[1]) / (0.5 * cell)) + 2
@@ -219,51 +222,33 @@ def _region_volume(polys, bedges, delta, cell):
     return float(occ.sum()) * cell ** 2
 
 
-def _tube_volume(family: TubeFamily, delta: float, cell: float) -> float:
-    dim = family.dim
-    ends = np.array([t.a for t in family.tubes] + [t.b for t in family.tubes])
-    reach = family.delta + delta
+def _capsule_volume(A: np.ndarray, W: np.ndarray, lengths: np.ndarray,
+                    reach: float, cell: float) -> float:
+    """Volume of the cells whose centres lie within reach of a segment
+    A[i] + t W[i], 0 <= t <= lengths[i]."""
+    dim = A.shape[1]
+    B = A + lengths[:, None] * W
+    ends = np.vstack([A, B])
     pad = reach + cell
     lo, counts = _axes(ends.min(axis=0) - pad, ends.max(axis=0) + pad, cell)
     occ = np.zeros(tuple(counts), dtype=bool)
     r2 = reach * reach
-    for tube in family.tubes:
-        wlo = np.minimum(tube.a, tube.b) - pad
-        whi = np.maximum(tube.a, tube.b) + pad
-        i0, i1 = _window(lo, counts, cell, wlo, whi)
-        axes = [_centers(lo[k], i0[k], i1[k], cell) for k in range(dim)]
+    for a, w, length, b in zip(A, W, lengths, B):
+        i0, i1 = _window(lo, counts, cell, np.minimum(a, b) - pad, np.maximum(a, b) + pad)
+        axes = [lo[k] + (np.arange(i0[k], i1[k]) + 0.5) * cell for k in range(dim)]
         grids = np.meshgrid(*axes, indexing="ij", sparse=True)
-        t = sum((g - a) * w for g, a, w in zip(grids, tube.a, tube.omega))
-        t = np.clip(t, 0.0, tube.length)
-        dist2 = sum((g - a - t * w) ** 2
-                    for g, a, w in zip(grids, tube.a, tube.omega))
-        sel = tuple(slice(a, b) for a, b in zip(i0, i1))
-        occ[sel] |= dist2 <= r2
+        t = np.clip(sum((g - c) * e for g, c, e in zip(grids, a, w)), 0.0, length)
+        dist2 = sum((g - c - t * e) ** 2 for g, c, e in zip(grids, a, w))
+        occ[tuple(map(slice, i0, i1))] |= dist2 <= r2
     return float(occ.sum()) * cell ** dim
 
 
-def _cloud_volume(points: np.ndarray, delta: float, cell: float) -> float:
-    dim = points.shape[1]
-    pad = delta + cell
-    lo, counts = _axes(points.min(axis=0) - pad, points.max(axis=0) + pad, cell)
-    occ = np.zeros(tuple(counts), dtype=bool)
-    d2 = delta * delta
-    for p in points:
-        i0, i1 = _window(lo, counts, cell, p - pad, p + pad)
-        axes = [_centers(lo[k], i0[k], i1[k], cell) for k in range(dim)]
-        grids = np.meshgrid(*axes, indexing="ij", sparse=True)
-        dist2 = sum((g - c) ** 2 for g, c in zip(grids, p))
-        sel = tuple(slice(a, b) for a, b in zip(i0, i1))
-        occ[sel] |= dist2 <= d2
-    return float(occ.sum()) * cell ** dim
-
-
-def neighborhood_volume_curve(shape, deltas, *, cell_factor: float = 4.0) -> BoxCountCurve:
+def neighborhood_volume_curve(shape, deltas) -> BoxCountCurve:
     """Measure |N_dK| of shape over the given decreasing deltas.
 
     shape may be a Region2, a TubeFamily, or an (n, dim) point array.
-    Each delta uses its own occupancy grid at pitch delta/cell_factor;
-    evaluations run through the shared ordered parallel map.
+    Each delta uses its own occupancy grid at pitch delta/4; evaluations
+    run through the shared ordered parallel map.
     """
     ds = [float(d) for d in deltas]
     if not ds:
@@ -273,32 +258,36 @@ def neighborhood_volume_curve(shape, deltas, *, cell_factor: float = 4.0) -> Box
             raise DimError(f"deltas must lie in (0, 1), got {d}")
     if any(b >= a for a, b in zip(ds, ds[1:])):
         raise DimError("deltas must be strictly decreasing")
-    if not (cell_factor >= 2.0):
-        raise DimError("cell_factor must be at least 2")
 
     if isinstance(shape, Region2):
         polys = _float_polygons(shape)
         bedges = _boundary_edges(shape, polys)
-        jobs = [(lambda d=d: _region_volume(polys, bedges, d, d / cell_factor))
+        jobs = [(lambda d=d: _region_volume(polys, bedges, d, d / _CELL_FACTOR))
                 for d in ds]
-    elif isinstance(shape, TubeFamily):
-        jobs = [(lambda d=d: _tube_volume(shape, d, d / cell_factor)) for d in ds]
     else:
-        pts = np.asarray(shape, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] not in (2, 3) or len(pts) == 0:
-            raise DimError("point cloud must be a non-empty (n, 2) or (n, 3) array")
-        if not np.all(np.isfinite(pts)):
-            raise DimError("point cloud must be finite")
-        jobs = [(lambda d=d: _cloud_volume(pts, d, d / cell_factor)) for d in ds]
+        if isinstance(shape, TubeFamily):
+            A = np.array([t.a for t in shape.tubes])
+            W = np.array([t.omega for t in shape.tubes])
+            lengths = np.array([t.length for t in shape.tubes])
+            width = shape.delta
+        else:
+            A = np.asarray(shape, dtype=float)
+            if A.ndim != 2 or A.shape[1] not in (2, 3) or len(A) == 0:
+                raise DimError("point cloud must be a non-empty (n, 2) or (n, 3) array")
+            if not np.all(np.isfinite(A)):
+                raise DimError("point cloud must be finite")
+            W, lengths, width = np.zeros_like(A), np.zeros(len(A)), 0.0
+        jobs = [(lambda d=d: _capsule_volume(A, W, lengths, width + d, d / _CELL_FACTOR))
+                for d in ds]
 
     vols = map_ordered(lambda job: job(), jobs)
     return BoxCountCurve(tuple(zip(ds, vols)))
 
 
-def minkowski_estimate(curve: BoxCountCurve, ambient: int, *, trim: int = 1) -> DimensionEstimate:
+def minkowski_estimate(curve: BoxCountCurve, ambient: int) -> DimensionEstimate:
     """Fit dimension = ambient - slope of log |N_dK| against log d.
 
-    trim entries are dropped from each end of the curve before the
+    One entry is dropped from each end of the curve before the
     least-squares fit (boundary scales are the least reliable); the
     result is clamped to [0, ambient].
     """
@@ -306,9 +295,7 @@ def minkowski_estimate(curve: BoxCountCurve, ambient: int, *, trim: int = 1) -> 
         raise DimError(f"ambient dimension must be 1, 2, or 3, got {ambient}")
     if len(curve) < 4:
         raise DimError("dimension fit needs at least 4 curve points")
-    if trim < 0 or len(curve) - 2 * trim < 2:
-        raise DimError(f"trim {trim} leaves fewer than 2 points")
-    used = curve.entries[trim:len(curve) - trim] if trim else curve.entries
+    used = curve.entries[1:-1]
     x = np.log([d for d, _ in used])
     y = np.log([v for _, v in used])
     slope, intercept = np.polyfit(x, y, 1)

@@ -29,9 +29,6 @@ class Point2:
     def __neg__(self):
         return Point2(-self.x, -self.y)
 
-    def scale(self, s) -> "Point2":
-        return Point2(self.x * s, self.y * s)
-
     def __eq__(self, other):
         if not isinstance(other, Point2):
             return NotImplemented
@@ -61,13 +58,6 @@ class Segment2:
             raise GeomError("degenerate segment: identical endpoints %r" % (p,))
         self.p = p
         self.q = q
-
-    def direction(self) -> Point2:
-        return self.q - self.p
-
-    def at(self, t) -> Point2:
-        d = self.q - self.p
-        return Point2(self.p.x + d.x * t, self.p.y + d.y * t)
 
     def __repr__(self):
         return "Segment2(%r, %r)" % (self.p, self.q)

@@ -80,18 +80,21 @@ class Region2:
 
     @classmethod
     def from_json(cls, text: str) -> "Region2":
-        obj = json.loads(text)
-        polys = []
-        for poly in obj["polygons"]:
-            vs = []
-            for enc in poly:
-                if len(enc) != 8:
-                    raise GeomError("vertex encoding must have 8 integers")
-                x = ExactScalar.from_ints(*enc[:4])
-                y = ExactScalar.from_ints(*enc[4:])
-                vs.append(Point2(x, y))
-            polys.append(vs)
-        return cls(polys)
+        return cls(_decode_polygons(json.loads(text)["polygons"]))
+
+
+def _decode_polygons(encoded) -> list[list[Point2]]:
+    """Vertex lists from the eight-integer encoding of Region2.to_json."""
+    polys = []
+    for poly in encoded:
+        vs = []
+        for enc in poly:
+            if len(enc) != 8:
+                raise GeomError("vertex encoding must have 8 integers")
+            vs.append(Point2(ExactScalar.from_ints(*enc[:4]),
+                             ExactScalar.from_ints(*enc[4:])))
+        polys.append(vs)
+    return polys
 
 
 def normalize(a: Region2) -> Region2:

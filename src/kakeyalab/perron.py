@@ -39,6 +39,7 @@ from .exactgeom import (
     scalar,
 )
 from .exactgeom.overlay import overlay
+from .exactgeom.region import _decode_polygons
 
 APEX = Point2(ZERO, ONE)
 BASE_HALF = INV_SQRT3
@@ -203,29 +204,29 @@ def _segment_in_triangle(seg: Segment2, tri: list[Point2]) -> bool:
     return point_in_polygon_closed(seg.p, tri) and point_in_polygon_closed(seg.q, tri)
 
 
-def direction_coverage(tree: PerronTree, n_dirs: int,
-                       region_checks: int = 16) -> CoverageReport:
+# Sampled directions that direction_coverage also tests on the region.
+_REGION_CHECKS = 16
+
+
+def direction_coverage(tree: PerronTree, n_dirs: int) -> CoverageReport:
     """Check that every sampled apex direction survives the shifts.
 
     Each sampled segment must land inside its own translated leaf, which
     is a constituent of the union, hence inside the region.  A sparse
-    subset (region_checks of them) is additionally tested against the
+    subset (_REGION_CHECKS of them) is additionally tested against the
     full region boundary as a guard on the bookkeeping itself.
     """
     leaves = shifted_leaves(tree.spec)
-    covered = 0
     failed = []
-    stride = max(1, n_dirs // max(region_checks, 1))
+    stride = max(1, n_dirs // _REGION_CHECKS)
     for j, t in enumerate(sector_abscissas(n_dirs)):
         seg, k = covering_segment(tree, t)
         ok = _segment_in_triangle(seg, leaves[k])
         if ok and j % stride == 0:
             ok = contains_segment(tree.region, seg)
-        if ok:
-            covered += 1
-        else:
+        if not ok:
             failed.append(j)
-    return CoverageReport(n_dirs=n_dirs, covered=covered, failed=tuple(failed))
+    return CoverageReport(n_dirs, n_dirs - len(failed), tuple(failed))
 
 
 def assemble_kakeya(tree: PerronTree) -> Region2:
@@ -245,39 +246,26 @@ def assemble_kakeya(tree: PerronTree) -> Region2:
     return Region2(pieces, _disjoint=True, _area=area)
 
 
-def full_circle_coverage(tree: PerronTree, n_dirs: int,
-                         region: Region2 | None = None,
-                         region_checks: int = 12) -> CoverageReport:
+def full_circle_coverage(tree: PerronTree, n_dirs: int) -> CoverageReport:
     """Coverage of the assembled three-copy set over the whole circle.
 
     n_dirs must be a multiple of 3; each rotated copy contributes one
     60-degree sector of directions (doubled by antipodes).  Segments are
-    certified inside the rotated translated leaf, plus sparse whole-region
-    checks when the assembled region is supplied.
+    certified inside the rotated translated leaf.
     """
     if n_dirs % 3 != 0:
         raise GeomError("full-circle direction count must be divisible by 3")
     per = n_dirs // 3
     leaves = shifted_leaves(tree.spec)
-    covered = 0
     failed = []
-    stride = max(1, n_dirs // max(region_checks, 1))
-    j = 0
-    for angle in (0, 120, 240):
+    for c, angle in enumerate((0, 120, 240)):
         rot = RigidMotion.rotation(angle, APEX)
-        for t in sector_abscissas(per):
+        for j, t in enumerate(sector_abscissas(per), c * per):
             seg, k = covering_segment(tree, t)
             rseg = Segment2(rot.apply(seg.p), rot.apply(seg.q))
-            rleaf = [rot.apply(v) for v in leaves[k]]
-            ok = _segment_in_triangle(rseg, rleaf)
-            if ok and region is not None and j % stride == 0:
-                ok = contains_segment(region, rseg)
-            if ok:
-                covered += 1
-            else:
+            if not _segment_in_triangle(rseg, [rot.apply(v) for v in leaves[k]]):
                 failed.append(j)
-            j += 1
-    return CoverageReport(n_dirs=n_dirs, covered=covered, failed=tuple(failed))
+    return CoverageReport(n_dirs, n_dirs - len(failed), tuple(failed))
 
 
 def tree_to_json(tree: PerronTree) -> str:
@@ -302,10 +290,10 @@ def tree_to_json(tree: PerronTree) -> str:
 def tree_from_json(text: str) -> PerronTree:
     obj = json.loads(text)
     spec = PerronSpec(obj["m"], tuple(Fraction(s) for s in obj["schedule"]))
-    region = Region2.from_json(json.dumps(obj["region"]))
     area = ExactScalar.from_ints(*obj["area"])
     # our writer only emits normalized regions, so trust the flag
-    region = Region2(region.polygons, _disjoint=True, _area=area)
+    region = Region2(_decode_polygons(obj["region"]["polygons"]),
+                     _disjoint=True, _area=area)
     shifts = tuple(
         Point2(ExactScalar.from_ints(*enc[:4]), ExactScalar.from_ints(*enc[4:]))
         for enc in obj["piece_shifts"]

@@ -20,7 +20,6 @@ from .grid import (
     dft_forward,
     dft_inverse,
     freq_coords,
-    grid_coords,
     lp_norm,
 )
 from .multipliers import (
@@ -42,7 +41,6 @@ __all__ = [
     "SpectralError",
     "dft_forward",
     "dft_inverse",
-    "grid_coords",
     "freq_coords",
     "lp_norm",
     "MultiplierSpec",

@@ -8,9 +8,8 @@ radially, which doubles each tube along its length, and the doubles
 pile up inside the tree region.  The report compares L^p norms of the
 packet sum before and after filtering.
 
-A single tree covers the 60 degree direction sector; the full-circle
-variant places three rotated copies and reuses each spatial placement
-for the antipodal frequency rectangle.
+One tree covers the 60 degree sector of directions around the vertical,
+which is all the pile-up needs, so every packet lies in that sector.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ class PacketDiagnostic:
     index: int
     angle: float
     leaf: int
-    rotation: int
     center: np.ndarray
     power: float
     kept_fraction: float
@@ -94,42 +92,19 @@ def _abscissa(phi: float) -> Fraction:
     return Fraction(-math.cos(phi) / math.sin(phi))
 
 
-def _rotate(v: np.ndarray, k: int) -> np.ndarray:
-    if k == 0:
-        return v
-    c, s = math.cos(k * _SECTOR), math.sin(k * _SECTOR)
-    return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
-
-
-def plan_placements(tree: PerronTree, r: float, L: float,
-                    full_circle: bool = False):
-    """Packets for every covered direction: list of (WavePacket, leaf, k).
+def plan_placements(tree: PerronTree, r: float, L: float):
+    """Packets for every sector direction: list of (WavePacket, leaf).
 
     The tree base line is embedded at height 0.6 L, centred at L/2, and
     scaled by 1/r^2.  Each tube centre sits half a tube length below its
-    tracked base point, so the double reaches into the tree.  k is the
-    rotation index of the tree copy handling the direction (always 0
-    without full_circle).
+    tracked base point, so the double reaches into the tree.
     """
     lam = 1.0 / r ** 2
     origin = np.array([L / 2.0, 0.6 * L])
-    if full_circle:
-        n = int(2.0 * math.pi / r)
-        angles = [(i + 0.5) * r for i in range(n)]
-    else:
-        n = int(_SECTOR / r)
-        angles = [_SECTOR + (i + 0.5) * r for i in range(n)]
     out = []
-    for phi in angles:
-        psi = phi % math.pi
-        if psi < _SECTOR:
-            k = -1
-        elif psi <= 2 * _SECTOR:
-            k = 0
-        else:
-            k = 1
-        phi0 = psi - k * _SECTOR
-        t = _abscissa(phi0)
+    for i in range(int(_SECTOR / r)):
+        phi = _SECTOR + (i + 0.5) * r
+        t = _abscissa(phi)
         for _ in range(4):
             try:
                 seg, leaf = covering_segment(tree, t)
@@ -139,10 +114,9 @@ def plan_placements(tree: PerronTree, r: float, L: float,
         else:
             raise SpectralError(f"direction {phi} missed the sector")
         base = np.array([float(seg.q.x), float(seg.q.y)])
-        n_hat = np.array([math.cos(phi0), math.sin(phi0)])
-        center = (origin + lam * _rotate(base, k)
-                  - (lam / 2.0) * _rotate(n_hat, k))
-        out.append((WavePacket(FreqRect(phi, r), center), leaf, k))
+        n_hat = np.array([math.cos(phi), math.sin(phi)])
+        center = origin + lam * base - (lam / 2.0) * n_hat
+        out.append((WavePacket(FreqRect(phi, r), center), leaf))
     return out
 
 
@@ -165,8 +139,7 @@ def _norm_and_filtered(fhat: np.ndarray, N: int, L: float, p: float):
 
 
 def fefferman_experiment(tree: PerronTree, r: float, p: float,
-                         N: int | None = None, L: float | None = None,
-                         full_circle: bool = False) -> FeffermanReport:
+                         N: int | None = None, L: float | None = None) -> FeffermanReport:
     """Build the packet sum for the tree's directions at scale r and
     measure the L^p norm ratio across the unit low-pass filter."""
     if not p >= 1:
@@ -174,38 +147,36 @@ def fefferman_experiment(tree: PerronTree, r: float, p: float,
     if N is None or L is None:
         N, L = minimal_grid(r)
     _check_grid(r, N, L)
-    placements = plan_placements(tree, r, L, full_circle)
+    placements = plan_placements(tree, r, L)
     freqs = np.fft.fftfreq(N, d=L / N)
 
     def run(job):
-        packet, leaf, k = job
+        packet, _ = job
         ix, iy, block = packet_symbol_block(packet.theta, packet.y, N, L)
         q = (np.square(freqs[ix])[:, None] + np.square(freqs[iy])[None, :])
         power = np.abs(block) ** 2
         total = power.sum()
         kept = power[q <= 1.0].sum() / total if total > 0 else 0.0
-        return ix, iy, block, leaf, k, float(total) / L ** 2, float(kept)
+        return ix, iy, block, float(total) / L ** 2, float(kept)
 
     fhat = np.zeros((N, N), dtype=complex)
     diags = []
-    for i, ((packet, _, _), (ix, iy, block, leaf, k, pw, kept)) in enumerate(
+    for i, ((packet, leaf), (ix, iy, block, pw, kept)) in enumerate(
             zip(placements, map_ordered(run, placements))):
         fhat[np.ix_(ix, iy)] += block
-        diags.append(PacketDiagnostic(i, packet.theta.angle, leaf, k,
+        diags.append(PacketDiagnostic(i, packet.theta.angle, leaf,
                                       packet.y, pw, kept))
     in_norm, out_norm, heat = _norm_and_filtered(fhat, N, L, p)
     return FeffermanReport(r, p, N, L, len(placements), in_norm, out_norm,
                            tuple(diags), heat)
 
 
-def single_packet_ratio(r: float, p: float,
-                        N: int | None = None, L: float | None = None) -> float:
-    """Norm ratio for one packet alone: the no-pile-up control."""
+def single_packet_ratio(r: float, p: float) -> float:
+    """Norm ratio for one packet alone, on the minimal grid: the
+    no-pile-up control."""
     if not p >= 1:
         raise SpectralError(f"p must be >= 1, got {p}")
-    if N is None or L is None:
-        N, L = minimal_grid(r)
-    _check_grid(r, N, L)
+    N, L = minimal_grid(r)
     packet = WavePacket(FreqRect(math.pi / 2, r), np.array([L / 2, L / 2]))
     fhat = np.zeros((N, N), dtype=complex)
     ix, iy, block = packet_symbol_block(packet.theta, packet.y, N, L)

@@ -20,7 +20,6 @@ __all__ = [
     "SpectralError",
     "dft_forward",
     "dft_inverse",
-    "grid_coords",
     "freq_coords",
     "lp_norm",
 ]
@@ -60,11 +59,6 @@ class GridField:
     @property
     def nyquist(self) -> float:
         return self.N / (2.0 * self.L)
-
-
-def grid_coords(f: GridField) -> np.ndarray:
-    """Sample positions (j/N)*L along one axis."""
-    return np.arange(f.N) * (f.L / f.N)
 
 
 def freq_coords(f: GridField) -> np.ndarray:

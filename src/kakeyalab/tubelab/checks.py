@@ -102,9 +102,10 @@ def essentially_distinct_check(
     B = A + L[:, None] * W
     cut = 2.0 * fam.delta + 1e-12
 
-    # Core-distance prefilter, in row blocks to bound memory.
+    # Core-distance prefilter, in row blocks of at most 2^18 pairs (or one
+    # row): each pair costs a few hundred bytes of (pairs, dim) temporaries.
     keep = []
-    block_rows = max(1, (1 << 21) // max(n, 1))
+    block_rows = max(1, (1 << 18) // max(n, 1))
     for i0 in range(0, n, block_rows):
         rows = np.arange(i0, min(i0 + block_rows, n))
         ii, jj = np.nonzero(np.arange(n) > rows[:, None])  # pairs i < j, row-major

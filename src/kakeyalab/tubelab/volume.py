@@ -67,17 +67,17 @@ class TubeIndex:
         return np.ravel_multi_index(ix.T, self.shape)
 
     def _cells_near_tube(self, t: Tube) -> np.ndarray:
-        # Walk the core, mark every cell whose points might touch the
-        # tube: reach = delta + walk spacing/2 + cell diagonal/2.
+        # Walk the core at spacing h/2 and mark the 3^dim cells around
+        # each walk point's cell.  One cell is enough: h >= 2 delta, so
+        # every tube point lies within delta + h/4 <= 3h/4 of some walk
+        # point along each axis.
         step = self.h / 2.0
         n = int(math.ceil(t.length / step)) + 1
         pts = t.a[None, :] + np.linspace(0.0, t.length, n)[:, None] * t.omega[None, :]
-        reach = t.delta + step / 2.0 + self.h * math.sqrt(self.dim) / 2.0
-        r = int(math.ceil(reach / self.h))
         base = np.unique(self._cell_ids(pts))
         base = np.stack(np.unravel_index(base, self.shape), axis=1)
         offs = np.stack(
-            np.meshgrid(*([np.arange(-r, r + 1)] * self.dim), indexing="ij"), axis=-1
+            np.meshgrid(*([np.arange(-1, 2)] * self.dim), indexing="ij"), axis=-1
         ).reshape(-1, self.dim)
         cells = (base[:, None, :] + offs[None, :, :]).reshape(-1, self.dim)
         cells = cells[((cells >= 0) & (cells < self.shape)).all(axis=1)]

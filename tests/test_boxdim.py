@@ -86,6 +86,20 @@ class TestVolumes:
             exact = 2 * d + math.pi * d * d
             assert abs(v - exact) <= 0.05 * exact
 
+    def test_overlapping_polygons_measure_their_union(self):
+        # [0,1]^2 and [1/2,3/2] x [0,1] overlap in a strip that an
+        # even-odd fill would leave out; the union is one 3/2 x 1 rectangle
+        def rect(x0, x1):
+            return [rational_point(x0, 0), rational_point(x1, 0),
+                    rational_point(x1, 1), rational_point(x0, 1)]
+
+        half = Fraction(1, 2)
+        squares = Region2([rect(0, 1), rect(half, 3 * half)])
+        union = Region2.from_polygon(rect(0, 3 * half))
+        ds = [2.0 ** -k for k in range(3, 7)]
+        assert (neighborhood_volume_curve(squares, ds).entries
+                == neighborhood_volume_curve(union, ds).entries)
+
     def test_disc_area_approaches_quarter_pi(self):
         denom = 1 << 20
         ring = [rational_point(Fraction(round(math.cos(a) * denom / 2), denom),
@@ -113,8 +127,6 @@ class TestVolumes:
             neighborhood_volume_curve(sq, [0.25, 0.5])
         with pytest.raises(DimError):
             neighborhood_volume_curve(sq, [1.5])
-        with pytest.raises(DimError):
-            neighborhood_volume_curve(sq, [0.25], cell_factor=1.0)
 
 
 class TestMinkowski:
@@ -162,8 +174,6 @@ class TestMinkowski:
         ok = BoxCountCurve(tuple((2.0 ** -k, 2.0 ** -k) for k in range(3, 8)))
         with pytest.raises(DimError):
             minkowski_estimate(ok, 4)
-        with pytest.raises(DimError):
-            minkowski_estimate(ok, 2, trim=2)
 
 
 class TestKakeyaBound:
@@ -215,13 +225,6 @@ class TestInvariants:
         dim_prod = minkowski_estimate(neighborhood_volume_curve(region, ds), 2)
         dim_base = minkowski_estimate(neighborhood_volume_curve(mids, ds), 2)
         assert abs(dim_prod.dimension - dim_base.dimension - 1.0) < 0.1
-
-    def test_halved_cell_stability(self):
-        sq = unit_square()
-        a = neighborhood_volume_curve(sq, [1 / 16, 1 / 32], cell_factor=4.0)
-        b = neighborhood_volume_curve(sq, [1 / 16, 1 / 32], cell_factor=8.0)
-        for va, vb in zip(a.volumes, b.volumes):
-            assert abs(va - vb) < 0.05 * va
 
     def test_deterministic_and_thread_invariant(self, monkeypatch, tree_region):
         ds = [2.0 ** -k for k in range(3, 7)]

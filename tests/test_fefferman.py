@@ -89,11 +89,10 @@ class TestPlacements:
         r, (N, L) = 1 / 8, minimal_grid(1 / 8)
         placements = plan_placements(tree, r, L)
         assert len(placements) == int((math.pi / 3) / r)
-        for packet, leaf, rotation in placements:
-            assert rotation == 0
+        for packet, leaf in placements:
             assert 0 <= leaf < len(tree.piece_shifts)
             assert packet.y[1] < 0.6 * L
-        leaves = [leaf for _, leaf, _ in placements]
+        leaves = [leaf for _, leaf in placements]
         assert leaves == sorted(leaves)
 
     def test_doubles_pile_up_above_the_base(self, tree):
@@ -109,14 +108,3 @@ class TestPlacements:
         monkeypatch.setattr(fefferman, "covering_segment", broken)
         with pytest.raises(TypeError, match="not a sector miss"):
             plan_placements(tree, 1 / 8, minimal_grid(1 / 8)[1])
-
-    def test_full_circle_uses_three_rotations(self, tree):
-        r, (N, L) = 1 / 8, minimal_grid(1 / 8)
-        placements = plan_placements(tree, r, L, full_circle=True)
-        assert len(placements) == int(2 * math.pi / r)
-        assert {k for _, _, k in placements} == {-1, 0, 1}
-
-    def test_full_circle_experiment_still_contracts(self, tree):
-        rep = fefferman_experiment(tree, 1 / 8, 2.0, full_circle=True)
-        assert rep.ratio <= 1.0 + 1e-9
-        assert rep.n_packets == int(2 * math.pi / (1 / 8))

@@ -17,6 +17,7 @@ from kakeyalab.exactgeom import (
     region_area,
     scalar,
 )
+from kakeyalab.exactgeom import region as region_module
 from kakeyalab.exactgeom.overlay import overlay
 from kakeyalab.perron import (
     PerronSpec,
@@ -160,8 +161,7 @@ def test_assemble_zero_schedule_bound():
 
 def test_full_circle_coverage_small():
     tree = build_perron_tree(PerronSpec.default(3))
-    kak = assemble_kakeya(tree)
-    rep = full_circle_coverage(tree, 144, region=kak)
+    rep = full_circle_coverage(tree, 144)
     assert rep.fraction == 1.0
 
 
@@ -178,6 +178,22 @@ def test_tree_json_roundtrip_byte_identical():
     assert again == blob
     rebuilt = tree_to_json(build_perron_tree(PerronSpec.default(3)))
     assert rebuilt == blob
+
+
+def test_tree_json_validates_each_piece_once(monkeypatch):
+    tree = build_perron_tree(PerronSpec.default(3))
+    blob = tree_to_json(tree)
+    calls = []
+    real = region_module.validate_simple_polygon
+
+    def counted(poly):
+        calls.append(len(poly))
+        return real(poly)
+
+    monkeypatch.setattr(region_module, "validate_simple_polygon", counted)
+    tree_from_json(blob)
+    # every piece of the region, plus the base triangle
+    assert len(calls) == len(tree.region.polygons) + 1
 
 
 def test_tree_json_preserves_exact_area():

@@ -20,7 +20,6 @@ from kakeyalab.spectral import (
     dft_forward,
     dft_inverse,
     freq_coords,
-    grid_coords,
     lp_norm,
     make_packet,
     multiplier_symbol,
@@ -70,7 +69,6 @@ class TestGridField:
         f = GridField(1, 64, 16.0, np.zeros(64, complex))
         assert f.cell == 0.25
         assert f.nyquist == 2.0
-        assert grid_coords(f)[1] == 0.25
         assert freq_coords(f)[1] == 1 / 16.0
 
 
