@@ -250,22 +250,23 @@ def full_circle_coverage(tree: PerronTree, n_dirs: int) -> CoverageReport:
     """Coverage of the assembled three-copy set over the whole circle.
 
     n_dirs must be a multiple of 3; each rotated copy contributes one
-    60-degree sector of directions (doubled by antipodes).  Segments are
-    certified inside the rotated translated leaf.
+    60-degree sector of directions (doubled by antipodes).  The 120- and
+    240-degree rotations about the apex are exact in Q(sqrt 3) and carry
+    each translated leaf and its segment together, so each sector
+    direction j is certified once, against the unrotated leaf, and a
+    failure is reported at j, j + n_dirs/3 and j + 2 n_dirs/3.
     """
     if n_dirs % 3 != 0:
         raise GeomError("full-circle direction count must be divisible by 3")
     per = n_dirs // 3
     leaves = shifted_leaves(tree.spec)
-    failed = []
-    for c, angle in enumerate((0, 120, 240)):
-        rot = RigidMotion.rotation(angle, APEX)
-        for j, t in enumerate(sector_abscissas(per), c * per):
-            seg, k = covering_segment(tree, t)
-            rseg = Segment2(rot.apply(seg.p), rot.apply(seg.q))
-            if not _segment_in_triangle(rseg, [rot.apply(v) for v in leaves[k]]):
-                failed.append(j)
-    return CoverageReport(n_dirs, n_dirs - len(failed), tuple(failed))
+    bad = []
+    for j, t in enumerate(sector_abscissas(per)):
+        seg, k = covering_segment(tree, t)
+        if not _segment_in_triangle(seg, leaves[k]):
+            bad.append(j)
+    failed = tuple(j + c * per for c in range(3) for j in bad)
+    return CoverageReport(n_dirs, n_dirs - len(failed), failed)
 
 
 def tree_to_json(tree: PerronTree) -> str:

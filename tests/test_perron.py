@@ -1,5 +1,6 @@
 """Cut-and-shift trees: partition exactness, area decay, direction coverage."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -11,6 +12,8 @@ from kakeyalab.exactgeom import (
     INV_SQRT3,
     Point2,
     Region2,
+    RigidMotion,
+    Segment2,
     ZERO,
     point_in_polygon_closed,
     polygon_area,
@@ -20,6 +23,7 @@ from kakeyalab.exactgeom import (
 from kakeyalab.exactgeom import region as region_module
 from kakeyalab.exactgeom.overlay import overlay
 from kakeyalab.perron import (
+    APEX,
     PerronSpec,
     assemble_kakeya,
     bisect,
@@ -29,6 +33,7 @@ from kakeyalab.perron import (
     direction_coverage,
     full_circle_coverage,
     sector_abscissas,
+    shifted_leaves,
     tree_from_json,
     tree_to_json,
 )
@@ -163,6 +168,46 @@ def test_full_circle_coverage_small():
     tree = build_perron_tree(PerronSpec.default(3))
     rep = full_circle_coverage(tree, 144)
     assert rep.fraction == 1.0
+
+
+def _rotated_copy_failures(tree, n_dirs):
+    # every copy certified on its own: segment and leaf rotated together
+    per = n_dirs // 3
+    leaves = shifted_leaves(tree.spec)
+    failed = []
+    for c, angle in enumerate((0, 120, 240)):
+        rot = RigidMotion.rotation(angle, APEX)
+        for j, t in enumerate(sector_abscissas(per), c * per):
+            seg, k = covering_segment(tree, t)
+            rseg = Segment2(rot.apply(seg.p), rot.apply(seg.q))
+            rleaf = [rot.apply(v) for v in leaves[k]]
+            if not (point_in_polygon_closed(rseg.p, rleaf)
+                    and point_in_polygon_closed(rseg.q, rleaf)):
+                failed.append(j)
+    return tuple(failed)
+
+
+def test_full_circle_failures_match_rotated_copies():
+    tree = build_perron_tree(PerronSpec.default(3))
+    shifts = list(tree.piece_shifts)
+    shifts[5] = shifts[5] + Point2(INV_SQRT3 * scalar(F(1, 8)), ZERO)
+    bad = dataclasses.replace(tree, piece_shifts=tuple(shifts))
+    rep = full_circle_coverage(bad, 144)
+    assert rep.failed
+    assert rep.failed == _rotated_copy_failures(bad, 144)
+    assert rep.covered == 144 - len(rep.failed)
+
+
+def test_perron_coordinates_are_graded():
+    # x in sqrt3*Q and y in Q: the exact core's short paths depend on it
+    tree = build_perron_tree(PerronSpec.default(4))
+    kak = assemble_kakeya(tree)
+    points = [v for region in (tree.region, kak)
+              for poly in region.polygons for v in poly]
+    points += tree.piece_shifts
+    assert len(tree.region.polygons) == 40
+    assert len(kak.polygons) == 356
+    assert [p for p in points if p.x.a != 0 or p.y.b != 0] == []
 
 
 def test_full_circle_needs_multiple_of_three():

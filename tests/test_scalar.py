@@ -1,5 +1,6 @@
 """Field arithmetic and exact ordering of a + b*sqrt(3) scalars."""
 
+import operator
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -136,3 +137,106 @@ def test_is_rational():
     assert scalar(3).is_rational()
     assert not SQRT3.is_rational()
     assert (SQRT3 * SQRT3).is_rational()
+
+
+# -- graded short paths against the general (a, b) formulas -------------
+
+GRADES = ("zero", "rational", "sqrt3", "mixed")
+ARITH = (operator.add, operator.sub, operator.mul, operator.truediv)
+ORDER = (operator.lt, operator.le, operator.gt, operator.ge,
+         operator.eq, operator.ne)
+
+
+def graded(rng, grade, integer=False):
+    def q():
+        num = rng.choice((-1, 1)) * rng.randint(1, 60)
+        return Fraction(num) if integer else Fraction(num, rng.randint(1, 12))
+    zero = Fraction(0)
+    return {"zero": (zero, zero), "rational": (q(), zero),
+            "sqrt3": (zero, q()), "mixed": (q(), q())}[grade]
+
+
+def as_operand(pair, form):
+    a, b = pair
+    if form == "int":
+        return int(a)
+    if form == "fraction":
+        return a
+    return ExactScalar(a, b)
+
+
+def ref_arith(op, x, y):
+    (a1, b1), (a2, b2) = x, y
+    if op is operator.add:
+        return a1 + a2, b1 + b2
+    if op is operator.sub:
+        return a1 - a2, b1 - b2
+    if op is operator.mul:
+        return a1 * a2 + 3 * b1 * b2, a1 * b2 + b1 * a2
+    d = a2 * a2 - 3 * b2 * b2
+    if d == 0:
+        raise ZeroDivisionError
+    return (a1 * a2 - 3 * b1 * b2) / d, (b1 * a2 - a1 * b2) / d
+
+
+def ref_sign(a, b):
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa == sb or sb == 0:
+        return sa
+    if sa == 0:
+        return sb
+    # opposite signs; a^2 == 3 b^2 is impossible for b != 0
+    return sa if a * a > 3 * b * b else sb
+
+
+def graded_cases():
+    rng = random.Random(31)
+    for gx in GRADES:
+        for gy in GRADES:
+            for _ in range(12):
+                for fx in ("scalar", "int", "fraction"):
+                    for fy in ("scalar", "int", "fraction"):
+                        if "scalar" not in (fx, fy):
+                            continue
+                        if (fx != "scalar" and gx in ("sqrt3", "mixed")) or (
+                                fy != "scalar" and gy in ("sqrt3", "mixed")):
+                            continue
+                        x = graded(rng, gx, integer=fx == "int")
+                        y = graded(rng, gy, integer=fy == "int")
+                        yield x, y, as_operand(x, fx), as_operand(y, fy)
+
+
+def test_graded_operands_match_general_formulas():
+    seen = 0
+    for x, y, lhs, rhs in graded_cases():
+        for op in ARITH:
+            try:
+                want = ref_arith(op, x, y)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    op(lhs, rhs)
+                continue
+            got = op(lhs, rhs)
+            assert isinstance(got, ExactScalar)
+            assert got.to_ints() == (want[0].numerator, want[0].denominator,
+                                     want[1].numerator, want[1].denominator)
+        s = ref_sign(x[0] - y[0], x[1] - y[1])
+        for op in ORDER:
+            assert op(lhs, rhs) is op(s, 0)
+        seen += 1
+    # each grade pair with scalars on both sides, plus int and Fraction
+    # on either side wherever the operand is rational
+    assert seen == 12 * (16 + 2 * 2 * 4 * 2)
+
+
+def test_zero_divisor_on_every_path():
+    rng = random.Random(4)
+    zeros = (ZERO, 0, Fraction(0))
+    for grade in GRADES:
+        x = ExactScalar(*graded(rng, grade))
+        for z in zeros:
+            with pytest.raises(ZeroDivisionError):
+                x / z
+    for lhs in (0, 3, Fraction(-2, 7)):
+        with pytest.raises(ZeroDivisionError):
+            lhs / ZERO
