@@ -6,7 +6,7 @@ a + b*sqrt(3) with rational a, b.  Working in that field keeps the whole
 cut-and-shift pipeline exact: areas are equalities, not tolerances.
 """
 
-from .scalar import ExactScalar, HALF, INV_SQRT3, ONE, SQRT3, ZERO, rational, scalar
+from .scalar import ExactScalar, HALF, INV_SQRT3, ONE, SQRT3, ZERO, rational
 from .primitives import (
     GeomError,
     Point2,
@@ -31,11 +31,7 @@ from .region import (
     Region2,
     contains_segment,
     normalize,
-    point_in_region,
     region_area,
-    region_intersect,
-    region_union,
-    transform,
 )
 
 __all__ = [
@@ -62,15 +58,10 @@ __all__ = [
     "on_segment",
     "orient",
     "point_in_polygon_closed",
-    "point_in_region",
     "polygon_area",
     "rational",
     "region_area",
-    "region_intersect",
-    "region_union",
-    "scalar",
     "segment_hits",
     "signed_area2",
-    "transform",
     "validate_simple_polygon",
 ]

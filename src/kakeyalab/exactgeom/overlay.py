@@ -1,39 +1,51 @@
-"""Exact boolean overlay of polygon collections.
+"""Exact union of polygon collections by a kinetic slab sweep.
 
-The engine is a vertical slab decomposition: collect every edge endpoint
-x and every pairwise line-crossing x as breakpoints, then inside each open
-slab the active edges are crossing-free and totally ordered by height.
-Walking that order with even-odd parity per input polygon classifies each
-gap; kept gaps become trapezoids, which are merged across slab boundaries
-whenever both bounding lines continue.  Output region and area are exact.
+Breakpoints are every edge endpoint x and every x where two edges cross
+inside both spans.  In an open slab between breakpoints the active
+(non-vertical) edges do not cross, so their order by height at the slab
+midpoint holds across the slab; edges on one line keep their insertion
+order.  The sweep keeps that order in one list (Bentley & Ottmann 1979):
+at a breakpoint it deletes the edges that end there, reverses each run
+of edges that cross there (lines leave in reverse slope order, and edges
+on one line stay together) and binary-inserts the edges that start there.
 
-Decisions are exact ExactScalar comparisons, reached through a certified
-float filter: each height comparison first tries cached double arithmetic
-with a forward error bound (margin 1e-13 of magnitude against a worst
-case near 1e-15); only ambiguous pairs fall back to exact evaluation, so
-the exact arithmetic concentrates near actual crossings and coincidences.
+Coverage is a winding count: an edge weighs +1 when its polygon lies
+above it and -1 when below, so a running sum kept beside the edge list
+counts the polygons over each gap.  Only the positions between the
+lowest and the highest change are re-walked.  Each maximal covered run
+whose bounding lines differ is a trapezoid, merged across slabs while
+both lines continue.  Pieces and area are exact.
+
+Two certified float filters keep exact arithmetic off the common path,
+each with a margin of 1e-13 of magnitude against rounding near 1e-15:
+- order: a starting edge is placed by double heights at the slab
+  midpoint; an ambiguous pair compares exact heights at the slab ends;
+- crossings: a double crossing abscissa with a propagated error bound
+  drops the pairs that cannot cross inside both spans and accepts the
+  pairs that certainly do; the rest compare exact abscissas with spans.
+The exact abscissa of each accepted crossing is still formed, as the
+breakpoint key.
 """
 
 from __future__ import annotations
 
 import operator
+from itertools import groupby
 
 import numpy as np
 
-from .primitives import GeomError, Point2
+from .primitives import Point2, signed_area2
 from .scalar import ExactScalar, HALF, ZERO
+
+_MARGIN = 1e-13
+_TINY = 1e-280
 
 
 class _Edge:
     __slots__ = ("px", "py", "qx", "qy", "slope", "icept", "fslope", "ficept",
-                 "emax", "line_id", "uid", "gid", "fyl", "fyr", "fk",
-                 "cx0", "cy0", "cx1", "cy1")
+                 "emax", "line_id", "w", "i0", "i1", "pos", "top")
 
-    def __init__(self, a: Point2, b: Point2, uid: int, gid: int):
-        if a.x < b.x:
-            p, q = a, b
-        else:
-            p, q = b, a
+    def __init__(self, p: Point2, q: Point2, w: int):
         self.px, self.py = p.x, p.y
         self.qx, self.qy = q.x, q.y
         self.slope = (q.y - p.y) / (q.x - p.x)
@@ -43,71 +55,38 @@ class _Edge:
         # static forward error bound for height evaluation anywhere on the
         # edge span (true rounding error is below 1e-15 of magnitude)
         xm = max(abs(float(self.px)), abs(float(self.qx)))
-        self.emax = (abs(self.ficept) + abs(self.fslope) * xm) * 1e-13 + 1e-280
-        self.uid = uid
-        self.gid = gid
-        self.line_id = -1
-        # two-slot cache of exact heights keyed by boundary object identity
-        self.cx0 = None
-        self.cy0 = None
-        self.cx1 = None
-        self.cy1 = None
+        self.emax = (_mag(self.icept) + _mag(self.slope) * xm) * _MARGIN + _TINY
+        self.w = w  # winding weight: +1 if its polygon lies above the edge
+        self.top = None  # key of the gap this edge tops in the current slab
+
+
+def _mag(v: ExactScalar) -> float:
+    """|a| + |b| sqrt3 for v = a + b sqrt3: the scale of float(v)'s rounding."""
+    return abs(float(v.a)) + abs(float(v.b)) * 1.7320508075688772
 
 
 def _exact_y(e: _Edge, x: ExactScalar) -> ExactScalar:
-    if e.cx0 is x:
-        return e.cy0
-    if e.cx1 is x:
-        return e.cy1
-    y = e.icept + e.slope * x
-    e.cx1 = e.cx0
-    e.cy1 = e.cy0
-    e.cx0 = x
-    e.cy0 = y
-    return y
+    return e.icept + e.slope * x
 
 
-def _cmp_true(a: _Edge, b: _Edge, x0, x1) -> int:
-    """Exact lexicographic order by (height at x0, height at x1)."""
-    d = a.fyl - b.fyl
-    tol = a.emax + b.emax
-    if d < -tol:
-        return -1
-    if d > tol:
-        return 1
-    c = (_exact_y(a, x0) - _exact_y(b, x0)).sign()
-    if c:
-        return c
-    d = a.fyr - b.fyr
-    if d < -tol:
-        return -1
-    if d > tol:
-        return 1
-    return (_exact_y(a, x1) - _exact_y(b, x1)).sign()
+def _below(a: _Edge, b: _Edge, fxm, x0, x1) -> bool:
+    """Is a strictly below b in the open slab (x0, x1)?
 
-
-def _sort_exact(vals):
-    """Sort ExactScalars: float pre-sort, then certified adjacent fixup."""
-    vals.sort(key=float)
-    for i in range(1, len(vals)):
-        v = vals[i]
-        j = i - 1
-        while j >= 0 and _scalar_gt(vals[j], v):
-            vals[j + 1] = vals[j]
-            j -= 1
-        vals[j + 1] = v
-    return vals
-
-
-def _scalar_gt(a: ExactScalar, b: ExactScalar) -> bool:
-    fa = float(a)
-    fb = float(b)
-    tol = (abs(fa) + abs(fb)) * 1e-13 + 1e-280
-    if fa - fb > tol:
-        return True
-    if fb - fa > tol:
-        return False
-    return (a - b).sign() > 0
+    fxm is a double certainly inside the slab (None if the slab is too
+    narrow to hold one); no two active edges cross there.
+    """
+    if fxm is not None:
+        d = (a.ficept + a.fslope * fxm) - (b.ficept + b.fslope * fxm)
+        tol = a.emax + b.emax
+        if d < -tol:
+            return True
+        if d > tol:
+            return False
+    ya = _exact_y(a, x0)
+    yb = _exact_y(b, x0)
+    if ya != yb:
+        return ya < yb
+    return _exact_y(a, x1) < _exact_y(b, x1)
 
 
 class _Chain:
@@ -115,70 +94,71 @@ class _Chain:
 
     def __init__(self, s, yb_l, yt_l, bot_e, top_e):
         self.s0 = s
-        self.s_last = s
+        self.s_last = None  # last slab of the chain; None while it is open
         self.yb_l = yb_l
         self.yt_l = yt_l
         self.bot_e = bot_e
         self.top_e = top_e
 
 
-def overlay(groups, mode: str):
-    """Overlay polygon groups; mode 'union' or 'intersect'.
+_i0 = operator.attrgetter("i0")
+_i1 = operator.attrgetter("i1")
+_line = operator.attrgetter("line_id")
+_key = operator.itemgetter(0)
+
+
+def overlay(groups):
+    """Union of every polygon of every group.
 
     groups: list of polygon lists (each polygon a list of Point2; simple).
-    Membership per group is even-odd over its polygons; 'union' keeps
-    points covered by any group, 'intersect' points covered by all groups.
 
     Returns (pieces, area): pieces a list of convex vertex lists (CCW,
     pairwise interior-disjoint trapezoids/triangles), area their exact sum.
     """
-    if mode not in ("union", "intersect"):
-        raise ValueError("unknown overlay mode %r" % (mode,))
-    ngroups = len(groups)
-
     edges = []
-    xs_seen = {}
-    uid = 0
-    for gid, polys in enumerate(groups):
+    xs_seen = {}  # breakpoint abscissa -> both edges of each crossing there
+    for polys in groups:
         for poly in polys:
+            orient = signed_area2(poly).sign()
+            marks = [xs_seen.setdefault(v.x, []) for v in poly]
             n = len(poly)
             for i in range(n):
-                a = poly[i]
-                b = poly[(i + 1) % n]
-                xs_seen[a.x] = None
-                if a == b:
-                    continue
-                if a.x == b.x:
+                j = (i + 1) % n
+                if marks[i] is marks[j]:
                     continue  # vertical edges only contribute breakpoints
-                edges.append(_Edge(a, b, uid, gid))
-            uid += 1
+                if poly[i].x < poly[j].x:
+                    e = _Edge(poly[i], poly[j], orient)
+                    e.i0, e.i1 = marks[i], marks[j]
+                else:
+                    e = _Edge(poly[j], poly[i], -orient)
+                    e.i0, e.i1 = marks[j], marks[i]
+                edges.append(e)
 
     # canonical line ids (shared by collinear edges)
     line_ids = {}
     for e in edges:
-        key = (e.slope, e.icept)
-        e.line_id = line_ids.setdefault(key, len(line_ids))
+        e.line_id = line_ids.setdefault((e.slope, e.icept), len(line_ids))
 
-    _collect_crossings(edges, xs_seen)
-
-    xs = _sort_exact(list(xs_seen.keys()))
-    if len(xs) < 2 or not edges:
+    if len(xs_seen) < 2 or not edges:
         return [], ZERO
-    xidx = {x: i for i, x in enumerate(xs)}
-    nslab = len(xs) - 1
-    add_ev = [[] for _ in range(nslab + 1)]
-    rem_ev = [[] for _ in range(nslab + 1)]
+    _collect_crossings(edges, xs_seen)
+    items = sorted(xs_seen.items(), key=lambda it: float(it[0]))
+    items.sort(key=_key)  # exact; in order bar float ties, so about n compares
+    xs, crossing = zip(*items)
+    del xs_seen, items
+    # i0, i1 held the breakpoint lists of the edge's ends; now their indices
+    index = {id(c): s for s, c in enumerate(crossing)}
     for e in edges:
-        add_ev[xidx[e.px]].append(e)
-        rem_ev[xidx[e.qx]].append(e)
+        e.i0 = index[id(e.i0)]
+        e.i1 = index[id(e.i1)]
+    del index
+    starts = sorted(edges, key=_i0)
+    ends = sorted(edges, key=_i1)
+    nedges = len(edges)
 
     pieces = []
     open_chains = {}
     area2 = ZERO
-    active = {}
-    parity = {}
-    odd = [0] * ngroups
-    union_mode = mode == "union"
 
     def close(key):
         nonlocal area2
@@ -199,127 +179,184 @@ def overlay(groups, mode: str):
             poly = [bl, br, tl]
         pieces.append(poly)
 
-    for s in range(nslab):
-        for e in rem_ev[s]:
-            active.pop(e, None)
-        for e in add_ev[s]:
-            active[e] = None
-        if not active:
-            continue
-        x0 = xs[s]
-        x1 = xs[s + 1]
-        fx0 = float(x0)
-        fx1 = float(x1)
-        acts = list(active)
-        for e in acts:
-            yl = e.ficept + e.fslope * fx0
-            yr = e.ficept + e.fslope * fx1
-            e.fyl = yl
-            e.fyr = yr
-            e.fk = yl + yr
-        acts.sort(key=_fkey)
-        for i in range(1, len(acts)):
-            e = acts[i]
-            j = i - 1
-            if _cmp_true(acts[j], e, x0, x1) <= 0:
-                continue
-            while j >= 0 and _cmp_true(acts[j], e, x0, x1) > 0:
-                acts[j + 1] = acts[j]
-                j -= 1
-            acts[j + 1] = e
-
-        for g in range(ngroups):
-            odd[g] = 0
-        parity.clear()
-        covered = 0
-        prev = False
-        bottom = None
-        for e in acts:
-            was = parity.get(e.uid, False)
-            parity[e.uid] = not was
-            if was:
-                odd[e.gid] -= 1
-                if odd[e.gid] == 0:
-                    covered -= 1
-            else:
-                odd[e.gid] += 1
-                if odd[e.gid] == 1:
-                    covered += 1
-            now = covered > 0 if union_mode else covered == ngroups
-            if now and not prev:
-                bottom = e
-            elif prev and not now:
-                top = e
-                if _gap_real(bottom, top, x0, x1):
-                    key = (bottom.line_id, top.line_id)
-                    ch = open_chains.get(key)
-                    if ch is not None and ch.s_last == s - 1:
-                        ch.s_last = s
-                        ch.bot_e = bottom
-                        ch.top_e = top
+    acts = []   # active edges in slab order
+    covs = [0]  # covs[j]: coverage of the gap below acts[j]; covs[-1] is 0
+    si = ei = 0
+    for s, x in enumerate(xs):
+        lo, hi = len(acts), -1  # the changed window [lo, hi), empty so far
+        old = []  # keys of gaps whose top edge leaves or moves
+        dels = []
+        while ei < nedges and ends[ei].i1 == s:
+            e = ends[ei]
+            ei += 1
+            dels.append(e.pos)
+            if e.top is not None:
+                old.append(e.top)
+        if dels:
+            dels.sort(reverse=True)
+            for p in dels:
+                del acts[p]
+                del covs[p + 1]
+            lo, hi = dels[-1], dels[0] - len(dels) + 1
+            for j in range(lo, len(acts)):
+                acts[j].pos = j
+        if crossing[s]:
+            for p0, p1 in _runs(acts, crossing[s]):
+                blocks = [list(g) for _, g in groupby(acts[p0:p1], key=_line)]
+                acts[p0:p1] = [e for blk in reversed(blocks) for e in blk]
+                for j in range(p0, p1):
+                    acts[j].pos = j
+                lo, hi = min(lo, p0), max(hi, p1)
+        if si < nedges and starts[si].i0 == s:
+            x1 = xs[s + 1]
+            fxm = (float(x) + float(x1)) * 0.5
+            if float(x1) - float(x) <= (_mag(x) + _mag(x1)) * _MARGIN:
+                fxm = None  # too narrow to certify a double inside
+            while si < nedges and starts[si].i0 == s:
+                e = starts[si]
+                si += 1
+                a, b = 0, len(acts)
+                while a < b:
+                    mid = (a + b) // 2
+                    if _below(e, acts[mid], fxm, x, x1):
+                        b = mid
                     else:
-                        if ch is not None:
-                            close(key)
-                        open_chains[key] = _Chain(
-                            s, _exact_y(bottom, x0), _exact_y(top, x0),
-                            bottom, top)
-            prev = now
-        if prev:
-            raise GeomError("sweep parity failed to close at slab %d" % s)
+                        a = mid + 1
+                acts.insert(a, e)
+                covs.insert(a + 1, 0)
+                lo, hi = min(lo, a), (hi + 1 if a < hi else a + 1)
+            for j in range(lo, len(acts)):
+                acts[j].pos = j
+        if hi < lo:
+            continue
+
+        # re-walk the changed window; gaps outside it carry on unchanged
+        c = covs[lo]
+        zeros = []
+        for j in range(lo, hi):
+            e = acts[j]
+            if e.top is not None:
+                old.append(e.top)
+                e.top = None
+            c += e.w
+            covs[j + 1] = c
+            if not c:
+                zeros.append(j + 1)
+        if covs[lo] and not old and not zeros:
+            continue  # the window lies inside one covered run, as before
+        # widen to the enclosing uncovered gaps (covs[0] is the zero below)
+        zs = [lo - covs[lo::-1].index(0)] + zeros
+        b = covs.index(0, hi)
+        if b > hi:
+            t = acts[b - 1]
+            if t.top is not None:
+                old.append(t.top)
+                t.top = None
+            zs.append(b)
+        for key in old:
+            open_chains[key].s_last = s - 1
+        for z0, z1 in zip(zs, zs[1:]):
+            bottom = acts[z0]
+            top = acts[z1 - 1]
+            if bottom.line_id == top.line_id:
+                continue  # zero height: both bounds on one line
+            key = (bottom.line_id, top.line_id)
+            top.top = key
+            ch = open_chains.get(key)
+            if ch is not None and ch.s_last == s - 1:
+                ch.s_last = None  # present in the previous slab: extend
+            else:
+                if ch is not None:
+                    close(key)
+                open_chains[key] = _Chain(
+                    s, _exact_y(bottom, x), _exact_y(top, x), bottom, top)
 
     for key in list(open_chains):
         close(key)
     return pieces, area2 * HALF
 
 
-_fkey = operator.attrgetter("fk")
+def _runs(acts, cr):
+    """Position ranges [p0, p1) of the runs of edges crossing at one x.
+
+    cr lists crossing pairs flat.  Every two lines of a run cross there,
+    so neighbours in one run are collinear or a listed pair; neighbours
+    in different runs, at different heights, are neither.
+    """
+    if len(cr) == 2:  # the common case: one crossing, two neighbours
+        p = min(cr[0].pos, cr[1].pos)
+        return [(p, p + 2)]
+    crossed = set(zip(cr[::2], cr[1::2]))
+    ps = sorted({e.pos for e in cr})
+    runs = []
+    p0 = ps[0]
+    for p, q in zip(ps, ps[1:] + [None]):
+        if q == p + 1:
+            a, b = acts[p], acts[q]
+            if a.line_id == b.line_id or (a, b) in crossed or (b, a) in crossed:
+                continue
+        runs.append((p0, p + 1))
+        p0 = q
+    return runs
 
 
-def _gap_real(bottom: _Edge, top: _Edge, x0, x1) -> bool:
-    # certified-positive height on either boundary, exact check if unclear
-    tol = top.emax + bottom.emax
-    if top.fyl - bottom.fyl > tol:
-        return True
-    if top.fyr - bottom.fyr > tol:
-        return True
-    if (_exact_y(top, x0) - _exact_y(bottom, x0)).sign() != 0:
-        return True
-    return (_exact_y(top, x1) - _exact_y(bottom, x1)).sign() != 0
+def _span_filter(i, js, fs, fb, ms, mb, span):
+    """Masks (sure, unsure) over js: does edge i cross edge j inside both spans?
+
+    fs, fb: double slopes and intercepts, ms, mb: their rounding scales;
+    span: left and right bounds certainly inside, then certainly outside,
+    each edge's x span.  Pairs in neither mask cannot cross inside both.
+    """
+    num = fb[js] - fb[i]
+    den = fs[i] - fs[js]
+    en = (mb[js] + mb[i]) * _MARGIN + _TINY
+    ed = (ms[js] + ms[i]) * _MARGIN + _TINY
+    ad = np.abs(den)
+    ok = ad > ed
+    with np.errstate(all="ignore"):
+        fx = num / den
+        err = (np.abs(num) * ed + ad * en) / (ad * (ad - ed)) + np.abs(fx) * _MARGIN
+    xl = fx - err
+    xh = fx + err
+    in_l, in_r, out_l, out_r = span
+    sure = ok & (xl > in_l[i]) & (xh < in_r[i]) & (xl > in_l[js]) & (xh < in_r[js])
+    out = ok & ((xh < out_l[i]) | (xl > out_r[i]) | (xh < out_l[js]) | (xl > out_r[js]))
+    return sure, ~(sure | out)
 
 
 def _collect_crossings(edges, xs_seen):
-    """Add every pairwise segment-crossing x to xs_seen (exact)."""
-    ne = len(edges)
-    if ne < 2:
+    """Add both edges of every crossing inside two spans to xs_seen[x]."""
+    if len(edges) < 2:
         return
-    minx = np.empty(ne)
-    maxx = np.empty(ne)
-    miny = np.empty(ne)
-    maxy = np.empty(ne)
-    for i, e in enumerate(edges):
-        minx[i] = float(e.px)
-        maxx[i] = float(e.qx)
-        fy1 = float(e.py)
-        fy2 = float(e.qy)
-        miny[i] = fy1 if fy1 < fy2 else fy2
-        maxy[i] = fy1 if fy1 > fy2 else fy2
-    span = max(maxx.max() - minx.min(), maxy.max() - miny.min(), 1.0)
-    m = 1e-9 * span
-    for i in range(ne - 1):
+    minx, maxx, ya, yb, fs, fb, ms, mb, mx0, mx1, lid = np.array([
+        (float(e.px), float(e.qx), float(e.py), float(e.qy), e.fslope, e.ficept,
+         _mag(e.slope), _mag(e.icept), _mag(e.px), _mag(e.qx), e.line_id)
+        for e in edges]).T
+    miny = np.minimum(ya, yb)
+    maxy = np.maximum(ya, yb)
+    el = mx0 * _MARGIN + _TINY
+    er = mx1 * _MARGIN + _TINY
+    span = (minx + el, maxx - er, minx - el, maxx + er)
+    m = 1e-9 * max(maxx.max() - minx.min(), maxy.max() - miny.min(), 1.0)
+    for i, ei in enumerate(edges[:-1]):
         j0 = i + 1
-        cand = np.nonzero(
+        js = j0 + np.nonzero(
             (minx[j0:] <= maxx[i] + m)
             & (maxx[j0:] >= minx[i] - m)
             & (miny[j0:] <= maxy[i] + m)
             & (maxy[j0:] >= miny[i] - m)
+            & (lid[j0:] != lid[i])
         )[0]
-        if cand.size == 0:
+        if js.size == 0:
             continue
-        ei = edges[i]
-        for j in cand:
-            ej = edges[j0 + int(j)]
-            if ei.line_id == ej.line_id or ei.slope == ej.slope:
+        sure, unsure = _span_filter(i, js, fs, fb, ms, mb, span)
+        for j in js[sure].tolist():
+            ej = edges[j]
+            xs_seen.setdefault((ej.icept - ei.icept) / (ei.slope - ej.slope), []).extend((ei, ej))
+        for j in js[unsure].tolist():
+            ej = edges[j]
+            if ei.slope == ej.slope:
                 continue
             x = (ej.icept - ei.icept) / (ei.slope - ej.slope)
-            if ei.px <= x <= ei.qx and ej.px <= x <= ej.qx:
-                xs_seen[x] = None
+            if ei.px < x < ei.qx and ej.px < x < ej.qx:
+                xs_seen.setdefault(x, []).extend((ei, ej))

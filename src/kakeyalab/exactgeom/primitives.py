@@ -268,44 +268,35 @@ _COS_SIN = {
 
 
 class RigidMotion:
-    """Rotation by a multiple of 30 degrees about a center, then a translation.
+    """Rotation by a multiple of 30 degrees about a center.
 
     Only these rotations keep Q(sqrt3) coordinates closed; any other angle
     is rejected.
     """
 
-    __slots__ = ("angle_deg", "center", "shift", "_cos", "_sin")
+    __slots__ = ("angle_deg", "center", "_cos", "_sin")
 
-    def __init__(self, angle_deg: int = 0, center: Point2 = ORIGIN, shift: Point2 = ORIGIN):
+    def __init__(self, angle_deg: int = 0, center: Point2 = ORIGIN):
         if angle_deg % 30 != 0:
             raise GeomError(
                 "rotation angle %r is not a multiple of 30 degrees" % (angle_deg,)
             )
         self.angle_deg = angle_deg % 360
         self.center = center
-        self.shift = shift
         self._cos, self._sin = _COS_SIN[self.angle_deg]
 
     @classmethod
-    def translation(cls, shift: Point2) -> "RigidMotion":
-        return cls(0, ORIGIN, shift)
-
-    @classmethod
     def rotation(cls, angle_deg: int, center: Point2 = ORIGIN) -> "RigidMotion":
-        return cls(angle_deg, center, ORIGIN)
+        return cls(angle_deg, center)
 
     def apply(self, p: Point2) -> Point2:
         c, s = self._cos, self._sin
         dx = p.x - self.center.x
         dy = p.y - self.center.y
         return Point2(
-            self.center.x + c * dx - s * dy + self.shift.x,
-            self.center.y + s * dx + c * dy + self.shift.y,
+            self.center.x + c * dx - s * dy,
+            self.center.y + s * dx + c * dy,
         )
 
     def __repr__(self):
-        return "RigidMotion(angle_deg=%d, center=%r, shift=%r)" % (
-            self.angle_deg,
-            self.center,
-            self.shift,
-        )
+        return "RigidMotion(angle_deg=%d, center=%r)" % (self.angle_deg, self.center)

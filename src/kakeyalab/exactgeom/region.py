@@ -1,11 +1,10 @@
-"""Polygonal regions with exact boolean calculus.
+"""Polygonal regions with exact area and segment containment.
 
 A Region2 is a finite union of simple polygons with ExactScalar
-coordinates.  Boolean results are normalized: pairwise interior-disjoint
-convex pieces, so the area functional is a plain shoelace sum.  Rational
-magnitudes grow through repeated booleans (numerators and denominators
-multiply at crossing points); nothing is ever rounded, so deep pipelines
-trade digits for exactness.
+coordinates.  normalize rewrites it as the exact union: pairwise
+interior-disjoint convex pieces, so the area functional is a plain
+shoelace sum.  Rational magnitudes grow at crossing points (numerators
+and denominators multiply); nothing is ever rounded.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from .overlay import overlay
 from .primitives import (
     GeomError,
     Point2,
-    RigidMotion,
     Segment2,
     _bbox_touch,
     _seg_bbox,
@@ -103,27 +101,7 @@ def normalize(a: Region2) -> Region2:
         return a
     if a.is_empty():
         return Region2.empty()
-    pieces, area = overlay([list(map(list, a.polygons))], "union")
-    return Region2(pieces, _disjoint=True, _area=area)
-
-
-def region_union(a: Region2, b: Region2) -> Region2:
-    if a.is_empty():
-        return normalize(b)
-    if b.is_empty():
-        return normalize(a)
-    group = [list(p) for p in a.polygons] + [list(p) for p in b.polygons]
-    pieces, area = overlay([group], "union")
-    return Region2(pieces, _disjoint=True, _area=area)
-
-
-def region_intersect(a: Region2, b: Region2) -> Region2:
-    if a.is_empty() or b.is_empty():
-        return Region2.empty()
-    pieces, area = overlay(
-        [[list(p) for p in a.polygons], [list(p) for p in b.polygons]],
-        "intersect",
-    )
+    pieces, area = overlay([list(map(list, a.polygons))])
     return Region2(pieces, _disjoint=True, _area=area)
 
 
@@ -136,17 +114,6 @@ def region_area(a: Region2) -> ExactScalar:
             total = total + polygon_area(list(poly))
         return total
     return normalize(a)._area
-
-
-def transform(a: Region2, motion: RigidMotion) -> Region2:
-    """Exact rigid image; angles restricted to the 30-degree lattice."""
-    polys = [[motion.apply(v) for v in poly] for poly in a.polygons]
-    # rigid maps preserve disjointness and area, so carry the cache over
-    return Region2(polys, _disjoint=a._disjoint, _area=a._area)
-
-
-def point_in_region(a: Region2, p: Point2) -> bool:
-    return any(point_in_polygon_closed(p, list(poly)) for poly in a.polygons)
 
 
 def contains_segment(a: Region2, s: Segment2) -> bool:

@@ -36,10 +36,10 @@ from .exactgeom import (
     point_in_polygon_closed,
     rational,
     region_area,
-    scalar,
 )
 from .exactgeom.overlay import overlay
 from .exactgeom.region import _decode_polygons
+from .exactgeom.scalar import scalar
 
 APEX = Point2(ZERO, ONE)
 BASE_HALF = INV_SQRT3
@@ -145,7 +145,7 @@ def shifted_leaves(spec: PerronSpec) -> list[list[Point2]]:
 
 def build_perron_tree(spec: PerronSpec) -> PerronTree:
     """Run the cut-and-shift and return the exact normalized union."""
-    pieces, area = overlay([shifted_leaves(spec)], "union")
+    pieces, area = overlay([shifted_leaves(spec)])
     region = Region2(pieces, _disjoint=True, _area=area)
     shifts = tuple(Point2(s, ZERO) for s in leaf_shifts(spec))
     base = Region2.from_polygon(list(BASE_TRIANGLE))
@@ -242,7 +242,7 @@ def assemble_kakeya(tree: PerronTree) -> Region2:
         rot = RigidMotion.rotation(angle, APEX)
         for poly in leaves:
             group.append([rot.apply(v) for v in poly])
-    pieces, area = overlay([group], "union")
+    pieces, area = overlay([group])
     return Region2(pieces, _disjoint=True, _area=area)
 
 

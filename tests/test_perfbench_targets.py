@@ -3,6 +3,8 @@
 perfbench/layers.py names kakeyalab functions by attribute, and
 perfbench/run.py records the exact core's rational type; a rename or
 deletion in src/ would otherwise surface only as a failing benchmark run.
+Likewise the counters read a call's arguments and result, so a signature
+change must fail here rather than in a traced benchmark run.
 """
 
 import importlib
@@ -27,7 +29,24 @@ def test_rational_backend_resolves(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import run
 
-    # by module path: the package exports a function named `scalar` too
     q = importlib.import_module("kakeyalab.exactgeom.scalar")._Q
     assert q is Fraction or q.__module__ == "gmpy2"
     assert run.environment()["rational_backend"] == f"{q.__module__}.{q.__qualname__}"
+
+
+def test_overlay_counter_reads_a_real_perron_build(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import tracer
+
+    from kakeyalab import perron
+
+    targets = [t for t in layers.targets()
+               if t.owner is perron and t.attr == "overlay"]
+    assert len(targets) == 1
+    with tracer.Tracer().installed(targets) as tr:
+        perron.build_perron_tree(perron.PerronSpec.default(3))
+    assert [s.name for s in tr.spans] == ["exactgeom.overlay"]
+    # 2^3 leaves, each a triangle (apex plus two base points): 24 edges in;
+    # the union is 16 trapezoids, as the slab-sweep oracle also finds
+    assert tr.spans[0].counts == {"edges_in": 24, "pieces_out": 16}

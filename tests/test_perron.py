@@ -18,10 +18,10 @@ from kakeyalab.exactgeom import (
     point_in_polygon_closed,
     polygon_area,
     region_area,
-    scalar,
 )
 from kakeyalab.exactgeom import region as region_module
 from kakeyalab.exactgeom.overlay import overlay
+from kakeyalab.exactgeom.scalar import scalar
 from kakeyalab.perron import (
     APEX,
     PerronSpec,
@@ -54,7 +54,7 @@ def test_bisect_partitions_exactly():
             assert a == per
             total = total + a
         assert total == INV_SQRT3
-        _, union_area = overlay([leaves], "union")
+        _, union_area = overlay([leaves])
         assert union_area == INV_SQRT3
 
 

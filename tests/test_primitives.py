@@ -21,11 +21,11 @@ from kakeyalab.exactgeom import (
     orient,
     point_in_polygon_closed,
     polygon_area,
-    scalar,
     segment_hits,
     signed_area2,
     validate_simple_polygon,
 )
+from kakeyalab.exactgeom.scalar import scalar
 
 
 def P(x, y):
@@ -252,7 +252,3 @@ class TestRigidMotion:
         for p in pts:
             q = r.apply(r.apply(r.apply(p)))
             assert q == p
-
-    def test_translation(self):
-        t = RigidMotion.translation(P(3, -2))
-        assert t.apply(P(1, 1)) == P(4, -1)

@@ -15,8 +15,8 @@ from kakeyalab.exactgeom import (
     ONE,
     SQRT3,
     ZERO,
-    scalar,
 )
+from kakeyalab.exactgeom.scalar import scalar
 
 getcontext().prec = 60
 SQRT3_DEC = Decimal(3).sqrt()
@@ -240,3 +240,13 @@ def test_zero_divisor_on_every_path():
     for lhs in (0, 3, Fraction(-2, 7)):
         with pytest.raises(ZeroDivisionError):
             lhs / ZERO
+
+
+def test_package_attribute_scalar_is_the_module():
+    import types
+
+    import kakeyalab.exactgeom as exactgeom
+
+    assert isinstance(exactgeom.scalar, types.ModuleType)
+    assert exactgeom.scalar.scalar is scalar
+    assert exactgeom.scalar.ExactScalar is ExactScalar
