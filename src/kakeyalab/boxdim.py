@@ -7,10 +7,10 @@ tube with round end caps (a capsule), not of the capless tube that
 tubelab's `in_tube` tests, so it keeps its own distance test; the caps
 add at most a (delta + d)-ball per tube end.  A point cloud is measured
 by the same test as zero-length segments of width 0: a cell counts when
-its centre lies within d of a point.  A region is rasterized by a
-scanline winding fill, so overlapping polygons count once (their union,
-not their parity), with its outline stamped in, then dilated by the
-digital disc of radius d.  That overstates the band N_dK minus K by
+its centre lies within d of a point.  A region is filled by scanline
+winding, strip by strip, so overlapping polygons count once (their
+union, not their parity), with its outline stamped in, then dilated by
+the digital disc of radius d.  That overstates the band N_dK minus K by
 about 11-13% of the band's area at every scale: on the unit square it
 gives 1.1436 where the exact 1 + 4d + pi d^2 is 1.1281 at d = 2^-5,
 and 1.00220 against 1.00195 at d = 2^-11.  The bias is about the same
@@ -42,10 +42,11 @@ __all__ = [
     "neighborhood_volume_curve",
 ]
 
-# Grid caps: the per-segment test costs per cell it touches, the region
-# scanline fill two bytes per cell of the whole grid.
+# Grid caps: the per-segment test holds the whole grid; the region fill
+# only strips of about _STRIP_CELLS cells, so its cap bounds the work.
 _MAX_CELLS = 1 << 27
 _SCAN_CELLS = 1 << 31
+_STRIP_CELLS = 1 << 22
 # Grid pitch is delta / _CELL_FACTOR.
 _CELL_FACTOR = 4.0
 
@@ -147,9 +148,9 @@ def _window(lo, counts, cell, wlo, whi):
 def _boundary_edges(region: Region2, polys: list[np.ndarray]) -> np.ndarray:
     """Edges of the union outline, as an (n, 2, 2) float array.
 
-    In a disjoint polygon decomposition every interior edge appears an
-    even number of times; edges seen an odd number of times trace the
-    outer boundary.
+    Every polygon is CCW, so an edge two pieces share is traversed once
+    each way and cancels; edges with a nonzero net count trace the outer
+    boundary, however many overlapping copies repeat them.
     """
     counts: dict = {}
     keyed = []
@@ -158,18 +159,24 @@ def _boundary_edges(region: Region2, polys: list[np.ndarray]) -> np.ndarray:
         for p, q in zip(poly, poly[1:] + poly[:1]):
             a = (p.x.to_ints(), p.y.to_ints())
             b = (q.x.to_ints(), q.y.to_ints())
-            key = (a, b) if a <= b else (b, a)
-            counts[key] = counts.get(key, 0) + 1
+            key, turn = ((a, b), 1) if a <= b else ((b, a), -1)
+            counts[key] = counts.get(key, 0) + turn
             ring.append(key)
         keyed.append(ring)
     out = []
     for V, ring in zip(polys, keyed):
         for k, key in enumerate(ring):
-            if counts[key] % 2 == 1:
+            if counts[key] != 0:
                 out.append((V[k], V[(k + 1) % len(V)]))
     if not out:
         return np.zeros((0, 2, 2))
     return np.array(out)
+
+
+def _spans(first, count):
+    """(j, i) for every i in [first[j], first[j] + count[j]), j-major."""
+    j = np.repeat(np.arange(len(count)), count)
+    return j, np.arange(len(j)) - np.repeat(np.cumsum(count) - count, count) + first[j]
 
 
 def _region_volume(polys, bedges, delta, cell):
@@ -178,48 +185,63 @@ def _region_volume(polys, bedges, delta, cell):
     lo, counts = _axes(verts.min(axis=0) - pad, verts.max(axis=0) + pad, cell,
                        cap=_SCAN_CELLS)
     nx, ny = int(counts[0]), int(counts[1])
-    # Winding count (int8: depths up to 127): a CCW edge crossing a row
-    # downward adds 1, upward -1.
-    wind = np.zeros((nx, ny), dtype=np.int8)
-    for V in polys:
-        for (ax, ay), (bx, by) in zip(V, np.roll(V, -1, axis=0)):
-            if ay == by:
-                continue
-            ylo, yhi = (ay, by) if ay < by else (by, ay)
-            j0 = max(int(math.floor((ylo - lo[1]) / cell - 0.5)), 0)
-            j1 = min(int(math.ceil((yhi - lo[1]) / cell + 0.5)), ny)
-            if j0 >= j1:
-                continue
-            yc = lo[1] + (np.arange(j0, j1) + 0.5) * cell
-            m = (ay > yc) != (by > yc)
-            if not m.any():
-                continue
-            rows = np.nonzero(m)[0] + j0
-            xc = ax + (yc[m] - ay) * (bx - ax) / (by - ay)
-            ix = np.ceil((xc - lo[0]) / cell - 0.5).astype(np.int64)
-            keep = ix < nx
-            np.add.at(wind, (np.clip(ix[keep], 0, nx - 1), rows[keep]),
-                      1 if ay > by else -1)
-    np.add.accumulate(wind, axis=0, out=wind)
-    np.clip(wind, 0, 1, out=wind)
-    inside = wind.view(bool)
-    # stamp the outline so slivers thinner than a cell still register
-    for (a, b) in bedges:
-        n = int(np.hypot(b[0] - a[0], b[1] - a[1]) / (0.5 * cell)) + 2
-        t = np.linspace(0.0, 1.0, n)
-        ix = ((a[0] + t * (b[0] - a[0]) - lo[0]) / cell - 0.5).round().astype(np.int64)
-        iy = ((a[1] + t * (b[1] - a[1]) - lo[1]) / cell - 0.5).round().astype(np.int64)
-        inside[np.clip(ix, 0, nx - 1), np.clip(iy, 0, ny - 1)] = True
+    # Non-horizontal edges and the rows whose centres each may cross; a
+    # CCW edge crossing a row downward adds 1 to the winding count, upward -1.
+    E = np.vstack([np.hstack([V, np.roll(V, -1, axis=0)]) for V in polys])
+    ax, ay, bx, by = E[E[:, 1] != E[:, 3]].T
+    e_lo = np.maximum(np.floor((np.minimum(ay, by) - lo[1]) / cell - 0.5).astype(np.int64), 0)
+    e_hi = np.minimum(np.ceil((np.maximum(ay, by) - lo[1]) / cell + 0.5).astype(np.int64), ny)
+    sign = np.where(ay > by, 1, -1).astype(np.int32)
+    # The outline is stamped in (slivers thinner than a cell still count)
+    # at np.linspace(0, 1, n) along each edge.  Sample rows are monotone,
+    # so a strip finds its samples from u0 + k du, half a row wider.
+    A, B = bedges[:, 0], bedges[:, 1]
+    ns = (np.hypot(B[:, 0] - A[:, 0], B[:, 1] - A[:, 1]) / (0.5 * cell)).astype(np.int64) + 2
+    u0 = (A[:, 1] - lo[1]) / cell - 0.5
+    du = np.where(A[:, 1] == B[:, 1], 1e-300, (B[:, 1] - A[:, 1]) / cell / (ns - 1))
+    # the digital disc of radius r cells, as a half-width per row offset
     r = delta / cell
-    occ = np.zeros_like(inside)
     rr = int(math.floor(r))
-    for dx in range(-rr, rr + 1):
-        for dy in range(-rr, rr + 1):
-            if dx * dx + dy * dy > r * r * (1 + 1e-12):
-                continue
-            occ[max(dx, 0):nx + min(dx, 0), max(dy, 0):ny + min(dy, 0)] |= \
-                inside[max(-dx, 0):nx + min(-dx, 0), max(-dy, 0):ny + min(-dy, 0)]
-    return float(occ.sum()) * cell ** 2
+    width = {dy: max(dx for dx in range(rr + 1) if dx * dx + dy * dy <= r * r * (1 + 1e-12))
+             for dy in range(-rr, rr + 1)}
+    # Each strip of rows [s0, s1) is filled from the rows [h0, h1) within
+    # rr of it by the whole grid's cell-centre rules, then counted; a
+    # crossing or an outline sample costs about the memory of 8 cells.
+    per_row = nx + 8 * (int(np.maximum(e_hi - e_lo, 0).sum()) + int(ns.sum())) // ny
+    rows, total = max(1, _STRIP_CELLS // per_row), 0
+    for s0 in range(0, ny, rows):
+        s1 = min(s0 + rows, ny)
+        h0, h1 = max(s0 - rr, 0), min(s1 + rr, ny)
+        first = np.maximum(e_lo, h0)
+        e, row = _spans(first, np.maximum(np.minimum(e_hi, h1) - first, 0))
+        yc = lo[1] + (row + 0.5) * cell
+        m = (ay[e] > yc) != (by[e] > yc)
+        e, row, yc = e[m], row[m], yc[m]
+        xc = ax[e] + (yc - ay[e]) * (bx[e] - ax[e]) / (by[e] - ay[e])
+        ix = np.ceil((xc - lo[0]) / cell - 0.5).astype(np.int64)
+        wind = np.zeros((h1 - h0, nx), dtype=np.int32)
+        np.add.at(wind.ravel(), (row - h0) * nx + ix, sign[e])
+        inside = np.cumsum(wind, axis=1, out=wind) > 0
+        ka, kb = (h0 - 1 - u0) / du, (h1 - u0) / du
+        first = np.clip(np.floor(np.minimum(ka, kb)), 0, ns).astype(np.int64)
+        j, k = _spans(first, np.clip(np.ceil(np.maximum(ka, kb)), 0, ns).astype(np.int64) - first)
+        t = np.where(k == ns[j] - 1, 1.0, k * (1.0 / (ns[j] - 1)))
+        ix = ((A[j, 0] + t * (B[j, 0] - A[j, 0]) - lo[0]) / cell - 0.5).round().astype(np.int64)
+        iy = ((A[j, 1] + t * (B[j, 1] - A[j, 1]) - lo[1]) / cell - 0.5).round().astype(np.int64)
+        on = (iy >= h0) & (iy < h1)
+        inside[iy[on] - h0, ix[on]] = True
+        occ = np.zeros((s1 - s0, nx), dtype=bool)
+        grow, w = inside.copy(), 0
+        for dy in sorted(width, key=width.get):
+            while w < width[dy]:
+                w += 1
+                grow[:, w:] |= inside[:, :-w]
+                grow[:, :-w] |= inside[:, w:]
+            j0, j1 = max(s0, h0 + dy), min(s1, h1 + dy)
+            if j0 < j1:
+                occ[j0 - s0:j1 - s0] |= grow[j0 - dy - h0:j1 - dy - h0]
+        total += int(np.count_nonzero(occ))
+    return float(total) * cell ** 2
 
 
 def _capsule_volume(A: np.ndarray, W: np.ndarray, lengths: np.ndarray,

@@ -10,6 +10,8 @@ packet sum before and after filtering.
 
 One tree covers the 60 degree sector of directions around the vertical,
 which is all the pile-up needs, so every packet lies in that sector.
+A run holds one complex N x N spectrum and one real |f| array (420 MiB
+at r = 1/16, N = 4096); N beyond 16384 is refused before allocating.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from ..exactgeom import GeomError
 from ..parallel import map_ordered
 from ..perron import PerronTree, covering_segment
-from .grid import GridField, SpectralError, dft_inverse, lp_norm
+from .grid import GridField, SpectralError, _inverse_into, lp_norm
 from .multipliers import MultiplierSpec, multiplier_symbol
 from .packets import (FreqRect, WavePacket, _check_grid, packet_symbol_block,
                       required_samples)
@@ -39,6 +41,9 @@ __all__ = [
 
 _SECTOR = math.pi / 3
 _HEATMAP_BINS = 128
+# Largest N x N complex array a run allocates: N = 16384, r = 1/32 on the
+# minimal grid, where the spectrum and |f| take 24 N^2 bytes = 6 GiB.
+_ARRAY_BYTES = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -84,6 +89,12 @@ def minimal_grid(r: float) -> tuple[int, float]:
     return required_samples(r, L), L
 
 
+def _check_memory(N: int) -> None:
+    if 16 * N * N > _ARRAY_BYTES:
+        raise SpectralError(f"N = {N} needs {16 * N * N / 2 ** 30:g} GiB per N x N complex "
+                            f"array, over the {_ARRAY_BYTES / 2 ** 30:g} GiB limit")
+
+
 def _abscissa(phi: float) -> Fraction:
     """Base abscissa of the direction at angle phi, rounded from floats.
 
@@ -120,22 +131,26 @@ def plan_placements(tree: PerronTree, r: float, L: float):
     return out
 
 
-def _norm_and_filtered(fhat: np.ndarray, N: int, L: float, p: float):
-    """Consume the accumulated symbol array: input norm, then the
-    filtered field's norm and occupancy map."""
-    field = dft_inverse(GridField(2, N, N / L, fhat))
-    in_norm = lp_norm(field, p)
-    del field
+def _norm_and_filtered(blocks, N: int, L: float, p: float):
+    """Input norm, then the filtered field's norm and occupancy map; each
+    transform rebuilds the spectrum from the packet blocks and inverts it
+    in place, and the ball symbol touches only the box they cover."""
     freqs = np.fft.fftfreq(N, d=L / N)
-    sym = multiplier_symbol(MultiplierSpec.ball(1.0), [freqs, freqs])
-    fhat *= sym
-    del sym
-    field = dft_inverse(GridField(2, N, N / L, fhat))
-    out_norm = lp_norm(field, p)
-    mag = np.abs(field.data)
+    rows = np.unique(np.concatenate([ix for ix, _, _ in blocks]))
+    cols = np.unique(np.concatenate([iy for _, iy, _ in blocks]))
+    sym = multiplier_symbol(MultiplierSpec.ball(1.0), [freqs[rows], freqs[cols]])
+    fhat, norms = np.zeros((N, N), dtype=complex), []
+    for filtered in (False, True):
+        fhat[...] = 0
+        for ix, iy, block in blocks:
+            fhat[np.ix_(ix, iy)] += block
+        if filtered:
+            fhat[np.ix_(rows, cols)] *= sym
+        norms.append(lp_norm(_inverse_into(GridField(2, N, N / L, fhat), fhat), p))
+    mag = np.abs(fhat)
     b = N // _HEATMAP_BINS
     heat = mag.reshape(_HEATMAP_BINS, b, _HEATMAP_BINS, b).mean(axis=(1, 3))
-    return in_norm, out_norm, heat
+    return norms[0], norms[1], heat
 
 
 def fefferman_experiment(tree: PerronTree, r: float, p: float,
@@ -146,6 +161,7 @@ def fefferman_experiment(tree: PerronTree, r: float, p: float,
         raise SpectralError(f"p must be >= 1, got {p}")
     if N is None or L is None:
         N, L = minimal_grid(r)
+    _check_memory(N)
     _check_grid(r, N, L)
     placements = plan_placements(tree, r, L)
     freqs = np.fft.fftfreq(N, d=L / N)
@@ -159,14 +175,13 @@ def fefferman_experiment(tree: PerronTree, r: float, p: float,
         kept = power[q <= 1.0].sum() / total if total > 0 else 0.0
         return ix, iy, block, float(total) / L ** 2, float(kept)
 
-    fhat = np.zeros((N, N), dtype=complex)
-    diags = []
+    blocks, diags = [], []
     for i, ((packet, leaf), (ix, iy, block, pw, kept)) in enumerate(
             zip(placements, map_ordered(run, placements))):
-        fhat[np.ix_(ix, iy)] += block
+        blocks.append((ix, iy, block))
         diags.append(PacketDiagnostic(i, packet.theta.angle, leaf,
                                       packet.y, pw, kept))
-    in_norm, out_norm, heat = _norm_and_filtered(fhat, N, L, p)
+    in_norm, out_norm, heat = _norm_and_filtered(blocks, N, L, p)
     return FeffermanReport(r, p, N, L, len(placements), in_norm, out_norm,
                            tuple(diags), heat)
 
@@ -177,9 +192,7 @@ def single_packet_ratio(r: float, p: float) -> float:
     if not p >= 1:
         raise SpectralError(f"p must be >= 1, got {p}")
     N, L = minimal_grid(r)
-    packet = WavePacket(FreqRect(math.pi / 2, r), np.array([L / 2, L / 2]))
-    fhat = np.zeros((N, N), dtype=complex)
-    ix, iy, block = packet_symbol_block(packet.theta, packet.y, N, L)
-    fhat[np.ix_(ix, iy)] = block
-    in_norm, out_norm, _ = _norm_and_filtered(fhat, N, L, p)
+    _check_memory(N)
+    block = packet_symbol_block(FreqRect(math.pi / 2, r), np.array([L / 2, L / 2]), N, L)
+    in_norm, out_norm, _ = _norm_and_filtered([block], N, L, p)
     return out_norm / in_norm

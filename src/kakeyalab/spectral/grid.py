@@ -68,14 +68,19 @@ def freq_coords(f: GridField) -> np.ndarray:
 
 def dft_forward(f: GridField) -> GridField:
     """Unitary transform of f; the result's period is the frequency extent N/L."""
-    scale = (f.L / f.N) ** f.dim
-    return GridField(f.dim, f.N, f.N / f.L, np.fft.fftn(f.data) * scale)
+    data = np.fft.fftn(f.data, out=np.empty_like(f.data))
+    return GridField(f.dim, f.N, f.N / f.L, np.multiply(data, (f.L / f.N) ** f.dim, out=data))
 
 
 def dft_inverse(f: GridField) -> GridField:
     """Inverse of dft_forward; maps a frequency field back to period N/L."""
-    scale = float(f.L) ** f.dim
-    return GridField(f.dim, f.N, f.N / f.L, np.fft.ifftn(f.data) * scale)
+    return _inverse_into(f, np.empty_like(f.data))
+
+
+def _inverse_into(f: GridField, out: np.ndarray) -> GridField:
+    """dft_inverse of f written into out, which may be f.data itself."""
+    np.fft.ifftn(f.data, out=out)
+    return GridField(f.dim, f.N, f.N / f.L, np.multiply(out, float(f.L) ** f.dim, out=out))
 
 
 def lp_norm(f: GridField, p: float) -> float:
@@ -85,4 +90,5 @@ def lp_norm(f: GridField, p: float) -> float:
     if not p >= 1:
         raise SpectralError(f"p must be >= 1, got {p}")
     w = (f.L / f.N) ** f.dim
-    return float((np.abs(f.data) ** p).sum() * w) ** (1.0 / p)
+    mag = np.abs(f.data)
+    return float(np.power(mag, p, out=mag).sum() * w) ** (1.0 / p)

@@ -79,9 +79,8 @@ def multiplier_symbol(spec: MultiplierSpec, axes: list[np.ndarray]) -> np.ndarra
 def apply_multiplier(f: GridField, spec: MultiplierSpec) -> GridField:
     """Scale the transform of f by the symbol and transform back."""
     fhat = dft_forward(f)
-    axes = [freq_coords(f)] * f.dim
-    sym = multiplier_symbol(spec, axes)
-    return dft_inverse(GridField(f.dim, f.N, fhat.L, fhat.data * sym))
+    np.multiply(fhat.data, multiplier_symbol(spec, [freq_coords(f)] * f.dim), out=fhat.data)
+    return dft_inverse(fhat)
 
 
 def _dirichlet_kernel(N: int, L: float, n_modes: int) -> np.ndarray:

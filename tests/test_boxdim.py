@@ -9,7 +9,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from region_fill_oracle import region_volume as oracle_region_volume
+
+from kakeyalab import boxdim
 from kakeyalab.boxdim import (
     BoxCountCurve,
     DimError,
@@ -99,6 +103,14 @@ class TestVolumes:
         ds = [2.0 ** -k for k in range(3, 7)]
         assert (neighborhood_volume_curve(squares, ds).entries
                 == neighborhood_volume_curve(union, ds).entries)
+
+    def test_deep_overlap_counts_once(self):
+        # 128 coincident copies wind 128 deep and repeat every edge an
+        # even number of times; the union is still the one square
+        square = unit_square().polygons[0]
+        one = neighborhood_volume_curve(unit_square(), [1 / 8])
+        deep = neighborhood_volume_curve(Region2([square] * 128), [1 / 8])
+        assert deep.entries == one.entries
 
     def test_disc_area_approaches_quarter_pi(self):
         denom = 1 << 20
@@ -232,3 +244,77 @@ class TestInvariants:
         monkeypatch.setenv("KAKEYA_LAB_THREADS", "3")
         b = neighborhood_volume_curve(tree_region, ds)
         assert a.entries == b.entries
+
+
+def _lattice_polygon(draw, den):
+    """A box or a triangle on the lattice (Z/den)^2."""
+    pt = st.tuples(st.integers(0, 2 * den), st.integers(0, 2 * den))
+    if draw(st.booleans()):
+        (x0, y0), (x1, y1) = draw(pt), draw(pt)
+        assume(x0 != x1 and y0 != y1)
+        x0, x1 = sorted((x0, x1))
+        y0, y1 = sorted((y0, y1))
+        verts = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    else:
+        a, b, c = draw(pt), draw(pt), draw(pt)
+        assume((b[0] - a[0]) * (c[1] - a[1]) != (b[1] - a[1]) * (c[0] - a[0]))
+        verts = [a, b, c]
+    return [rational_point(Fraction(x, den), Fraction(y, den)) for x, y in verts]
+
+
+@st.composite
+def lattice_regions(draw):
+    """1-5 possibly overlapping lattice boxes and triangles, in thirds
+    (inexact doubles) or in 8ths or 64ths, where outline samples land
+    exactly on row boundaries."""
+    den = draw(st.sampled_from([3, 8, 64]))
+    return Region2([_lattice_polygon(draw, den)
+                    for _ in range(draw(st.integers(1, 5)))])
+
+
+class TestStripFill:
+    """The strip fill against the whole-grid oracle, count for count.
+
+    `_STRIP_CELLS` is cut to 1, 3 and 7 grid rows, so strips are at most
+    that many rows: thinner than the disc's halo of floor(delta / cell)
+    = 4 rows, so every strip boundary falls inside some dilation."""
+
+    def assert_same_as_oracle(self, region, deltas, monkeypatch):
+        polys = boxdim._float_polygons(region)
+        bedges = boxdim._boundary_edges(region, polys)
+        verts = np.vstack(polys)
+        for d in deltas:
+            cell = d / boxdim._CELL_FACTOR
+            want = oracle_region_volume(polys, bedges, d, cell)
+            _, counts = boxdim._axes(verts.min(axis=0) - d - cell,
+                                     verts.max(axis=0) + d + cell, cell)
+            for rows in (1, 3, 7):
+                monkeypatch.setattr(boxdim, "_STRIP_CELLS", rows * int(counts[0]))
+                assert boxdim._region_volume(polys, bedges, d, cell) == want
+
+    def test_m4_tree(self, monkeypatch):
+        region = build_perron_tree(PerronSpec.default(4)).region
+        self.assert_same_as_oracle(region, [2.0 ** -k for k in range(3, 8)], monkeypatch)
+
+    def test_cantor_level_6(self, monkeypatch):
+        region = Region2([
+            [rational_point(a, 0), rational_point(b, 0),
+             rational_point(b, 1), rational_point(a, 1)]
+            for a, b in cantor_intervals(6)])
+        self.assert_same_as_oracle(region, [3.0 ** -k for k in range(2, 6)], monkeypatch)
+
+    def test_overlapping_squares(self, monkeypatch):
+        def square(x, y, side):
+            return [rational_point(x, y), rational_point(x + side, y),
+                    rational_point(x + side, y + side), rational_point(x, y + side)]
+
+        third = Fraction(1, 3)
+        region = Region2([square(0, 0, 1), square(third, third, 1),
+                          square(third, 0, third), square(0, 0, 1)])
+        self.assert_same_as_oracle(region, [2.0 ** -k for k in range(2, 7)], monkeypatch)
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(lattice_regions())
+    def test_random_lattice_polygons(self, region):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.assert_same_as_oracle(region, [1 / 4, 1 / 8, 1 / 13], monkeypatch)

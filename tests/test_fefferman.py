@@ -11,8 +11,10 @@ import math
 import numpy as np
 import pytest
 
+from kakeyalab.cli import dispatch
 from kakeyalab.perron import PerronSpec, build_perron_tree
 from kakeyalab.spectral import (
+    FreqRect,
     SpectralError,
     fefferman,
     fefferman_experiment,
@@ -20,6 +22,7 @@ from kakeyalab.spectral import (
     plan_placements,
     single_packet_ratio,
 )
+from kakeyalab.spectral.packets import packet_symbol_block
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +111,70 @@ class TestPlacements:
         monkeypatch.setattr(fefferman, "covering_segment", broken)
         with pytest.raises(TypeError, match="not a sector miss"):
             plan_placements(tree, 1 / 8, minimal_grid(1 / 8)[1])
+
+
+def dense_norm_and_filtered(fhat, N, L, p):
+    """The dense path the block path replaced: the whole N x N symbol
+    array, transformed and filtered with fresh copies at every step."""
+    scale = float(N / L) ** 2
+    w = ((N / (N / L)) / N) ** 2
+    field = np.fft.ifftn(fhat) * scale
+    in_norm = float((np.abs(field) ** p).sum() * w) ** (1.0 / p)
+    freqs = np.fft.fftfreq(N, d=L / N)
+    fhat = fhat * ((freqs[:, None] ** 2 + freqs[None, :] ** 2) <= 1.0).astype(float)
+    field = np.fft.ifftn(fhat) * scale
+    out_norm = float((np.abs(field) ** p).sum() * w) ** (1.0 / p)
+    heat = np.abs(field).reshape(128, N // 128, 128, N // 128).mean(axis=(1, 3))
+    return in_norm, out_norm, heat
+
+
+class TestBlockPath:
+    """The packet-block spectrum against the dense one, bit for bit."""
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    def test_experiment_equals_dense(self, tree, p):
+        r = 1 / 8
+        N, L = minimal_grid(r)
+        fhat = np.zeros((N, N), dtype=complex)
+        for packet, _ in plan_placements(tree, r, L):
+            ix, iy, block = packet_symbol_block(packet.theta, packet.y, N, L)
+            fhat[np.ix_(ix, iy)] += block
+        want = dense_norm_and_filtered(fhat, N, L, p)
+        rep = fefferman_experiment(tree, r, p)
+        assert rep.input_norm == want[0]
+        assert rep.output_norm == want[1]
+        assert np.array_equal(rep.heatmap, want[2])
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    def test_single_packet_equals_dense(self, p):
+        r = 1 / 8
+        N, L = minimal_grid(r)
+        fhat = np.zeros((N, N), dtype=complex)
+        ix, iy, block = packet_symbol_block(
+            FreqRect(math.pi / 2, r), np.array([L / 2, L / 2]), N, L)
+        fhat[np.ix_(ix, iy)] = block
+        in_norm, out_norm, _ = dense_norm_and_filtered(fhat, N, L, p)
+        assert single_packet_ratio(r, p) == out_norm / in_norm
+
+
+class TestMemoryGuard:
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"np.{name} reached before the memory guard")
+
+    def test_refuses_before_allocating(self, tree, monkeypatch):
+        # r = 1/64 asks for N = 65536: 64 GiB per complex array
+        monkeypatch.setattr(fefferman, "np", self.NoNumpy())
+        with pytest.raises(SpectralError, match=r"N = 65536 needs 64 GiB"):
+            fefferman_experiment(tree, 1 / 64, 4.0)
+        with pytest.raises(SpectralError, match=r"N = 65536 needs 64 GiB"):
+            single_packet_ratio(1 / 64, 4.0)
+        with pytest.raises(SpectralError, match=r"N = 32768 needs 16 GiB"):
+            fefferman_experiment(tree, 1 / 8, 4.0, N=32768, L=256.0)
+
+    def test_cli_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(fefferman, "np", self.NoNumpy())
+        out = tmp_path / "feff.csv"
+        assert dispatch(["fefferman", "--r", repr(1 / 64), "--out", str(out)]) == 2
+        assert "64 GiB" in capsys.readouterr().err
+        assert not out.exists()

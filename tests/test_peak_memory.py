@@ -1,0 +1,50 @@
+"""Peak memory of the two analysis steps that used to hold full grids.
+
+Each run goes in a fresh interpreter that reports its own RUSAGE_SELF
+peak, so other tests' children cannot mask it.  Linux carries the
+high-water mark of the address space an exec replaces into the new
+program's RUSAGE_SELF, so a child exec'd straight from this (large)
+test process would start at this process's peak: the run is launched
+from a small intermediate interpreter instead.
+The Fefferman step at r = 1/16 works on N = 4096, where one complex
+N x N array is 256 MiB: its bound is two of them.  The dense path it
+replaced peaked at about 805 MiB, and the whole-grid region fill at
+about 450 MiB for the m=6 tree curve down to delta = 2^-12.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import kakeyalab
+
+SRC = str(Path(kakeyalab.__file__).resolve().parents[1])
+
+
+def peak_mib(code: str) -> float:
+    env = dict(os.environ, KAKEYA_LAB_THREADS="1",
+               PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    script = ("import resource\n"
+              "from kakeyalab.perron import PerronSpec, build_perron_tree\n"
+              "tree = build_perron_tree(PerronSpec.default(6))\n"
+              + code +
+              "\nprint(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    launcher = ("import subprocess, sys\n"
+                "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)")
+    out = subprocess.run([sys.executable, "-c", launcher, script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return int(out.split()[-1]) / 1024.0
+
+
+def test_fefferman_peak_under_two_arrays():
+    peak = peak_mib("from kakeyalab.spectral import fefferman_experiment\n"
+                    "fefferman_experiment(tree, 1 / 16, 4.0)")
+    assert peak < 512.0, f"fefferman r=1/16 peaked at {peak:.0f} MiB"
+
+
+def test_region_curve_peak():
+    peak = peak_mib("from kakeyalab.boxdim import neighborhood_volume_curve\n"
+                    "neighborhood_volume_curve(tree.region, "
+                    "[2.0 ** -k for k in range(9, 13)])")
+    assert peak < 256.0, f"m=6 region curve to 2^-12 peaked at {peak:.0f} MiB"

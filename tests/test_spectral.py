@@ -133,6 +133,25 @@ class TestTransform:
         assert np.abs(out.data - np.exp(-math.pi * xi ** 2 / r ** 2)).max() < 1e-6
 
 
+@pytest.mark.parametrize("dim, N, seed", [(1, 512, 810), (2, 64, 811), (2, 256, 812)])
+def test_in_place_paths_equal_plain_numpy_bitwise(dim, N, seed):
+    # the transforms scale their one output array in place, lp_norm
+    # raises |x| to the power in place: same bits as fresh copies
+    f = random_field(dim, N, 8.0, seed)
+    x = f.data
+    assert (dft_forward(f).data.tobytes()
+            == (np.fft.fftn(x) * (8.0 / N) ** dim).tobytes())
+    assert (dft_inverse(f).data.tobytes()
+            == (np.fft.ifftn(x) * 8.0 ** dim).tobytes())
+    w = (8.0 / N) ** dim
+    for p in (1.0, 2.0, 3.0, 4.0, 2.5, 6.0):
+        assert lp_norm(f, p) == float((np.abs(x) ** p).sum() * w) ** (1.0 / p)
+    spec = MultiplierSpec.bochner_riesz(2.5, 0.5)
+    sym = multiplier_symbol(spec, [freq_coords(f)] * dim)
+    want = np.fft.ifftn(np.fft.fftn(x) * (8.0 / N) ** dim * sym) * (N / 8.0) ** dim
+    assert apply_multiplier(f, spec).data.tobytes() == want.tobytes()
+
+
 class TestLpNorm:
     def test_half_indicator(self):
         data = np.zeros((64, 64), complex)
