@@ -79,6 +79,11 @@ class DistinctReport:
         return not self.flagged
 
 
+# Most pairs essentially_distinct_check examines: twice criterion 5's
+# 8,386,560 (parallel lines at delta = 1/64).
+_MAX_PAIRS = 1 << 24
+
+
 def essentially_distinct_check(
     fam: TubeFamily, samples_per_pair: int = 64, seed: int = 0
 ) -> DistinctReport:
@@ -95,6 +100,9 @@ def essentially_distinct_check(
     """
     tubes = fam.tubes
     n = len(tubes)
+    if n * (n - 1) // 2 > _MAX_PAIRS:
+        raise TubeError(f"{n:,} tubes make {n * (n - 1) // 2:,} pairs, "
+                        f"over the limit of {_MAX_PAIRS:,}")
     d = fam.dim
     A = np.array([t.a for t in tubes])
     W = np.array([t.omega for t in tubes])

@@ -196,6 +196,10 @@ def _tree_segment_tube(theta: float, delta: float, m: int) -> Tube:
     return Tube(2, p, w, delta)
 
 
+# Most tubes parallel_lines_family builds: delta = 1/128.
+_MAX_TUBES = 1 << 14
+
+
 def parallel_lines_family(delta: float) -> TubeFamily:
     """All tubes joining {(dj, 0, 0)} to {(dk, 1, 0)}, j, k in 1..1/d.
 
@@ -206,6 +210,9 @@ def parallel_lines_family(delta: float) -> TubeFamily:
     n = round(n_f)
     if n < 2 or abs(n_f - n) > 1e-9:
         raise TubeError(f"1/delta must be an integer >= 2, got {n_f}")
+    if n * n > _MAX_TUBES:
+        raise TubeError(f"parallel lines at 1/delta = {n} make {n * n:,} tubes, "
+                        f"over the limit of {_MAX_TUBES:,}")
     tubes = []
     for j in range(1, n + 1):
         a = np.array([delta * j, 0.0, 0.0])

@@ -2,7 +2,8 @@
 
 Both methods reduce to point-in-union queries.  Tubes are bucketed
 into a coarse spatial hash along their core segments so each query
-point only tests nearby tubes.
+point only tests nearby tubes, nearest first, and stops at its first
+containing tube.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .core import (
     TubeError,
     TubeFamily,
     VolumeEstimate,
+    _axis_dot,
     family_bbox,
     family_total_volume,
     in_tube,
@@ -33,7 +35,9 @@ _PAIR_BATCH = 1 << 15
 class TubeIndex:
     """Spatial hash of a family for batched point-in-union queries.
 
-    Lattice cell k holds candidate tubes members[starts[k]:starts[k + 1]].
+    Lattice cell k holds candidate tubes members[starts[k]:starts[k + 1]],
+    nearest core segment to the cell centre first.  A query tests each
+    point's candidates in that order and stops at the first hit.
     """
 
     def __init__(self, fam: TubeFamily):
@@ -53,7 +57,13 @@ class TubeIndex:
         cells = [self._cells_near_tube(t).astype(np.int32) for t in fam.tubes]
         tube = np.repeat(np.arange(len(cells), dtype=np.int32), [len(c) for c in cells])
         cells = np.concatenate(cells)
-        self.members = tube[np.argsort(cells, kind="stable")]
+        # Within a cell, candidates go nearest core segment to the cell
+        # centre first: squared distance, summed in axis order.
+        rel = [lo + (ix + 0.5) * self.h - a[tube] for lo, ix, a in
+               zip(self.lo, np.unravel_index(cells, self.shape), self.anchors)]
+        s = np.clip(_axis_dot(rel, [w[tube] for w in self.omegas]), 0.0, self.lengths[tube])
+        perp = [r - s * w[tube] for r, w in zip(rel, self.omegas)]
+        self.members = tube[np.lexsort((_axis_dot(perp, perp), cells))]
         self.starts = np.r_[0, np.cumsum(np.bincount(cells, minlength=np.prod(self.shape)))]
 
     @property
@@ -84,27 +94,38 @@ class TubeIndex:
         return np.unique(np.ravel_multi_index(cells.T, self.shape))
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        """Boolean mask over rows of pts: inside the union of tubes."""
-        n = len(pts)
-        out = np.zeros(n, dtype=bool)
+        """Boolean mask over rows of pts: inside the union of tubes.
+
+        Candidate slots are tested in windows of 1, 2, 4, ... per point;
+        a point drops out after the window holding its first hit.
+        """
+        out = np.zeros(len(pts), dtype=bool)
         ids = self._cell_ids(pts)
         first = self.starts[ids]
         count = self.starts[ids + 1] - first
-        ends = np.cumsum(count)
         p_ax = pts.T.copy()
-        a = 0
-        while a < n:
-            base = ends[a - 1] if a else 0
-            b = max(a + 1, int(np.searchsorted(ends, base + _PAIR_BATCH, side="right")))
-            c = count[a:b]
-            row = np.repeat(np.arange(a, b), c)
-            # a row's candidates sit at first[row] + 0, 1, ..., count[row] - 1
-            slot = np.arange(len(row)) + np.repeat(first[a:b] - ends[a:b] + base + c, c)
-            tube = self.members[slot]
-            hit = in_tube([p[row] for p in p_ax], [q[tube] for q in self.anchors],
-                          [w[tube] for w in self.omegas], self.lengths[tube], self.delta)
-            out[row[hit]] = True
-            a = b
+        live = np.flatnonzero(count)
+        k = 0
+        width = 1
+        while len(live):
+            take = np.minimum(count[live] - k, width)
+            ends = np.cumsum(take)
+            a = 0
+            while a < len(live):
+                base = ends[a - 1] if a else 0
+                b = max(a + 1, int(np.searchsorted(ends, base + _PAIR_BATCH, side="right")))
+                c = take[a:b]
+                row = np.repeat(live[a:b], c)
+                # a row's window sits at first[row] + k + 0, 1, ..., c - 1
+                slot = np.arange(len(row)) + np.repeat(first[live[a:b]] + k - ends[a:b] + base + c, c)
+                tube = self.members[slot]
+                hit = in_tube([p[row] for p in p_ax], [q[tube] for q in self.anchors],
+                              [w[tube] for w in self.omegas], self.lengths[tube], self.delta)
+                out[row[hit]] = True
+                a = b
+            k += width
+            width *= 2
+            live = live[~out[live] & (count[live] > k)]
         return out
 
 

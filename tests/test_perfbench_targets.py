@@ -50,3 +50,25 @@ def test_overlay_counter_reads_a_real_perron_build(monkeypatch):
     # 2^3 leaves, each a triangle (apex plus two base points): 24 edges in;
     # the union is 16 trapezoids, as the slab-sweep oracle also finds
     assert tr.spans[0].counts == {"edges_in": 24, "pieces_out": 16}
+
+
+def test_index_counters_ignore_the_candidate_order(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import tracer
+
+    from kakeyalab.tubelab import generate_family, parallel_lines_family, volume
+
+    targets = [t for t in layers.targets()
+               if t.owner is volume.TubeIndex and t.attr == "__init__"]
+    assert len(targets) == 1
+    # recorded from the index that ordered each cell's candidates by tube
+    # id (a stable argsort by cell); nearest-first order must not move them
+    want = [{"cells": 6833, "entries": 95691, "max_bucket": 402},
+            {"cells": 81, "entries": 8420, "max_bucket": 178}]
+    for fam, counts in zip([generate_family(2.0 ** -7, 2, "bush"),
+                            parallel_lines_family(1 / 16)], want):
+        with tracer.Tracer().installed(targets) as tr:
+            volume.TubeIndex(fam)
+        assert [s.name for s in tr.spans] == ["tubelab.index_build"]
+        assert tr.spans[0].counts == counts

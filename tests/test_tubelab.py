@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import kakeyalab.tubelab as tubelab
+from kakeyalab.cli import dispatch
 from kakeyalab.rng import make_rng
 from kakeyalab.tubelab import (
     DistinctReport,
@@ -35,6 +36,7 @@ from kakeyalab.tubelab import (
     union_volume,
     wolff_axiom_check,
 )
+from kakeyalab.tubelab import checks, generate
 from kakeyalab.tubelab.checks import _prism_count
 
 
@@ -375,6 +377,39 @@ class TestParallelLines:
             parallel_lines_family(0.9)
 
 
+class TestSizeGuard:
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"np.{name} reached before the size guard")
+
+    def test_parallel_lines_refused_before_allocating(self, monkeypatch):
+        assert len(parallel_lines_family(1 / 128)) == 16_384  # at the limit
+        monkeypatch.setattr(generate, "np", self.NoNumpy())
+        with pytest.raises(TubeError, match=r"1/delta = 256 make 65,536 tubes, "
+                                            r"over the limit of 16,384"):
+            parallel_lines_family(1 / 256)
+
+    def test_distinct_pairs_refused_before_allocating(self, monkeypatch):
+        # the same tube repeated, so no family of this size is generated
+        t = Tube(3, [0, 0, 0], [1, 0, 0], 1 / 256)
+        monkeypatch.setattr(checks, "np", self.NoNumpy())
+        with pytest.raises(TubeError, match=r"65,536 tubes make 2,147,450,880 pairs"):
+            essentially_distinct_check(TubeFamily(1 / 256, (t,) * 65_536))
+        # 5,793 tubes make 16,776,528 pairs, within the 2^24 limit
+        with pytest.raises(TubeError, match=r"5,794 tubes make 16,782,321 pairs, "
+                                            r"over the limit of 16,777,216"):
+            essentially_distinct_check(TubeFamily(1 / 256, (t,) * 5_794))
+
+    def test_cli_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(generate, "np", self.NoNumpy())
+        out = tmp_path / "slab.csv"
+        argv = ["tubes", "analyze", "--delta", repr(1 / 256),
+                "--placement", "parallel-lines", "--out", str(out)]
+        assert dispatch(argv) == 2
+        assert "65,536 tubes" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestUnionVolume:
     def test_single_tube_grid_and_mc(self):
         t = Tube(3, [0, 0, 0], [1, 0, 0], 0.125, 1.0)
@@ -479,6 +514,63 @@ class TestTubeIndex:
         want = self.brute_force(fam, pts)
         assert np.array_equal(got, want)
         assert 0 < want.sum() < len(pts)
+
+    def test_misses_in_crowded_cells_exhaust_their_candidates(self):
+        # Parallel lines at delta = 1/16: every core lies in the plane
+        # z = 0, so points a hair beyond |z| = delta are misses in every
+        # cell however many candidates it holds, while in-plane wall
+        # points split into hits and misses.
+        fam = parallel_lines_family(1 / 16)
+        index = TubeIndex(fam)
+        sizes = np.diff(index.starts)
+        crowded = np.flatnonzero(sizes >= 100)
+        assert len(crowded) > 0
+        rng = make_rng(12, 0)
+        pts = []
+        for k in crowded:
+            for m in index.members[index.starts[k]:index.starts[k + 1]]:
+                tube = fam.tubes[m]
+                t = rng.uniform(0.0, tube.length, size=(24, 1))
+                core = tube.a + t * tube.omega
+                normal = np.cross(tube.omega, [0.0, 0.0, 1.0])
+                side = rng.choice([-1.0, 1.0], size=(24, 1))
+                r = fam.delta * (1.0 + rng.choice([-1e-9, 1e-9], size=(24, 1)))
+                pts += [core + side * r * [0.0, 0.0, 1.0], core + side * r * normal]
+        pts = np.vstack(pts)
+        pts = pts[np.isin(index._cell_ids(pts), crowded)]
+        got = index.contains(pts)
+        want = self.brute_force(fam, pts)
+        assert np.array_equal(got, want)
+        beyond = np.abs(pts[:, 2]) > fam.delta
+        assert beyond.sum() > 1000 and not got[beyond].any()
+        assert 0 < got[~beyond].sum() < (~beyond).sum()
+
+    @pytest.mark.parametrize("n_fan", [1, 5, 13, 25, 49])
+    def test_only_cover_sorted_last(self, n_fan):
+        # A fan of n_fan tubes leaves the centre of one index cell
+        # leftwards, so they sort first there (distance 0).  A short
+        # vertical probe through the cell's right half sorts last and is
+        # the only cover of the cell's right edge.  Slot n_fan lies past
+        # the first window, and in a window that a stride of twice the
+        # window width would skip.
+        d = 1 / 64
+        length = 8 * d  # h = 2 d, so the fan's anchor is a cell centre
+        phis = np.radians(np.linspace(-30.0, 30.0, n_fan))
+        fan = [Tube(2, [0.0, 0.0], [-np.cos(p), np.sin(p)], d, length) for p in phis]
+        probe = Tube(2, [0.8 * d, -2 * d], [0.0, 1.0], d, 4 * d)
+        fam = TubeFamily(d, tuple(fan) + (probe,))
+        index = TubeIndex(fam)
+        cell = int(index._cell_ids(np.zeros((1, 2)))[0])
+        bucket = index.members[index.starts[cell]:index.starts[cell + 1]]
+        assert index.h == 2 * d and len(bucket) == n_fan + 1
+        assert bucket[-1] == n_fan
+        pts = make_rng(13, 0).uniform(-d, d, size=(4000, 2))
+        got = index.contains(pts)
+        want = self.brute_force(fam, pts)
+        assert np.array_equal(got, want)
+        only_probe = points_in_tube(pts, probe) & ~self.brute_force(
+            TubeFamily(d, tuple(fan)), pts)
+        assert only_probe.sum() > 100 and got[only_probe].all()
 
     def test_buckets_hold_the_cells_of_each_core(self):
         fam = generate_family(2.0 ** -6, 2, "random", seed=3)
