@@ -16,15 +16,15 @@ lowest and the highest change are re-walked.  Each maximal covered run
 whose bounding lines differ is a trapezoid, merged across slabs while
 both lines continue.  Pieces and area are exact.
 
-Two certified float filters keep exact arithmetic off the common path,
-each with a margin of 1e-13 of magnitude against rounding near 1e-15:
-- order: a starting edge is placed by double heights at the slab
-  midpoint; an ambiguous pair compares exact heights at the slab ends;
-- crossings: a double crossing abscissa with a propagated error bound
-  drops the pairs that cannot cross inside both spans and accepts the
-  pairs that certainly do; the rest compare exact abscissas with spans.
-The exact abscissa of each accepted crossing is still formed, as the
-breakpoint key.
+A starting edge is placed by exact heights at the slab ends.  One
+certified float filter keeps exact arithmetic off the crossing search,
+with a margin of 1e-13 of magnitude against rounding near 1e-15: a
+double crossing abscissa with a propagated error bound drops the pairs
+that cannot cross inside both spans and accepts the pairs that certainly
+do; the rest compare exact abscissas with spans.  The exact abscissa of
+each accepted crossing is still formed, as the breakpoint key.
+Inputs are simple polygons, validated where they enter (Region2); the
+convex CCW pieces out are correct by construction and taken as built.
 """
 
 from __future__ import annotations
@@ -42,20 +42,14 @@ _TINY = 1e-280
 
 
 class _Edge:
-    __slots__ = ("px", "py", "qx", "qy", "slope", "icept", "fslope", "ficept",
-                 "emax", "line_id", "w", "i0", "i1", "pos", "top")
+    __slots__ = ("px", "py", "qx", "qy", "slope", "icept", "line_id", "w",
+                 "i0", "i1", "pos", "top")
 
     def __init__(self, p: Point2, q: Point2, w: int):
         self.px, self.py = p.x, p.y
         self.qx, self.qy = q.x, q.y
         self.slope = (q.y - p.y) / (q.x - p.x)
         self.icept = p.y - self.slope * p.x
-        self.fslope = float(self.slope)
-        self.ficept = float(self.icept)
-        # static forward error bound for height evaluation anywhere on the
-        # edge span (true rounding error is below 1e-15 of magnitude)
-        xm = max(abs(float(self.px)), abs(float(self.qx)))
-        self.emax = (_mag(self.icept) + _mag(self.slope) * xm) * _MARGIN + _TINY
         self.w = w  # winding weight: +1 if its polygon lies above the edge
         self.top = None  # key of the gap this edge tops in the current slab
 
@@ -69,19 +63,9 @@ def _exact_y(e: _Edge, x: ExactScalar) -> ExactScalar:
     return e.icept + e.slope * x
 
 
-def _below(a: _Edge, b: _Edge, fxm, x0, x1) -> bool:
-    """Is a strictly below b in the open slab (x0, x1)?
-
-    fxm is a double certainly inside the slab (None if the slab is too
-    narrow to hold one); no two active edges cross there.
-    """
-    if fxm is not None:
-        d = (a.ficept + a.fslope * fxm) - (b.ficept + b.fslope * fxm)
-        tol = a.emax + b.emax
-        if d < -tol:
-            return True
-        if d > tol:
-            return False
+def _below(a: _Edge, b: _Edge, x0, x1) -> bool:
+    """Is a strictly below b in the open slab (x0, x1)?  No two active
+    edges cross there."""
     ya = _exact_y(a, x0)
     yb = _exact_y(b, x0)
     if ya != yb:
@@ -208,17 +192,13 @@ def overlay(groups):
                     acts[j].pos = j
                 lo, hi = min(lo, p0), max(hi, p1)
         if si < nedges and starts[si].i0 == s:
-            x1 = xs[s + 1]
-            fxm = (float(x) + float(x1)) * 0.5
-            if float(x1) - float(x) <= (_mag(x) + _mag(x1)) * _MARGIN:
-                fxm = None  # too narrow to certify a double inside
             while si < nedges and starts[si].i0 == s:
                 e = starts[si]
                 si += 1
                 a, b = 0, len(acts)
                 while a < b:
                     mid = (a + b) // 2
-                    if _below(e, acts[mid], fxm, x, x1):
+                    if _below(e, acts[mid], x, xs[s + 1]):
                         b = mid
                     else:
                         a = mid + 1
@@ -329,7 +309,7 @@ def _collect_crossings(edges, xs_seen):
     if len(edges) < 2:
         return
     minx, maxx, ya, yb, fs, fb, ms, mb, mx0, mx1, lid = np.array([
-        (float(e.px), float(e.qx), float(e.py), float(e.qy), e.fslope, e.ficept,
+        (float(e.px), float(e.qx), float(e.py), float(e.qy), float(e.slope), float(e.icept),
          _mag(e.slope), _mag(e.icept), _mag(e.px), _mag(e.qx), e.line_id)
         for e in edges]).T
     miny = np.minimum(ya, yb)

@@ -1,10 +1,10 @@
 """Polygonal regions with exact area and segment containment.
 
 A Region2 is a finite union of simple polygons with ExactScalar
-coordinates.  normalize rewrites it as the exact union: pairwise
-interior-disjoint convex pieces, so the area functional is a plain
-shoelace sum.  Rational magnitudes grow at crossing points (numerators
-and denominators multiply); nothing is ever rounded.
+coordinates, validated once where it enters: Region2(polygons) checks
+and orients each one.  normalize rewrites it as the exact union, the
+overlay sweep's interior-disjoint convex pieces with their exact area,
+taken as built (_pieces).  Nothing is ever rounded.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .primitives import (
     _bbox_touch,
     _seg_bbox,
     point_in_polygon_closed,
-    polygon_area,
     segment_hits,
     HIT_NONE,
     HIT_POINT,
@@ -29,37 +28,25 @@ from .scalar import ExactScalar, HALF, ONE, ZERO
 
 
 class Region2:
-    """Union of simple CCW polygons; immutable after construction."""
+    """Union of simple CCW polygons; immutable after construction.
 
-    __slots__ = ("polygons", "_disjoint", "_area")
+    The constructor validates every polygon.  Normalized regions come
+    from overlay's pieces through _pieces and carry their exact area.
+    """
 
-    def __init__(self, polygons, _disjoint: bool = False, _area: ExactScalar | None = None):
+    __slots__ = ("polygons", "_area")
+
+    def __init__(self, polygons):
         cleaned = tuple(tuple(validate_simple_polygon(p)) for p in polygons)
         object.__setattr__(self, "polygons", cleaned)
-        object.__setattr__(self, "_disjoint", _disjoint or len(cleaned) <= 1)
-        object.__setattr__(self, "_area", _area)
+        object.__setattr__(self, "_area", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Region2 is immutable")
 
     @classmethod
-    def empty(cls) -> "Region2":
-        return cls((), _disjoint=True, _area=ZERO)
-
-    @classmethod
     def from_polygon(cls, vertices) -> "Region2":
         return cls((list(vertices),))
-
-    def is_empty(self) -> bool:
-        return not self.polygons
-
-    def __eq__(self, other):
-        if not isinstance(other, Region2):
-            return NotImplemented
-        return self.polygons == other.polygons
-
-    def __hash__(self):
-        return hash(self.polygons)
 
     def __repr__(self):
         return "Region2(<%d polygons>)" % len(self.polygons)
@@ -95,24 +82,22 @@ def _decode_polygons(encoded) -> list[list[Point2]]:
     return polys
 
 
+def _pieces(pieces, area: ExactScalar) -> Region2:
+    """A normalized region from overlay's output, taken as built."""
+    r = object.__new__(Region2)
+    object.__setattr__(r, "polygons", tuple(map(tuple, pieces)))
+    object.__setattr__(r, "_area", area)
+    return r
+
+
 def normalize(a: Region2) -> Region2:
     """Rewrite as interior-disjoint convex pieces with cached exact area."""
-    if a._disjoint and a._area is not None:
+    if a._area is not None:
         return a
-    if a.is_empty():
-        return Region2.empty()
-    pieces, area = overlay([list(map(list, a.polygons))])
-    return Region2(pieces, _disjoint=True, _area=area)
+    return _pieces(*overlay([list(map(list, a.polygons))]))
 
 
 def region_area(a: Region2) -> ExactScalar:
-    if a._area is not None:
-        return a._area
-    if a._disjoint:
-        total = ZERO
-        for poly in a.polygons:
-            total = total + polygon_area(list(poly))
-        return total
     return normalize(a)._area
 
 

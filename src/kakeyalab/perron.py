@@ -38,7 +38,7 @@ from .exactgeom import (
     region_area,
 )
 from .exactgeom.overlay import overlay
-from .exactgeom.region import _decode_polygons
+from .exactgeom.region import _decode_polygons, _pieces
 from .exactgeom.scalar import scalar
 
 APEX = Point2(ZERO, ONE)
@@ -65,7 +65,7 @@ class PerronSpec:
     schedule: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.m < 1:
+        if not isinstance(self.m, int) or self.m < 1:
             raise GeomError("m must be a positive integer")
         sched = tuple(Fraction(rational(s)) for s in self.schedule)
         if len(sched) != self.m:
@@ -145,8 +145,7 @@ def shifted_leaves(spec: PerronSpec) -> list[list[Point2]]:
 
 def build_perron_tree(spec: PerronSpec) -> PerronTree:
     """Run the cut-and-shift and return the exact normalized union."""
-    pieces, area = overlay([shifted_leaves(spec)])
-    region = Region2(pieces, _disjoint=True, _area=area)
+    region = _pieces(*overlay([shifted_leaves(spec)]))
     shifts = tuple(Point2(s, ZERO) for s in leaf_shifts(spec))
     base = Region2.from_polygon(list(BASE_TRIANGLE))
     return PerronTree(spec=spec, region=region, piece_shifts=shifts,
@@ -242,8 +241,7 @@ def assemble_kakeya(tree: PerronTree) -> Region2:
         rot = RigidMotion.rotation(angle, APEX)
         for poly in leaves:
             group.append([rot.apply(v) for v in poly])
-    pieces, area = overlay([group])
-    return Region2(pieces, _disjoint=True, _area=area)
+    return _pieces(*overlay([group]))
 
 
 def full_circle_coverage(tree: PerronTree, n_dirs: int) -> CoverageReport:
@@ -289,16 +287,23 @@ def tree_to_json(tree: PerronTree) -> str:
 
 
 def tree_from_json(text: str) -> PerronTree:
-    obj = json.loads(text)
-    spec = PerronSpec(obj["m"], tuple(Fraction(s) for s in obj["schedule"]))
-    area = ExactScalar.from_ints(*obj["area"])
-    # our writer only emits normalized regions, so trust the flag
-    region = Region2(_decode_polygons(obj["region"]["polygons"]),
-                     _disjoint=True, _area=area)
-    shifts = tuple(
-        Point2(ExactScalar.from_ints(*enc[:4]), ExactScalar.from_ints(*enc[4:]))
-        for enc in obj["piece_shifts"]
-    )
+    """Decode tree_to_json's encoding; GeomError if it is malformed.
+
+    The region's pieces are validated as they enter, and its area is
+    derived from them when asked, not read from the file.
+    """
+    try:
+        obj = json.loads(text)
+        spec = PerronSpec(obj["m"], tuple(Fraction(s) for s in obj["schedule"]))
+        region = Region2(_decode_polygons(obj["region"]["polygons"]))
+        shifts = tuple(
+            Point2(ExactScalar.from_ints(*enc[:4]), ExactScalar.from_ints(*enc[4:]))
+            for enc in obj["piece_shifts"]
+        )
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        raise GeomError("malformed tree JSON: %r" % (exc,)) from exc
+    if len(shifts) != 2 ** spec.m:
+        raise GeomError("tree has %d piece shifts, want 2^%d" % (len(shifts), spec.m))
     base = Region2.from_polygon(list(BASE_TRIANGLE))
     return PerronTree(spec=spec, region=region, piece_shifts=shifts,
                       base_triangle=base)

@@ -58,12 +58,15 @@ class TubeIndex:
         tube = np.repeat(np.arange(len(cells), dtype=np.int32), [len(c) for c in cells])
         cells = np.concatenate(cells)
         # Within a cell, candidates go nearest core segment to the cell
-        # centre first: squared distance, summed in axis order.
+        # centre first: squared distance, summed in axis order.  One sort
+        # key: the cell above the float32 bits of the distance, which for
+        # non-negative values order like the values (ties keep tube order).
         rel = [lo + (ix + 0.5) * self.h - a[tube] for lo, ix, a in
                zip(self.lo, np.unravel_index(cells, self.shape), self.anchors)]
         s = np.clip(_axis_dot(rel, [w[tube] for w in self.omegas]), 0.0, self.lengths[tube])
         perp = [r - s * w[tube] for r, w in zip(rel, self.omegas)]
-        self.members = tube[np.lexsort((_axis_dot(perp, perp), cells))]
+        gap = _axis_dot(perp, perp).astype(np.float32).view(np.uint32)
+        self.members = tube[np.argsort((cells.astype(np.int64) << 32) | gap, kind="stable")]
         self.starts = np.r_[0, np.cumsum(np.bincount(cells, minlength=np.prod(self.shape)))]
 
     @property

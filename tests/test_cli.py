@@ -70,6 +70,20 @@ class TestDispatch:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("edit", [
+        lambda obj: {},
+        lambda obj: {**obj, "piece_shifts": obj["piece_shifts"][:-1]},
+        lambda obj: {**obj, "m": 2.0},
+    ], ids=["no-keys", "short-shifts", "float-m"])
+    def test_malformed_tree_file_is_exit_2(self, tmp_path, capsys, edit):
+        src = tmp_path / "t.json"
+        assert dispatch(["perron", "--m", "2", "--out", str(src)]) == 0
+        src.write_text(json.dumps(edit(json.loads(src.read_text()))))
+        assert dispatch(["fefferman", "--r", "0.25", "--tree", str(src),
+                         "--out", str(tmp_path / "f.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_check_failure_is_exit_3(self, tmp_path):
         # a segment's neighborhood volume decays too fast for the
         # dimension-2 lower bound, so --check must reject it

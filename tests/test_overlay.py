@@ -5,7 +5,10 @@ decides membership by per-polygon parity; the package keeps one order
 across breakpoints and counts winding.  Their pieces must agree exactly,
 in order, on Perron trees and assemblies and on random lattice polygon
 sets full of coincidences: shared and collinear edges, vertical edges,
-touching vertices, T-junctions and many edges through one point.
+touching vertices, T-junctions and many edges through one point.  Every
+piece must also be a simple convex CCW polygon, since Region2 takes the
+sweep's pieces as built.  Last, area properties of Region2 on the same
+random sets.
 """
 
 import contextlib
@@ -18,7 +21,15 @@ from hypothesis import assume, given, settings, strategies as st
 from slab_oracle import overlay as oracle_overlay
 
 import kakeyalab.exactgeom.overlay as overlay_module
-from kakeyalab.exactgeom import Point2, RigidMotion
+from kakeyalab.exactgeom import (
+    Point2,
+    Region2,
+    RigidMotion,
+    normalize,
+    orient,
+    region_area,
+    validate_simple_polygon,
+)
 from kakeyalab.exactgeom.overlay import overlay
 from kakeyalab.exactgeom.scalar import SQRT3, scalar
 from kakeyalab.perron import APEX, PerronSpec, shifted_leaves
@@ -40,6 +51,12 @@ def assert_same_as_oracle(groups):
     want_pieces, want_area = oracle_overlay(groups, "union")
     assert pieces == want_pieces
     assert area == want_area
+    # Region2 takes the pieces as built, so each must be a simple convex
+    # CCW polygon: validation returns it unchanged, and every turn is left
+    for p in pieces:
+        assert validate_simple_polygon(p) == p
+        n = len(p)
+        assert all(orient(p[i], p[(i + 1) % n], p[(i + 2) % n]) > 0 for i in range(n))
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -125,43 +142,39 @@ def sliver_fans():
 
 @contextlib.contextmanager
 def exact_paths():
-    """Route the midpoint comparison and the crossing triage to exact code."""
-    calls = {"below": 0, "span": 0}
-    below = overlay_module._below
-
-    def exact_below(a, b, fxm, x0, x1):
-        calls["below"] += 1
-        return below(a, b, None, x0, x1)
+    """Route the crossing triage to exact code."""
+    calls = {"span": 0}
 
     def exact_span(i, js, *arrays):
         calls["span"] += 1
         return np.zeros(len(js), dtype=bool), np.ones(len(js), dtype=bool)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(overlay_module, "_below", exact_below)
         mp.setattr(overlay_module, "_span_filter", exact_span)
         yield calls
 
 
 def assert_filters_exact(groups):
+    """The filtered and the exact crossing search agree; returns how many
+    times the exact one ran."""
     filtered = overlay(groups)
     with exact_paths() as calls:
         exact = overlay(groups)
-    assert calls["below"] > 0
     assert filtered[0] == exact[0]
     assert filtered[1] == exact[1]
+    return calls["span"]
 
 
 @pytest.mark.parametrize("groups", sliver_fans())
 def test_float_filters_on_sliver_fans(groups):
-    assert_filters_exact(groups)
+    assert assert_filters_exact(groups) > 0
     assert_same_as_oracle(groups)
 
 
 def test_float_filters_on_perron_assemblies():
     for m in range(1, 5):
         for polys in perron_inputs(m):
-            assert_filters_exact([polys])
+            assert assert_filters_exact([polys]) > 0
 
 
 @SETTINGS
@@ -178,3 +191,17 @@ def test_empty_input_and_either_orientation():
     pieces, area = overlay([[tri], [list(reversed(tri))]])
     assert area == scalar(F(1, 2))
     assert len(pieces) == 1
+
+
+@SETTINGS
+@given(lattice_groups())
+def test_region_area_properties(groups):
+    # normalized regions are fixed points; re-validating their pieces or
+    # reversing the input keeps the area; a union is at most its parts
+    polys = [p for g in groups for p in g]
+    n = normalize(Region2(polys))
+    assert normalize(n) is n
+    assert region_area(Region2(n.polygons)) == region_area(n)
+    assert region_area(Region2(polys[::-1])) == region_area(n)
+    a, b = Region2(groups[0]), Region2([p for g in groups[1:] for p in g])
+    assert region_area(n) <= region_area(a) + region_area(b)

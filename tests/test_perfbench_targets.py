@@ -52,6 +52,22 @@ def test_overlay_counter_reads_a_real_perron_build(monkeypatch):
     assert tr.spans[0].counts == {"edges_in": 24, "pieces_out": 16}
 
 
+def test_only_outside_polygons_are_validated(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import tracer
+
+    from kakeyalab import perron
+
+    targets = [t for t in layers.targets() if t.attr == "validate_simple_polygon"]
+    assert len(targets) == 1
+    with tracer.Tracer().installed(targets) as tr:
+        perron.assemble_kakeya(perron.build_perron_tree(perron.PerronSpec.default(3)))
+    # the base triangle; the sweep's 16 tree and 110 assembly pieces are
+    # taken as built
+    assert [s.name for s in tr.spans] == ["exactgeom.validate"]
+
+
 def test_index_counters_ignore_the_candidate_order(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import layers

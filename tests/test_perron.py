@@ -1,6 +1,7 @@
 """Cut-and-shift trees: partition exactness, area decay, direction coverage."""
 
 import dataclasses
+import json
 import random
 from fractions import Fraction as F
 
@@ -239,6 +240,18 @@ def test_tree_json_validates_each_piece_once(monkeypatch):
     tree_from_json(blob)
     # every piece of the region, plus the base triangle
     assert len(calls) == len(tree.region.polygons) + 1
+
+
+def test_tree_json_area_comes_from_the_pieces():
+    # the file's area is not trusted: an edited one reads back as the true
+    # area, and re-encoding restores the original bytes
+    tree = build_perron_tree(PerronSpec.default(3))
+    blob = tree_to_json(tree)
+    obj = json.loads(blob)
+    obj["area"] = [5, 1, 0, 1]
+    back = tree_from_json(json.dumps(obj))
+    assert back.area() == tree.area()
+    assert tree_to_json(back) == blob
 
 
 def test_tree_json_preserves_exact_area():

@@ -85,7 +85,7 @@ def test_triangle_area_exact():
 
 def test_square_and_empty_area():
     assert region_area(unit_square()) == ONE
-    assert region_area(Region2.empty()) == ZERO
+    assert region_area(Region2([])) == ZERO
 
 
 def test_union_idempotent():
@@ -200,7 +200,7 @@ def test_serialization_roundtrip_and_canonical_bytes():
     )
     blob = A.to_json()
     B = Region2.from_json(blob)
-    assert B == A
+    assert B.polygons == A.polygons
     assert B.to_json() == blob
     # rebuilding from scratch yields the same bytes
     A2 = union(
