@@ -119,10 +119,7 @@ class KakeyaBoundReport:
 
 
 def _float_polygons(region: Region2) -> list[np.ndarray]:
-    polys = [
-        np.array([[float(p.x), float(p.y)] for p in poly], dtype=float)
-        for poly in region.polygons
-    ]
+    polys = [np.array(poly, dtype=float) for poly in region.floats()]
     if not polys:
         raise DimError("cannot measure an empty region")
     return polys
@@ -157,8 +154,8 @@ def _boundary_edges(region: Region2, polys: list[np.ndarray]) -> np.ndarray:
     for poly in region.polygons:
         ring = []
         for p, q in zip(poly, poly[1:] + poly[:1]):
-            a = (p.x.to_ints(), p.y.to_ints())
-            b = (q.x.to_ints(), q.y.to_ints())
+            a = (p.x, p.y)
+            b = (q.x, q.y)
             key, turn = ((a, b), 1) if a <= b else ((b, a), -1)
             counts[key] = counts.get(key, 0) + turn
             ring.append(key)

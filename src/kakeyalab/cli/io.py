@@ -122,7 +122,7 @@ def _region_svg(region: Region2) -> str:
     viewBox maps the region's bounding box (inflated 2%) to user units
     at scale 100/unit; the y axis is flipped so up is up.
     """
-    polys = [[(float(p.x), float(p.y)) for p in poly] for poly in region.polygons]
+    polys = region.floats()
     if polys:
         xs = [x for poly in polys for x, _ in poly]
         ys = [y for poly in polys for _, y in poly]

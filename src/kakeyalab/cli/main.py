@@ -317,7 +317,7 @@ def _load_dim_input(path: str):
             return tree_from_json(text).region
         return Region2.from_json(text)
     except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"{path}: not a region, tree, tube family, or csv") from exc
+        raise CliError(f"{path}: not a region, tree, tube family, or csv: {exc}") from exc
 
 
 def _cmd_dim(args) -> RunResult:

@@ -1,9 +1,11 @@
-"""Exact plane geometry over the field Q(sqrt 3).
+"""Exact plane geometry with coordinates in Q(sqrt 3).
 
 The height-1 equilateral triangle, its dyadic vertical cuts, and every
 rotation by a multiple of 30 degrees have coordinates of the form
-a + b*sqrt(3) with rational a, b.  Working in that field keeps the whole
-cut-and-shift pipeline exact: areas are equalities, not tolerances.
+a + b*sqrt(3) with rational a, b.  A region never needs the whole field:
+it is held in one frame, x = s*u with s in {1, sqrt3}, on plain
+rationals (u, y), so the cut-and-shift pipeline is exact and cheap:
+areas are equalities, not tolerances.
 """
 
 from .scalar import ExactScalar, HALF, INV_SQRT3, ONE, SQRT3, ZERO, rational

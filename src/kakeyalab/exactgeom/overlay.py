@@ -23,8 +23,9 @@ double crossing abscissa with a propagated error bound drops the pairs
 that cannot cross inside both spans and accepts the pairs that certainly
 do; the rest compare exact abscissas with spans.  The exact abscissa of
 each accepted crossing is still formed, as the breakpoint key.
-Inputs are simple polygons, validated where they enter (Region2); the
-convex CCW pieces out are correct by construction and taken as built.
+Inputs are simple polygons of frame points, plain rationals (u, y),
+validated where they enter (Region2); the convex CCW pieces out are
+correct by construction and taken as built, in the same frame.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from itertools import groupby
 import numpy as np
 
 from .primitives import Point2, signed_area2
-from .scalar import ExactScalar, HALF, ZERO
+from .scalar import _Q
 
 _MARGIN = 1e-13
 _TINY = 1e-280
@@ -54,12 +55,7 @@ class _Edge:
         self.top = None  # key of the gap this edge tops in the current slab
 
 
-def _mag(v: ExactScalar) -> float:
-    """|a| + |b| sqrt3 for v = a + b sqrt3: the scale of float(v)'s rounding."""
-    return abs(float(v.a)) + abs(float(v.b)) * 1.7320508075688772
-
-
-def _exact_y(e: _Edge, x: ExactScalar) -> ExactScalar:
+def _exact_y(e: _Edge, x):
     return e.icept + e.slope * x
 
 
@@ -94,16 +90,18 @@ _key = operator.itemgetter(0)
 def overlay(groups):
     """Union of every polygon of every group.
 
-    groups: list of polygon lists (each polygon a list of Point2; simple).
+    groups: list of polygon lists (each polygon a list of Point2 with
+    rational coordinates; simple).
 
     Returns (pieces, area): pieces a list of convex vertex lists (CCW,
-    pairwise interior-disjoint trapezoids/triangles), area their exact sum.
+    pairwise interior-disjoint trapezoids/triangles), area their exact
+    rational sum.
     """
     edges = []
     xs_seen = {}  # breakpoint abscissa -> both edges of each crossing there
     for polys in groups:
         for poly in polys:
-            orient = signed_area2(poly).sign()
+            orient = 1 if signed_area2(poly) > 0 else -1
             marks = [xs_seen.setdefault(v.x, []) for v in poly]
             n = len(poly)
             for i in range(n):
@@ -124,7 +122,7 @@ def overlay(groups):
         e.line_id = line_ids.setdefault((e.slope, e.icept), len(line_ids))
 
     if len(xs_seen) < 2 or not edges:
-        return [], ZERO
+        return [], _Q(0)
     _collect_crossings(edges, xs_seen)
     items = sorted(xs_seen.items(), key=lambda it: float(it[0]))
     items.sort(key=_key)  # exact; in order bar float ties, so about n compares
@@ -142,7 +140,7 @@ def overlay(groups):
 
     pieces = []
     open_chains = {}
-    area2 = ZERO
+    area2 = _Q(0)
 
     def close(key):
         nonlocal area2
@@ -253,7 +251,7 @@ def overlay(groups):
 
     for key in list(open_chains):
         close(key)
-    return pieces, area2 * HALF
+    return pieces, area2 / 2
 
 
 def _runs(acts, cr):
@@ -308,14 +306,15 @@ def _collect_crossings(edges, xs_seen):
     """Add both edges of every crossing inside two spans to xs_seen[x]."""
     if len(edges) < 2:
         return
-    minx, maxx, ya, yb, fs, fb, ms, mb, mx0, mx1, lid = np.array([
+    minx, maxx, ya, yb, fs, fb, lid = np.array([
         (float(e.px), float(e.qx), float(e.py), float(e.qy), float(e.slope), float(e.icept),
-         _mag(e.slope), _mag(e.icept), _mag(e.px), _mag(e.qx), e.line_id)
+         e.line_id)
         for e in edges]).T
     miny = np.minimum(ya, yb)
     maxy = np.maximum(ya, yb)
-    el = mx0 * _MARGIN + _TINY
-    er = mx1 * _MARGIN + _TINY
+    ms, mb = np.abs(fs), np.abs(fb)  # the scales of their rounding
+    el = np.abs(minx) * _MARGIN + _TINY
+    er = np.abs(maxx) * _MARGIN + _TINY
     span = (minx + el, maxx - er, minx - el, maxx + er)
     m = 1e-9 * max(maxx.max() - minx.min(), maxy.max() - miny.min(), 1.0)
     for i, ei in enumerate(edges[:-1]):

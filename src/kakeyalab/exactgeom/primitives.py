@@ -1,10 +1,17 @@
-"""Points, segments, rigid motions, and exact incidence predicates."""
+"""Points, segments, rigid motions, and exact incidence predicates.
+
+The predicates compute on frame points, pairs of plain rationals (see
+Point2), and decide every sign exactly.  Doubles only skip work: a
+bounding box or a height more than _SLACK away settles a test before
+any exact arithmetic.  float() of a rational is correctly rounded, so
+those shortcuts never disagree with the exact answer.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalar import ExactScalar, ZERO, ONE, HALF, scalar
+from .scalar import ExactScalar, HALF, ONE, ZERO, _Q, rational
 
 
 class GeomError(ValueError):
@@ -12,13 +19,19 @@ class GeomError(ValueError):
 
 
 class Point2:
-    """A point (or vector) with ExactScalar coordinates."""
+    """A pair of exact coordinates.
+
+    In a region and in every predicate below, a frame point: rationals
+    (u, y), x = s*u for the region's s in {1, sqrt3}, which signs, orders
+    and segment parameters do not depend on.  At the boundary (Region2's
+    input, RigidMotion) it holds real ExactScalar coordinates.
+    """
 
     __slots__ = ("x", "y")
 
     def __init__(self, x, y):
-        self.x = x if isinstance(x, ExactScalar) else scalar(x)
-        self.y = y if isinstance(y, ExactScalar) else scalar(y)
+        self.x = x if isinstance(x, ExactScalar) else rational(x)
+        self.y = y if isinstance(y, ExactScalar) else rational(y)
 
     def __add__(self, other):
         return Point2(self.x + other.x, self.y + other.y)
@@ -26,17 +39,10 @@ class Point2:
     def __sub__(self, other):
         return Point2(self.x - other.x, self.y - other.y)
 
-    def __neg__(self):
-        return Point2(-self.x, -self.y)
-
     def __eq__(self, other):
         if not isinstance(other, Point2):
             return NotImplemented
         return self.x == other.x and self.y == other.y
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
 
     def __hash__(self):
         return hash((self.x, self.y))
@@ -45,7 +51,7 @@ class Point2:
         return "Point2(%s, %s)" % (self.x, self.y)
 
 
-ORIGIN = Point2(ZERO, ZERO)
+ORIGIN = Point2(0, 0)
 
 
 class Segment2:
@@ -63,36 +69,38 @@ class Segment2:
         return "Segment2(%r, %r)" % (self.p, self.q)
 
 
-def cross(o: Point2, a: Point2, b: Point2) -> ExactScalar:
+_Q0, _Q1 = _Q(0), _Q(1)
+
+
+def cross(o: Point2, a: Point2, b: Point2):
     """Cross product (a - o) x (b - o)."""
     return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
 
 
-def dot(o: Point2, a: Point2, b: Point2) -> ExactScalar:
+def dot(o: Point2, a: Point2, b: Point2):
     return (a.x - o.x) * (b.x - o.x) + (a.y - o.y) * (b.y - o.y)
 
 
 def orient(o: Point2, a: Point2, b: Point2) -> int:
     """Sign of the turn o->a->b: +1 left, -1 right, 0 collinear."""
-    return cross(o, a, b).sign()
+    c = cross(o, a, b)
+    return (c > 0) - (c < 0)
 
 
 def on_segment(p: Point2, a: Point2, b: Point2) -> bool:
     """Is p on the closed segment [a, b]?  Assumes a != b."""
-    if orient(a, b, p) != 0:
+    if cross(a, b, p):
         return False
     t_num = dot(a, p, b)          # (p-a).(b-a)
-    if t_num.sign() < 0:
-        return False
-    return t_num <= dot(a, b, b)  # |b-a|^2
+    return 0 <= t_num <= dot(a, b, b)  # |b-a|^2
 
 
 _SLACK = 1e-9  # floats of coordinates err far below this
 
 
-def _seg_bbox(p: Point2, q: Point2):
-    xs = (float(p.x), float(q.x))
-    ys = (float(p.y), float(q.y))
+def _bbox(points):
+    xs = [float(v.x) for v in points]
+    ys = [float(v.y) for v in points]
     return min(xs), max(xs), min(ys), max(ys)
 
 
@@ -119,8 +127,7 @@ def segment_hits(p1: Point2, q1: Point2, p2: Point2, q2: Point2):
         (HIT_POINT, t1, t2)            parameters on each segment, in [0, 1]
         (HIT_OVERLAP, (a1, b1), (a2, b2))   collinear overlap, a<=b on seg 1
 
-    Parameters are ExactScalar (rational in practice).  Both segments must
-    be non-degenerate.
+    Parameters are rationals.  Both segments must be non-degenerate.
     """
     d1 = q1 - p1
     d2 = q2 - p2
@@ -129,21 +136,20 @@ def segment_hits(p1: Point2, q1: Point2, p2: Point2, q2: Point2):
     if denom:
         t1 = (r.x * d2.y - r.y * d2.x) / denom
         t2 = (r.x * d1.y - r.y * d1.x) / denom
-        if ZERO <= t1 <= ONE and ZERO <= t2 <= ONE:
+        if 0 <= t1 <= 1 and 0 <= t2 <= 1:
             return (HIT_POINT, t1, t2)
         return (HIT_NONE,)
     # parallel
-    if (r.x * d1.y - r.y * d1.x).sign() != 0:
+    if r.x * d1.y - r.y * d1.x:
         return (HIT_NONE,)
     # collinear: parametrize seg2 endpoints on seg1
     dd = d1.x * d1.x + d1.y * d1.y
     tp = (r.x * d1.x + r.y * d1.y) / dd
     tq = ((q2.x - p1.x) * d1.x + (q2.y - p1.y) * d1.y) / dd
     lo, hi = (tp, tq) if tp <= tq else (tq, tp)
-    lo = lo if lo > ZERO else ZERO
-    hi = hi if hi < ONE else ONE
-    c = (hi - lo).sign()
-    if c < 0:
+    lo = lo if lo > 0 else _Q0
+    hi = hi if hi < 1 else _Q1
+    if hi < lo:
         return (HIT_NONE,)
     # map back to parameters on segment 2
     dd2 = d2.x * d2.x + d2.y * d2.y
@@ -153,7 +159,7 @@ def segment_hits(p1: Point2, q1: Point2, p2: Point2, q2: Point2):
         pt_y = p1.y + d1.y * t
         return ((pt_x - p2.x) * d2.x + (pt_y - p2.y) * d2.y) / dd2
 
-    if c == 0:
+    if hi == lo:
         return (HIT_POINT, lo, to_t2(lo))
     return (HIT_OVERLAP, (lo, hi), (to_t2(lo), to_t2(hi)))
 
@@ -161,24 +167,19 @@ def segment_hits(p1: Point2, q1: Point2, p2: Point2, q2: Point2):
 # -- polygons ----------------------------------------------------------
 
 
-def signed_area2(poly) -> ExactScalar:
+def signed_area2(poly):
     """Twice the signed shoelace area of a vertex list."""
-    acc = ZERO
-    n = len(poly)
-    for i in range(n):
-        a = poly[i]
-        b = poly[(i + 1) % n]
-        acc = acc + (a.x * b.y - b.x * a.y)
-    return acc
+    return sum((poly[i - 1].x * v.y - v.x * poly[i - 1].y for i, v in enumerate(poly)), _Q0)
 
 
-def polygon_area(poly) -> ExactScalar:
-    return abs(signed_area2(poly)) * HALF
+def polygon_area(poly):
+    """Area in the polygon's own frame (times s for the real area)."""
+    return abs(signed_area2(poly)) / 2
 
 
 def ensure_ccw(poly):
-    s = signed_area2(poly).sign()
-    if s == 0:
+    s = signed_area2(poly)
+    if not s:
         raise GeomError("polygon has zero area")
     return list(poly) if s > 0 else list(reversed(poly))
 
@@ -199,7 +200,7 @@ def validate_simple_polygon(poly):
     if len({(p.x, p.y) for p in poly}) != n:
         raise GeomError("polygon repeats a vertex")
     edges = [(poly[i], poly[(i + 1) % n]) for i in range(n)]
-    boxes = [_seg_bbox(*e) for e in edges]
+    boxes = [_bbox(e) for e in edges]
     for i in range(n):
         for j in range(i + 1, n):
             if not _bbox_touch(boxes[i], boxes[j]):
@@ -215,35 +216,41 @@ def validate_simple_polygon(poly):
             # adjacent edges may only meet at the shared vertex
             t1, t2 = hit[1], hit[2]
             if j == i + 1:
-                ok = t1 == ONE and t2 == ZERO
+                ok = t1 == 1 and t2 == 0
             else:  # closing edge: edge j ends where edge 0 starts
-                ok = t1 == ZERO and t2 == ONE
+                ok = t1 == 0 and t2 == 1
             if not ok:
                 raise GeomError("adjacent edges %d and %d re-touch" % (i, j))
     return ensure_ccw(poly)
 
 
 def point_in_polygon_closed(p: Point2, poly) -> bool:
-    """Closed membership: boundary counts as inside.  Exact ray parity."""
-    n = len(poly)
+    """Closed membership: boundary counts as inside.  Exact ray parity.
+
+    A vertex height more than _SLACK from p's, or a crossing more than
+    _SLACK left or right of p, is decided by doubles; only the rest is
+    compared exactly.
+    """
     px, py = float(p.x), float(p.y)
+    fl = [(float(v.x), float(v.y)) for v in poly]
+    below = [fy + _SLACK < py or (fy - _SLACK <= py and v.y <= p.y)
+             for v, (_, fy) in zip(poly, fl)]
     inside = False
-    for i in range(n):
-        v = poly[i]
-        w = poly[(i + 1) % n]
-        box = _seg_bbox(v, w)
-        if _bbox_touch(box, (px, px, py, py)) and on_segment(p, v, w):
+    for i in range(len(poly)):
+        (vx, vy), (wx, wy) = fl[i - 1], fl[i]
+        lox, hix = (vx, wx) if vx <= wx else (wx, vx)
+        if (lox - _SLACK <= px <= hix + _SLACK
+                and min(vy, wy) - _SLACK <= py <= max(vy, wy) + _SLACK
+                and on_segment(p, poly[i - 1], poly[i])):
             return True
-        below_v = v.y <= p.y
-        below_w = w.y <= p.y
-        if below_v != below_w:
-            if px + _SLACK < box[0]:
+        if below[i - 1] != below[i]:
+            if px + _SLACK < lox:
                 inside = not inside  # the crossing lies right of p
-            elif px - _SLACK <= box[1]:
+            elif px - _SLACK <= hix:
                 # x where the edge crosses the horizontal through p
+                v, w = poly[i - 1], poly[i]
                 t = (p.y - v.y) / (w.y - v.y)
-                xat = v.x + t * (w.x - v.x)
-                if xat > p.x:
+                if v.x + t * (w.x - v.x) > p.x:
                     inside = not inside
     return inside
 
@@ -251,27 +258,14 @@ def point_in_polygon_closed(p: Point2, poly) -> bool:
 # -- rigid motions on the 30-degree lattice ----------------------------
 
 _H3 = ExactScalar(0, Fraction(1, 2))  # sqrt3/2
-_COS_SIN = {
-    0: (ONE, ZERO),
-    30: (_H3, HALF),
-    60: (HALF, _H3),
-    90: (ZERO, ONE),
-    120: (-HALF, _H3),
-    150: (-_H3, HALF),
-    180: (-ONE, ZERO),
-    210: (-_H3, -HALF),
-    240: (-HALF, -_H3),
-    270: (ZERO, -ONE),
-    300: (HALF, -_H3),
-    330: (_H3, -HALF),
-}
 
 
 class RigidMotion:
-    """Rotation by a multiple of 30 degrees about a center.
+    """Rotation by a multiple of 30 degrees about a center, in Q(sqrt3)^2.
 
     Only these rotations keep Q(sqrt3) coordinates closed; any other angle
-    is rejected.
+    is rejected.  apply takes and returns real coordinates, not frame
+    points: its results are ExactScalar pairs, in general mixed ones.
     """
 
     __slots__ = ("angle_deg", "center", "_cos", "_sin")
@@ -283,7 +277,10 @@ class RigidMotion:
             )
         self.angle_deg = angle_deg % 360
         self.center = center
-        self._cos, self._sin = _COS_SIN[self.angle_deg]
+        c, s = ((ONE, ZERO), (_H3, HALF), (HALF, _H3))[self.angle_deg % 90 // 30]
+        for _ in range(self.angle_deg // 90):
+            c, s = -s, c
+        self._cos, self._sin = c, s
 
     @classmethod
     def rotation(cls, angle_deg: int, center: Point2 = ORIGIN) -> "RigidMotion":

@@ -1,40 +1,35 @@
-"""Exact arithmetic over the quadratic field Q(sqrt 3).
+"""Exact numbers: plain rationals in the hot path, a + b*sqrt3 at its edges.
 
-Every coordinate in the planar constructions lives in Q(sqrt 3): the base
-triangle has vertices (0, 1) and (+-1/sqrt3, 0), the cut-and-shift
-translations are rational multiples of sqrt 3, and rotations by multiples
-of 30 degrees have matrix entries in {0, +-1/2, +-1, +-sqrt3/2}.  Closing
-the arithmetic over this field lets the boolean region machinery decide
-every predicate exactly, with no epsilon anywhere.
+Each region is held in one frame (u, y), x = s*u with s in {1, sqrt3}
+(see region.py), so the overlay sweep, polygon validation and segment
+containment compute on rationals only: _Q, which is gmpy2.mpq when
+available and fractions.Fraction otherwise.
 
-The Perron pipeline is graded: every vertex has x in sqrt3*Q and y in Q
-(the base corners are +-1/sqrt3 = +-sqrt3/3, the shifts are rational
-multiples of sqrt 3, and the 120-degree rotations about the apex (0, 1)
-map that lattice to itself), so slopes and crossing abscissas are pure
-sqrt 3 multiples and intercepts, heights and segment parameters are pure
-rationals.  The operators therefore take short paths when an operand's
-rational or sqrt 3 half is zero, and fall back to the general formulas
-only for mixed values.
-
-Rationals are gmpy2.mpq when available (much faster gcd arithmetic in the
-sweep hot loops), plain fractions.Fraction otherwise; the two are
-interchangeable for everything done here.
+ExactScalar, a + b*sqrt3 with rational a and b, is the value that
+crosses the boundary: coordinates handed to Region2, the eight-integer
+JSON codec, areas (s times a rational area), and covering_segment's
+rational abscissas, the one path whose values mix both halves.  Its
+sign is exact: when a and b have opposite signs it compares a^2 with
+3 b^2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 
 try:
     from gmpy2 import mpq as _Q
 except ImportError:
     _Q = Fraction
 
-_SQRT3_FLOAT = 1.7320508075688772
+SQRT3_FLOAT = 1.7320508075688772
 
 
 def rational(x) -> "_Q":
     """Coerce ints, Fractions, and strings like '1/3' or '0.25' to a rational."""
+    if type(x) is _Q:
+        return x
     if isinstance(x, int):
         return _Q(x)
     if isinstance(x, Fraction):
@@ -48,32 +43,19 @@ def rational(x) -> "_Q":
     return _Q(x)
 
 
+@total_ordering
 class ExactScalar:
-    """A value a + b*sqrt(3) with rational a, b kept in lowest terms.
+    """A value a + b*sqrt(3) with rational a, b; immutable."""
 
-    Instances are treated as immutable.  Sign evaluation is exact: when a
-    and b have opposite signs the comparison reduces to a^2 vs 3 b^2.
-
-    Graded operands, whose a or b is zero, skip the zero half: + and -
-    touch only the nonzero part, * is one rational product (times 3 for
-    sqrt3 * sqrt3), / by a pure rational or pure sqrt 3 value divides
-    directly without forming a^2 - 3 b^2, and <, <=, >, >= between
-    operands of one grade compare their nonzero parts.  Mixed operands
-    use the general formulas.
-    """
-
-    __slots__ = ("a", "b", "_f")
+    __slots__ = ("a", "b")
 
     def __init__(self, a=0, b=0):
         self.a = rational(a)
         self.b = rational(b)
-        self._f = None
 
     @classmethod
     def from_ints(cls, a_num, a_den, b_num, b_den):
-        if a_den == 0 or b_den == 0:
-            raise ZeroDivisionError("zero denominator in serialized scalar")
-        return _make(_Q(a_num, a_den), _Q(b_num, b_den))
+        return cls(_Q(a_num, a_den), _Q(b_num, b_den))  # ZeroDivisionError on a 0 denominator
 
     def to_ints(self):
         """(a_num, a_den, b_num, b_den) in lowest terms, denominators positive."""
@@ -84,27 +66,18 @@ class ExactScalar:
             int(self.b.denominator),
         )
 
-    # -- arithmetic -----------------------------------------------------
-
     def _coerce(self, other):
         if isinstance(other, ExactScalar):
             return other
-        if isinstance(other, (int, Fraction)):
-            return _make(_Q(other), _Q(0))
-        if type(other) is type(self.a):
-            return _make(other, _Q(0))
+        if isinstance(other, (int, Fraction)) or type(other) is _Q:
+            return ExactScalar(other)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a1, b1, a2, b2 = self.a, self.b, o.a, o.b
-        if not b1 and not b2:
-            return _make(a1 + a2, b1)
-        if not a1 and not a2:
-            return _make(a1, b1 + b2)
-        return _make(a1 + a2, b1 + b2)
+        return ExactScalar(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
@@ -112,90 +85,32 @@ class ExactScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._minus(o)
+        return ExactScalar(self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o._minus(self)
-
-    def _minus(self, o):
-        a1, b1, a2, b2 = self.a, self.b, o.a, o.b
-        if not b1 and not b2:
-            return _make(a1 - a2, b1)
-        if not a1 and not a2:
-            return _make(a1, b1 - b2)
-        return _make(a1 - a2, b1 - b2)
+        return -self + other
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         a1, b1, a2, b2 = self.a, self.b, o.a, o.b
-        if not b1 and not b2:
-            return _make(a1 * a2, b1)
-        if not a1 and not a2:
-            return _make(b1 * b2 * 3, a1)
-        if not b1 and not a2:
-            return _make(a2, a1 * b2)
-        if not a1 and not b2:
-            return _make(a1, b1 * a2)
-        # (a1 + b1 r)(a2 + b2 r) = a1 a2 + 3 b1 b2 + (a1 b2 + b1 a2) r
-        return _make(a1 * a2 + 3 * b1 * b2, a1 * b2 + b1 * a2)
+        return ExactScalar(a1 * a2 + 3 * b1 * b2, a1 * b2 + b1 * a2)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._over(o)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o._over(self)
-
-    def _over(self, o):
-        a1, b1, a2, b2 = self.a, self.b, o.a, o.b
-        if not b2:
-            if not a2:
-                raise ZeroDivisionError("division by zero ExactScalar")
-            # (a1 + b1 r) / a2
-            return _make(a1 / a2 if a1 else a1, b1 / a2 if b1 else b1)
-        if not a2:
-            # (a1 + b1 r) / (b2 r) = b1 / b2 + (a1 / (3 b2)) r
-            return _make(b1 / b2 if b1 else b1, a1 / (b2 * 3) if a1 else a1)
-        d = a2 * a2 - 3 * b2 * b2
-        # 1/(a + b r) = (a - b r)/(a^2 - 3 b^2); d != 0 as sqrt 3 is irrational
-        return self * _make(a2 / d, -b2 / d)
-
     def __neg__(self):
-        return _make(-self.a, -self.b)
-
-    def __abs__(self):
-        return -self if self.sign() < 0 else self
-
-    # -- ordering -------------------------------------------------------
+        return ExactScalar(-self.a, -self.b)
 
     def sign(self) -> int:
         a, b = self.a, self.b
-        if not b:
-            return 1 if a > 0 else (-1 if a < 0 else 0)
-        if not a:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
+        sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+        if sa == sb or not sb:
+            return sa
+        if not sa:
+            return sb
         # opposite signs: |a| vs |b| sqrt3 decided by a^2 vs 3 b^2
-        lhs = a * a
-        rhs = 3 * b * b
-        if a > 0:
-            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-        return -1 if lhs > rhs else (1 if lhs < rhs else 0)
+        return sa if a * a > 3 * b * b else sb
 
     def __bool__(self):
         return bool(self.a) or bool(self.b)
@@ -206,44 +121,9 @@ class ExactScalar:
             return NotImplemented
         return self.a == o.a and self.b == o.b
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
-
-    def _cmp(self, o) -> int:
-        """Sign of self - o; same-grade operands compare their one part."""
-        a1, b1, a2, b2 = self.a, self.b, o.a, o.b
-        if not b1 and not b2:
-            x, y = a1, a2
-        elif not a1 and not a2:
-            x, y = b1, b2
-        else:
-            return self._minus(o).sign()
-        return 1 if x > y else (-1 if x < y else 0)
-
     def __lt__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._cmp(o) < 0
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._cmp(o) <= 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._cmp(o) > 0
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._cmp(o) >= 0
+        return NotImplemented if o is None else (self - o).sign() < 0
 
     def __hash__(self):
         if not self.b:
@@ -251,36 +131,12 @@ class ExactScalar:
             return hash(self.a)
         return hash((self.a, self.b))
 
-    # -- conversions ----------------------------------------------------
-
     def __float__(self):
-        f = self._f
-        if f is None:
-            f = float(self.a) + float(self.b) * _SQRT3_FLOAT
-            self._f = f
-        return f
-
-    def is_rational(self) -> bool:
-        return not self.b
+        return float(self.a) + float(self.b) * SQRT3_FLOAT
 
     def __repr__(self):
         return "ExactScalar(%s, %s)" % (self.a, self.b)
 
-    def __str__(self):
-        if not self.b:
-            return str(self.a)
-        if not self.a:
-            return "%s*sqrt3" % self.b
-        return "%s%s%s*sqrt3" % (self.a, "+" if self.b > 0 else "-", abs(self.b))
-
-
-def _make(a, b):
-    # internal fast path: a, b already rationals
-    s = object.__new__(ExactScalar)
-    s.a = a
-    s.b = b
-    s._f = None
-    return s
 
 ZERO = ExactScalar(0)
 ONE = ExactScalar(1)

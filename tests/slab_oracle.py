@@ -12,8 +12,8 @@ Walking that order with even-odd parity per input polygon classifies each
 gap; kept gaps become trapezoids, which are merged across slab boundaries
 whenever both bounding lines continue.  Output region and area are exact.
 
-Decisions are exact ExactScalar comparisons, reached through a certified
-float filter: each height comparison first tries cached double arithmetic
+Decisions are exact comparisons of the rational frame coordinates that
+the package's regions hold, reached through a certified float filter: each height comparison first tries cached double arithmetic
 with a forward error bound; only ambiguous pairs fall back to exact
 evaluation.
 """
@@ -21,11 +21,15 @@ evaluation.
 from __future__ import annotations
 
 import operator
+from fractions import Fraction
 
 import numpy as np
 
 from kakeyalab.exactgeom.primitives import GeomError, Point2
-from kakeyalab.exactgeom.scalar import ExactScalar, HALF, ZERO
+
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
 
 
 class _Edge:
@@ -58,7 +62,7 @@ class _Edge:
         self.cy1 = None
 
 
-def _exact_y(e: _Edge, x: ExactScalar) -> ExactScalar:
+def _exact_y(e: _Edge, x):
     if e.cx0 is x:
         return e.cy0
     if e.cx1 is x:
@@ -79,7 +83,7 @@ def _cmp_true(a: _Edge, b: _Edge, x0, x1) -> int:
         return -1
     if d > tol:
         return 1
-    c = (_exact_y(a, x0) - _exact_y(b, x0)).sign()
+    c = _sign(_exact_y(a, x0) - _exact_y(b, x0))
     if c:
         return c
     d = a.fyr - b.fyr
@@ -87,11 +91,11 @@ def _cmp_true(a: _Edge, b: _Edge, x0, x1) -> int:
         return -1
     if d > tol:
         return 1
-    return (_exact_y(a, x1) - _exact_y(b, x1)).sign()
+    return _sign(_exact_y(a, x1) - _exact_y(b, x1))
 
 
 def _sort_exact(vals):
-    """Sort ExactScalars: float pre-sort, then certified adjacent fixup."""
+    """Sort exact values: float pre-sort, then certified adjacent fixup."""
     vals.sort(key=float)
     for i in range(1, len(vals)):
         v = vals[i]
@@ -103,7 +107,7 @@ def _sort_exact(vals):
     return vals
 
 
-def _scalar_gt(a: ExactScalar, b: ExactScalar) -> bool:
+def _scalar_gt(a, b) -> bool:
     fa = float(a)
     fb = float(b)
     tol = (abs(fa) + abs(fb)) * 1e-13 + 1e-280
@@ -111,7 +115,7 @@ def _scalar_gt(a: ExactScalar, b: ExactScalar) -> bool:
         return True
     if fb - fa > tol:
         return False
-    return (a - b).sign() > 0
+    return a > b
 
 
 class _Chain:
@@ -167,7 +171,7 @@ def overlay(groups, mode: str):
 
     xs = _sort_exact(list(xs_seen.keys()))
     if len(xs) < 2 or not edges:
-        return [], ZERO
+        return [], Fraction(0)
     xidx = {x: i for i, x in enumerate(xs)}
     nslab = len(xs) - 1
     add_ev = [[] for _ in range(nslab + 1)]
@@ -178,7 +182,7 @@ def overlay(groups, mode: str):
 
     pieces = []
     open_chains = {}
-    area2 = ZERO
+    area2 = Fraction(0)
     active = {}
     parity = {}
     odd = [0] * ngroups
@@ -273,7 +277,7 @@ def overlay(groups, mode: str):
 
     for key in list(open_chains):
         close(key)
-    return pieces, area2 * HALF
+    return pieces, area2 / 2
 
 
 _fkey = operator.attrgetter("fk")
@@ -286,9 +290,9 @@ def _gap_real(bottom: _Edge, top: _Edge, x0, x1) -> bool:
         return True
     if top.fyr - bottom.fyr > tol:
         return True
-    if (_exact_y(top, x0) - _exact_y(bottom, x0)).sign() != 0:
+    if _sign(_exact_y(top, x0) - _exact_y(bottom, x0)) != 0:
         return True
-    return (_exact_y(top, x1) - _exact_y(bottom, x1)).sign() != 0
+    return _sign(_exact_y(top, x1) - _exact_y(bottom, x1)) != 0
 
 
 def _collect_crossings(edges, xs_seen):

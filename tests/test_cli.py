@@ -58,6 +58,20 @@ class TestDispatch:
         assert dispatch(["perron", "--m", "four",
                          "--out", str(tmp_path / "t.json")]) == 2
 
+    @pytest.mark.parametrize("cmd", ["perron", "kakeya"])
+    def test_depth_past_the_cap_is_refused_before_building(self, tmp_path, monkeypatch, capsys, cmd):
+        import kakeyalab.perron as perron
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("nothing may be built for a refused depth")
+
+        for name in ("overlay", "bisect", "shifted_leaves"):
+            monkeypatch.setattr(perron, name, no_build)
+        out = tmp_path / "t.json"
+        assert dispatch([cmd, "--m", str(perron.MAX_DEPTH + 1), "--out", str(out)]) == 2
+        assert "deepest" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_file_is_exit_2(self, tmp_path, capsys):
         for argv in (["multiplier", "--kind", "ball", "--R", "1.0",
                       "--in", str(tmp_path / "missing.bin"),
@@ -74,7 +88,12 @@ class TestDispatch:
         lambda obj: {},
         lambda obj: {**obj, "piece_shifts": obj["piece_shifts"][:-1]},
         lambda obj: {**obj, "m": 2.0},
-    ], ids=["no-keys", "short-shifts", "float-m"])
+        # a Q^2 unit square: no tree lies in that frame
+        lambda obj: {**obj, "region": {"polygons": [[[0, 1, 0, 1, 0, 1, 0, 1], [1, 1, 0, 1, 0, 1, 0, 1],
+                                                     [1, 1, 0, 1, 1, 1, 0, 1], [0, 1, 0, 1, 1, 1, 0, 1]]]}},
+        # a shift whose x mixes both halves
+        lambda obj: {**obj, "piece_shifts": [[1, 2, 1, 3, 0, 1, 0, 1]] * 4},
+    ], ids=["no-keys", "short-shifts", "float-m", "rational-region", "mixed-shift"])
     def test_malformed_tree_file_is_exit_2(self, tmp_path, capsys, edit):
         src = tmp_path / "t.json"
         assert dispatch(["perron", "--m", "2", "--out", str(src)]) == 0

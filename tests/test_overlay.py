@@ -7,43 +7,56 @@ in order, on Perron trees and assemblies and on random lattice polygon
 sets full of coincidences: shared and collinear edges, vertical edges,
 touching vertices, T-junctions and many edges through one point.  Every
 piece must also be a simple convex CCW polygon, since Region2 takes the
-sweep's pieces as built.  Last, area properties of Region2 on the same
-random sets.
+sweep's pieces as built.  The sweep sees frame points, pairs of plain
+rationals; a lattice set is one in either frame (x = u or x = sqrt3*u).
+Last, properties of Region2's union and area on the same random sets,
+in both frames, against each other and against an independent raster.
 """
 
 import contextlib
+import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from raster_oracle import raster_area
 from slab_oracle import overlay as oracle_overlay
 
 import kakeyalab.exactgeom.overlay as overlay_module
 from kakeyalab.exactgeom import (
     Point2,
     Region2,
-    RigidMotion,
     normalize,
     orient,
     region_area,
     validate_simple_polygon,
 )
 from kakeyalab.exactgeom.overlay import overlay
-from kakeyalab.exactgeom.scalar import SQRT3, scalar
-from kakeyalab.perron import APEX, PerronSpec, shifted_leaves
+from kakeyalab.exactgeom.scalar import SQRT3
+from kakeyalab.perron import PerronSpec, apex_turn, shifted_leaves
 
 GRID = 4
 SETTINGS = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+PROPERTIES = settings(max_examples=40, deadline=None, database=None, derandomize=True)
+FRAMES = pytest.mark.parametrize("sqrt3", [False, True], ids=["x=u", "x=sqrt3*u"])
 
 
 def perron_inputs(m):
     """The tree's translated leaves, and the three rotated copies of them."""
     leaves = shifted_leaves(PerronSpec.default(m))
-    copies = [[RigidMotion.rotation(angle, APEX).apply(v) for v in poly]
+    copies = [[apex_turn(v, angle) for v in poly]
               for angle in (0, 120, 240) for poly in leaves]
     return leaves, copies
+
+
+def region(polys, sqrt3):
+    """Region2 of frame polygons, handed over in real coordinates."""
+    s = SQRT3 if sqrt3 else 1
+    r = Region2([[Point2(s * v.x, v.y) for v in poly] for poly in polys])
+    assert r.sqrt3 == sqrt3 or not polys
+    return r
 
 
 def assert_same_as_oracle(groups):
@@ -83,18 +96,18 @@ def _triangle(draw):
 
 @st.composite
 def lattice_groups(draw):
-    """1-3 groups of lattice boxes and triangles, in Q^2 or sqrt3*Q x Q.
+    """1-3 groups of lattice boxes and triangles, as frame points.
 
-    Coordinates are thirds (x also times sqrt3), so doubles are inexact.
+    Coordinates are thirds, so doubles are inexact; as real points they
+    lie in Q^2 or in sqrt3*Q x Q, after the frame region() is given.
     """
-    xunit = SQRT3 * scalar(F(1, 3)) if draw(st.booleans()) else scalar(F(1, 3))
-    yunit = scalar(F(1, 3))
+    unit = F(1, 3)
     polys = []
     for _ in range(draw(st.integers(1, 6))):
         verts = _box(draw) if draw(st.booleans()) else _triangle(draw)
         if draw(st.booleans()):
             verts.reverse()
-        polys.append([Point2(xunit * scalar(x), yunit * scalar(y)) for x, y in verts])
+        polys.append([Point2(unit * x, unit * y) for x, y in verts])
     cuts = sorted(draw(st.lists(st.integers(1, len(polys)), max_size=2)))
     bounds = [0] + cuts + [len(polys)]
     return [polys[i:j] for i, j in zip(bounds, bounds[1:])]
@@ -113,8 +126,7 @@ def test_collinear_ties_follow_insertion_order():
     # the shared line, and that slab is one piece; ordering the tie by
     # polygon instead would cut it there and give two pieces in all
     def box(x0, y0, x1, y1):
-        return [Point2(scalar(x), scalar(y))
-                for x, y in ((x0, y0), (x1, y0), (x1, y1), (x0, y1))]
+        return [Point2(x, y) for x, y in ((x0, y0), (x1, y0), (x1, y1), (x0, y1))]
 
     groups = [[box(1, 0, 3, 1), box(0, 1, 2, 2)]]
     pieces, _ = overlay(groups)
@@ -133,8 +145,8 @@ def sliver_fans():
     slopes = [1 + F(k, 3 * 10 ** 12) for k in range(8)]
     fans = []
     for far_dx in (1, -1):
-        far = [Point2(scalar(apex_x + far_dx), scalar(apex_y + far_dx * s)) for s in slopes]
-        apex = Point2(scalar(apex_x), scalar(apex_y))
+        far = [Point2(apex_x + far_dx, apex_y + far_dx * s) for s in slopes]
+        apex = Point2(apex_x, apex_y)
         for pairs in (((0, 1), (2, 3), (4, 5), (6, 7)), ((0, 3), (1, 4), (2, 6), (5, 7))):
             fans.append([[[apex, far[a], far[b]] for a, b in pairs]])
     return fans
@@ -187,21 +199,110 @@ def test_empty_input_and_either_orientation():
     assert overlay([]) == ([], 0)
     assert overlay([[]]) == ([], 0)
     # winding weights follow each polygon's own orientation
-    tri = [Point2(scalar(0), scalar(0)), Point2(scalar(1), scalar(0)), Point2(scalar(0), scalar(1))]
+    tri = [Point2(0, 0), Point2(1, 0), Point2(0, 1)]
     pieces, area = overlay([[tri], [list(reversed(tri))]])
-    assert area == scalar(F(1, 2))
+    assert area == F(1, 2)
     assert len(pieces) == 1
 
 
 @SETTINGS
-@given(lattice_groups())
-def test_region_area_properties(groups):
+@given(lattice_groups(), st.booleans())
+def test_region_area_properties(groups, sqrt3):
     # normalized regions are fixed points; re-validating their pieces or
     # reversing the input keeps the area; a union is at most its parts
     polys = [p for g in groups for p in g]
-    n = normalize(Region2(polys))
+    n = normalize(region(polys, sqrt3))
     assert normalize(n) is n
-    assert region_area(Region2(n.polygons)) == region_area(n)
-    assert region_area(Region2(polys[::-1])) == region_area(n)
-    a, b = Region2(groups[0]), Region2([p for g in groups[1:] for p in g])
+    assert region_area(region(n.polygons, sqrt3)) == region_area(n)
+    assert region_area(region(polys[::-1], sqrt3)) == region_area(n)
+    a, b = region(groups[0], sqrt3), region([p for g in groups[1:] for p in g], sqrt3)
     assert region_area(n) <= region_area(a) + region_area(b)
+
+
+def _split(groups):
+    return groups[0], [p for g in groups[1:] for p in g]
+
+
+@FRAMES
+@PROPERTIES
+@given(groups=lattice_groups())
+def test_union_commutes_and_is_idempotent(sqrt3, groups):
+    a, b = _split(groups)
+    ab = normalize(region(a + b, sqrt3))
+    ba = normalize(region(b + a, sqrt3))
+    # equal areas, and their union no larger: the same set up to measure 0
+    assert region_area(ba) == region_area(ab)
+    assert region_area(region(list(ab.polygons) + list(ba.polygons), sqrt3)) == region_area(ab)
+    assert region_area(region(a + b + a + b, sqrt3)) == region_area(ab)
+    assert region_area(region(list(ab.polygons) + a, sqrt3)) == region_area(ab)
+
+
+@FRAMES
+@PROPERTIES
+@given(groups=lattice_groups(), shift=st.sampled_from([(GRID, 0), (0, GRID), (GRID, GRID), (-GRID, 0)]))
+def test_area_adds_over_interior_disjoint_sets(sqrt3, groups, shift):
+    # b moved one lattice width away meets a at most along its boundary,
+    # often along whole shared edges
+    a, b = _split(groups)
+    if not b:
+        b = a
+    d = Point2(F(shift[0], 3), F(shift[1], 3))
+    b = [[v + d for v in poly] for poly in b]
+    whole = region_area(region(a + b, sqrt3))
+    assert whole == region_area(region(a, sqrt3)) + region_area(region(b, sqrt3))
+
+
+@PROPERTIES
+@given(groups=lattice_groups(), angle=st.sampled_from([120, 240]))
+def test_apex_turns_keep_areas(groups, angle):
+    # sqrt3*Q x Q only: a turn sends Q^2 points to mixed ones
+    polys = [p for g in groups for p in g]
+    turned = [[apex_turn(v, angle) for v in poly] for poly in polys]
+    assert region_area(region(turned, True)) == region_area(region(polys, True))
+
+
+@FRAMES
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(groups=lattice_groups())
+def test_areas_agree_with_the_rasterizer(sqrt3, groups):
+    r = region([p for g in groups for p in g], sqrt3)
+    polys = r.floats()
+    n = 200
+    approx = raster_area(polys, n)
+    # a raster cell is miscounted only where the boundary passes: at most
+    # sqrt2 * length / c + 2 cells of side c per edge
+    xs = [x for poly in polys for x, _ in poly]
+    ys = [y for poly in polys for _, y in poly]
+    c = 1.002 * max(max(xs) - min(xs), max(ys) - min(ys)) / n + 1e-6 / n
+    edges = [(poly[i - 1], poly[i]) for poly in polys for i in range(len(poly))]
+    perimeter = sum(math.dist(p, q) for p, q in edges)
+    tol = math.sqrt(2) * perimeter * c + 2 * len(edges) * c * c
+    assert abs(approx - float(region_area(r))) <= tol
+
+
+def margin_sets():
+    """Two triangles far from the origin whose edges cross at x* + e,
+    where x* is an end of one edge's span and |e| is 1e-14 to 1e-16 of
+    |x*|: e > 0 puts the crossing inside both spans, e < 0 outside.  Far
+    out, the double crossing errs by more than that, so only _MARGIN
+    keeps the triage from deciding the side on rounding noise."""
+    sets = []
+    for x0, y0 in ((10 ** 6 + F(1, 3), F(2, 7)), (-3 * 10 ** 7 - F(2, 9), 10 ** 5 + F(1, 11))):
+        for e in (F(k, 10 ** d) * abs(x0) for d in (14, 16) for k in (-4, -3, -2, -1, 1, 2, 3, 4)):
+            for end in (x0, x0 + 1):
+                # edge p-q, slope 1, spans [x0, x0 + 1]; edge a-b crosses
+                # its line at x = end + e, a little off p or q
+                p, q = Point2(x0, y0), Point2(x0 + 1, y0 + 1)
+                xc = end + e if end == x0 else end - e
+                yc = y0 + (xc - x0)
+                s2 = 1 + F(1, 997)
+                a = Point2(xc - 2, yc - 2 * s2)
+                b = Point2(xc + 2, yc + 2 * s2)
+                sets.append([[[p, q, Point2(x0 + 1, y0)]], [[a, b, Point2(xc - 2, yc + 5)]]])
+    return sets
+
+
+@pytest.mark.parametrize("groups", margin_sets())
+def test_float_filters_near_the_span_margin(groups):
+    assert_filters_exact(groups)
+    assert_same_as_oracle(groups)

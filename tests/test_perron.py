@@ -22,10 +22,12 @@ from kakeyalab.exactgeom import (
 )
 from kakeyalab.exactgeom import region as region_module
 from kakeyalab.exactgeom.overlay import overlay
-from kakeyalab.exactgeom.scalar import scalar
+from kakeyalab.exactgeom.scalar import SQRT3, _Q, scalar
 from kakeyalab.perron import (
     APEX,
+    MAX_DEPTH,
     PerronSpec,
+    apex_turn,
     assemble_kakeya,
     bisect,
     build_perron_tree,
@@ -44,19 +46,21 @@ ONE_LEVEL_HALF_SHIFT_AREA = ExactScalar(0, F(11, 48))
 
 
 def test_bisect_partitions_exactly():
+    # leaves are in the sqrt3 frame: the triangle's area 1/sqrt3 is 1/3 there
     for m in (1, 3, 4):
         spec = PerronSpec(m, (F(1, 2),) * m)
         leaves = bisect(spec)
         assert len(leaves) == 2 ** m
-        per = INV_SQRT3 * scalar(F(1, 2 ** m))
-        total = ZERO
+        per = F(1, 3 * 2 ** m)
+        total = 0
         for leaf in leaves:
             a = polygon_area(leaf)
             assert a == per
             total = total + a
-        assert total == INV_SQRT3
+        assert total == F(1, 3)
         _, union_area = overlay([leaves])
-        assert union_area == INV_SQRT3
+        assert union_area == F(1, 3)
+        assert SQRT3 * union_area == INV_SQRT3
 
 
 def test_one_level_half_shift_golden():
@@ -177,11 +181,10 @@ def _rotated_copy_failures(tree, n_dirs):
     leaves = shifted_leaves(tree.spec)
     failed = []
     for c, angle in enumerate((0, 120, 240)):
-        rot = RigidMotion.rotation(angle, APEX)
         for j, t in enumerate(sector_abscissas(per), c * per):
             seg, k = covering_segment(tree, t)
-            rseg = Segment2(rot.apply(seg.p), rot.apply(seg.q))
-            rleaf = [rot.apply(v) for v in leaves[k]]
+            rseg = Segment2(apex_turn(seg.p, angle), apex_turn(seg.q, angle))
+            rleaf = [apex_turn(v, angle) for v in leaves[k]]
             if not (point_in_polygon_closed(rseg.p, rleaf)
                     and point_in_polygon_closed(rseg.q, rleaf)):
                 failed.append(j)
@@ -191,7 +194,7 @@ def _rotated_copy_failures(tree, n_dirs):
 def test_full_circle_failures_match_rotated_copies():
     tree = build_perron_tree(PerronSpec.default(3))
     shifts = list(tree.piece_shifts)
-    shifts[5] = shifts[5] + Point2(INV_SQRT3 * scalar(F(1, 8)), ZERO)
+    shifts[5] = shifts[5] + Point2(F(1, 24), 0)  # x by sqrt3/24
     bad = dataclasses.replace(tree, piece_shifts=tuple(shifts))
     rep = full_circle_coverage(bad, 144)
     assert rep.failed
@@ -200,15 +203,50 @@ def test_full_circle_failures_match_rotated_copies():
 
 
 def test_perron_coordinates_are_graded():
-    # x in sqrt3*Q and y in Q: the exact core's short paths depend on it
+    # x in sqrt3*Q and y in Q: the whole construction runs on plain
+    # rationals (u, y) = (x/sqrt3, y) in the sqrt3 frame
     tree = build_perron_tree(PerronSpec.default(4))
     kak = assemble_kakeya(tree)
+    assert tree.region.sqrt3 and kak.sqrt3
     points = [v for region in (tree.region, kak)
               for poly in region.polygons for v in poly]
     points += tree.piece_shifts
     assert len(tree.region.polygons) == 40
     assert len(kak.polygons) == 356
-    assert [p for p in points if p.x.a != 0 or p.y.b != 0] == []
+    assert [p for p in points if type(p.x) is not _Q or type(p.y) is not _Q] == []
+
+
+def test_apex_turn_is_the_rigid_rotation():
+    # the rational map of (u, y) against RigidMotion on x = sqrt3*u
+    rng = random.Random(400)
+    for _ in range(400):
+        p = Point2(F(rng.randint(-99, 99), rng.randint(1, 30)),
+                   F(rng.randint(-99, 99), rng.randint(1, 30)))
+        for angle in (0, 120, 240):
+            q = apex_turn(p, angle)
+            assert RigidMotion.rotation(angle, APEX).apply(Point2(SQRT3 * p.x, p.y)) \
+                == Point2(SQRT3 * q.x, q.y)
+
+
+def test_covering_segment_for_a_rational_abscissa():
+    # no frame holds t + sqrt3*u: the segment keeps Q(sqrt3) values, and
+    # its leaf is the one an exact comparison with the cuts picks
+    tree = build_perron_tree(PerronSpec.default(3))
+    for t in (F(-57, 100), F(0), F(1, 7), F(57, 100)):
+        seg, k = covering_segment(tree, t)
+        u = tree.piece_shifts[k].x
+        assert seg.q.x == ExactScalar(t, u) and seg.q.y == ZERO
+        assert seg.p.x == ExactScalar(0, u) and seg.p.y == 1
+        lo, hi = (ExactScalar(0, F(2 * j - 8, 24)) for j in (k, k + 1))
+        assert lo <= scalar(t) <= hi
+    with pytest.raises(GeomError):
+        covering_segment(tree, F(58, 100))  # past 1/sqrt3 = 0.577...
+
+
+def test_depth_is_capped():
+    PerronSpec.default(MAX_DEPTH)
+    with pytest.raises(GeomError, match="deepest"):
+        PerronSpec.default(MAX_DEPTH + 1)
 
 
 def test_full_circle_needs_multiple_of_three():

@@ -1,4 +1,8 @@
-"""Segment intersection classification, polygon validation, rigid motions."""
+"""Segment intersection classification, polygon validation, rigid motions.
+
+The predicates take frame points, pairs of plain rationals; RigidMotion
+maps real coordinates in Q(sqrt3).
+"""
 
 import random
 from fractions import Fraction as F
@@ -29,7 +33,12 @@ from kakeyalab.exactgeom.scalar import scalar
 
 
 def P(x, y):
-    return Point2(scalar(x), scalar(y))
+    return Point2(x, y)
+
+
+# A coarse grid whose doubles are inexact: touching, collinear and
+# overlapping edges are common on it.
+TICKS = [F(0), F(1, 3), F(1, 2), F(2, 3), F(7, 5)]
 
 
 class TestSegmentHits:
@@ -151,7 +160,7 @@ class TestPolygonValidation:
             return None
 
         rng = random.Random(0)
-        ticks = [scalar(0), scalar(F(1, 2)), scalar(1), SQRT3 * F(1, 2), SQRT3]
+        ticks = TICKS
         outcomes = set()
         for _ in range(400):
             n = rng.randint(3, 9)
@@ -206,11 +215,12 @@ class TestPointInPolygon:
                         inside = not inside
             return inside
 
-        # Queries on vertices, on edges, a hair (1e-12) off them and in
-        # the open: every branch of the filter, exact and float.
+        # Queries on vertices, on edges, in the open, and a hair off them:
+        # 1e-12 above, below, left and right (doubles still tell those
+        # apart) and 1e-18 (they do not): every branch of both filters,
+        # the x test and the vertex heights, float and exact.
         rng = random.Random(1)
-        ticks = [scalar(0), scalar(F(1, 2)), scalar(1), SQRT3 * F(1, 2), SQRT3]
-        hair = scalar(F(1, 10**12))
+        ticks = TICKS
         seen = set()
         for _ in range(150):
             cells = rng.sample([(i, j) for i in range(5) for j in range(5)], rng.randint(3, 7))
@@ -219,12 +229,13 @@ class TestPointInPolygon:
                 v, w = rng.sample(poly, 2)
                 mid = Point2((v.x + w.x) * F(1, 2), (v.y + w.y) * F(1, 2))
                 base = rng.choice([v, mid, Point2(ticks[rng.randrange(5)], ticks[rng.randrange(5)])])
-                dx, dy = rng.choice([(0, 0), (1, 0), (0, -1), (1, 1)])
+                hair = rng.choice([F(1, 10**12), F(1, 10**18)])
+                dx, dy = rng.choice([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)])
                 q = Point2(base.x + hair * dx, base.y + hair * dy)
                 want = exact(q, poly)
                 assert point_in_polygon_closed(q, poly) == want
-                seen.add(want)
-        assert seen == {True, False}
+                seen.add((want, dy))
+        assert seen == {(w, dy) for w in (True, False) for dy in (-1, 0, 1)}
 
 
 class TestRigidMotion:

@@ -1,5 +1,11 @@
-"""Boolean region calculus: exact areas, normalization, containment."""
+"""Boolean region calculus: exact areas, normalization, containment.
 
+Regions take real coordinates and hold frame points (u, y), x = s*u;
+real() turns them back into real coordinates, and segments handed to
+contains_segment are in the region's frame.
+"""
+
+import json
 import random
 from fractions import Fraction as F
 
@@ -16,6 +22,7 @@ from kakeyalab.exactgeom import (
     Point2,
     Region2,
     RigidMotion,
+    SQRT3,
     Segment2,
     ZERO,
     contains_segment,
@@ -28,27 +35,42 @@ from kakeyalab.exactgeom.scalar import scalar
 
 
 def P(x, y):
-    return Point2(scalar(x), scalar(y))
+    return Point2(x, y)
+
+
+def real(r):
+    """r's polygons in real coordinates."""
+    s = SQRT3 if r.sqrt3 else ONE
+    return [[Point2(s * v.x, v.y) for v in poly] for poly in r.polygons]
+
+
+def in_frame(r, area):
+    """A rational area of r's frame as a real area."""
+    return ExactScalar(0, area) if r.sqrt3 else ExactScalar(area)
 
 
 def union(*regions):
-    return normalize(Region2([p for r in regions for p in r.polygons]))
+    return normalize(Region2([p for r in regions for p in real(r)]))
 
 
 def intersect_area(a, b):
     """Exact area of a & b, from the slab-sweep oracle's intersect mode."""
+    assert a.sqrt3 == b.sqrt3
     _, area = oracle_overlay(
         [[list(p) for p in a.polygons], [list(p) for p in b.polygons]], "intersect")
-    return area
+    return in_frame(a, area)
 
 
 def shifted(a, dx, dy):
     d = P(dx, dy)
-    return Region2([[v + d for v in poly] for poly in a.polygons])
+    return Region2([[v + d for v in poly] for poly in real(a)])
 
 
 def rotated(a, motion):
-    return Region2([[motion.apply(v) for v in poly] for poly in a.polygons])
+    return Region2([[motion.apply(v) for v in poly] for poly in real(a)])
+
+
+APEX_TURNS = [RigidMotion.rotation(angle, P(0, 1)) for angle in (120, 240)]
 
 
 def covers(a, p):
@@ -65,11 +87,11 @@ def height_one_triangle():
     )
 
 
-def rand_triangle(rng):
+def rand_triangle(rng, xunit=ONE):
     while True:
         pts = [
-            P(F(rng.randint(-12, 12), rng.randint(1, 6)),
-              F(rng.randint(-12, 12), rng.randint(1, 6)))
+            Point2(xunit * F(rng.randint(-12, 12), rng.randint(1, 6)),
+                   F(rng.randint(-12, 12), rng.randint(1, 6)))
             for _ in range(3)
         ]
         try:
@@ -134,6 +156,7 @@ def test_inclusion_exclusion_exact_randomized():
         lhs = region_area(union(A, B)) + intersect_area(A, B)
         rhs = polygon_area(list(A.polygons[0])) + polygon_area(list(B.polygons[0]))
         assert lhs == rhs
+        assert not A.sqrt3 and not B.sqrt3  # s = 1: frame areas are real ones
 
 
 def test_union_area_against_rasterizer():
@@ -165,8 +188,8 @@ def test_union_monotone_and_subset_sampling():
             w2 = F(rng.randint(0, 8), 8) * (1 - w1)
             w3 = 1 - w1 - w2
             p = Point2(
-                va.x * scalar(w1) + vb.x * scalar(w2) + vc.x * scalar(w3),
-                va.y * scalar(w1) + vb.y * scalar(w2) + vc.y * scalar(w3),
+                va.x * w1 + vb.x * w2 + vc.x * w3,
+                va.y * w1 + vb.y * w2 + vc.y * w3,
             )
             assert covers(u, p)
 
@@ -175,39 +198,64 @@ def test_normalized_pieces_interior_disjoint():
     A = unit_square()
     B = shifted(A, F(1, 3), F(1, 2))
     u = union(A, B)
-    pieces = [Region2.from_polygon(list(p)) for p in u.polygons]
+    pieces = [Region2.from_polygon(p) for p in real(u)]
     for i in range(len(pieces)):
         for j in range(i + 1, len(pieces)):
             assert intersect_area(pieces[i], pieces[j]) == ZERO
 
 
 def test_transform_preserves_area_and_commutes_with_union():
+    # the apex rotations keep sqrt3*Q x Q, the frame of the Perron pieces
     rng = random.Random(13)
-    r = RigidMotion.rotation(210, P(F(1, 2), F(-1, 3)))
-    for _ in range(6):
-        A = rand_triangle(rng)
-        B = rand_triangle(rng)
-        assert region_area(rotated(A, r)) == region_area(A)
-        lhs = region_area(rotated(union(A, B), r))
-        rhs = region_area(union(rotated(A, r), rotated(B, r)))
-        assert lhs == rhs
+    for r in APEX_TURNS:
+        for _ in range(3):
+            A = rand_triangle(rng, SQRT3)
+            B = rand_triangle(rng, SQRT3)
+            assert rotated(A, r).sqrt3
+            assert region_area(rotated(A, r)) == region_area(A)
+            lhs = region_area(rotated(union(A, B), r))
+            rhs = region_area(union(rotated(A, r), rotated(B, r)))
+            assert lhs == rhs
+
+
+def sqrt3_box():
+    """[0, 1/sqrt3] x [0, 1/2], in the frame of the height-1 triangle."""
+    return Region2.from_polygon(
+        [Point2(x, y) for x, y in ((ZERO, 0), (INV_SQRT3, 0), (INV_SQRT3, F(1, 2)), (ZERO, F(1, 2)))])
 
 
 def test_serialization_roundtrip_and_canonical_bytes():
-    A = union(
-        height_one_triangle(),
-        rotated(unit_square(), RigidMotion.rotation(30, P(0, 0))),
-    )
+    def build():
+        return union(height_one_triangle(), *(rotated(sqrt3_box(), r) for r in APEX_TURNS))
+
+    A = build()
     blob = A.to_json()
     B = Region2.from_json(blob)
-    assert B.polygons == A.polygons
+    assert B.sqrt3 and B.polygons == A.polygons
     assert B.to_json() == blob
     # rebuilding from scratch yields the same bytes
-    A2 = union(
-        height_one_triangle(),
-        rotated(unit_square(), RigidMotion.rotation(30, P(0, 0))),
-    )
-    assert A2.to_json() == blob
+    assert build().to_json() == blob
+
+
+def test_mixed_regions_are_refused(tmp_path, capsys):
+    # a 30-degree turn sends Q^2 to points whose x mixes both halves: no
+    # frame holds them, so neither Region2 nor the CLI accepts them
+    from kakeyalab.cli import dispatch
+
+    turn = RigidMotion.rotation(30, P(0, 0))
+    square = [turn.apply(v) for v in real(unit_square())[0]]
+    with pytest.raises(GeomError, match="frame"):
+        Region2.from_polygon(square)
+    # a sqrt3-frame triangle beside a rational square needs both frames
+    with pytest.raises(GeomError, match="frame"):
+        Region2(real(height_one_triangle()) + real(shifted(unit_square(), 2, 0)))
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"polygons": [
+        [list(v.x.to_ints()) + list(v.y.to_ints()) for v in square]]}))
+    assert dispatch(["dim", "--in", str(path), "--deltas", "2^-3..2^-5",
+                     "--out", str(tmp_path / "dim.csv")]) == 2
+    assert "outside the frame" in capsys.readouterr().err
+    assert not (tmp_path / "dim.csv").exists()
 
 
 def test_from_json_validates():
@@ -248,8 +296,8 @@ def test_contains_sub_segments():
     for _ in range(10):
         t0 = F(rng.randint(0, 60), 64)
         t1 = F(rng.randint(int(t0 * 64) + 1, 64), 64)
-        a = Point2(seg.p.x + d.x * scalar(t0), seg.p.y + d.y * scalar(t0))
-        b = Point2(seg.p.x + d.x * scalar(t1), seg.p.y + d.y * scalar(t1))
+        a = Point2(seg.p.x + d.x * t0, seg.p.y + d.y * t0)
+        b = Point2(seg.p.x + d.x * t1, seg.p.y + d.y * t1)
         assert contains_segment(tri, Segment2(a, b))
 
 

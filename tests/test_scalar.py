@@ -50,10 +50,7 @@ def test_field_identities_randomized():
         assert (x + y) * z == x * z + y * z
         assert x - y == -(y - x)
         assert (x - y) + y == x
-        if y != ZERO:
-            assert (x / y) * y == x
-        if x != ZERO:
-            assert x / x == ONE
+        assert x * ONE == x and x * ZERO == ZERO
 
 
 def test_ordering_matches_high_precision():
@@ -129,20 +126,17 @@ def test_float_value_accuracy():
 
 
 def test_division_by_zero_rejected():
+    # the codec is the one place a denominator comes from outside
     with pytest.raises(ZeroDivisionError):
-        ONE / ZERO
+        ExactScalar.from_ints(1, 0, 0, 1)
+    with pytest.raises(ZeroDivisionError):
+        ExactScalar.from_ints(0, 1, 1, 0)
 
 
-def test_is_rational():
-    assert scalar(3).is_rational()
-    assert not SQRT3.is_rational()
-    assert (SQRT3 * SQRT3).is_rational()
-
-
-# -- graded short paths against the general (a, b) formulas -------------
+# -- every grade pair against the (a, b) formulas -----------------------
 
 GRADES = ("zero", "rational", "sqrt3", "mixed")
-ARITH = (operator.add, operator.sub, operator.mul, operator.truediv)
+ARITH = (operator.add, operator.sub, operator.mul)
 ORDER = (operator.lt, operator.le, operator.gt, operator.ge,
          operator.eq, operator.ne)
 
@@ -171,12 +165,7 @@ def ref_arith(op, x, y):
         return a1 + a2, b1 + b2
     if op is operator.sub:
         return a1 - a2, b1 - b2
-    if op is operator.mul:
-        return a1 * a2 + 3 * b1 * b2, a1 * b2 + b1 * a2
-    d = a2 * a2 - 3 * b2 * b2
-    if d == 0:
-        raise ZeroDivisionError
-    return (a1 * a2 - 3 * b1 * b2) / d, (b1 * a2 - a1 * b2) / d
+    return a1 * a2 + 3 * b1 * b2, a1 * b2 + b1 * a2
 
 
 def ref_sign(a, b):
@@ -210,12 +199,7 @@ def test_graded_operands_match_general_formulas():
     seen = 0
     for x, y, lhs, rhs in graded_cases():
         for op in ARITH:
-            try:
-                want = ref_arith(op, x, y)
-            except ZeroDivisionError:
-                with pytest.raises(ZeroDivisionError):
-                    op(lhs, rhs)
-                continue
+            want = ref_arith(op, x, y)
             got = op(lhs, rhs)
             assert isinstance(got, ExactScalar)
             assert got.to_ints() == (want[0].numerator, want[0].denominator,
@@ -227,19 +211,6 @@ def test_graded_operands_match_general_formulas():
     # each grade pair with scalars on both sides, plus int and Fraction
     # on either side wherever the operand is rational
     assert seen == 12 * (16 + 2 * 2 * 4 * 2)
-
-
-def test_zero_divisor_on_every_path():
-    rng = random.Random(4)
-    zeros = (ZERO, 0, Fraction(0))
-    for grade in GRADES:
-        x = ExactScalar(*graded(rng, grade))
-        for z in zeros:
-            with pytest.raises(ZeroDivisionError):
-                x / z
-    for lhs in (0, 3, Fraction(-2, 7)):
-        with pytest.raises(ZeroDivisionError):
-            lhs / ZERO
 
 
 def test_package_attribute_scalar_is_the_module():

@@ -310,10 +310,7 @@ class TestPlacements:
         m = 3
         fam = generate_family(delta, 2, "perron-base", tree_levels=m)
         region = assemble_kakeya(build_perron_tree(PerronSpec.default(m)))
-        polys = [
-            np.array([[float(v.x), float(v.y)] for v in poly])
-            for poly in region.polygons
-        ]
+        polys = [np.array(poly) for poly in region.floats()]
 
         index = TubeIndex(fam)
         lo, hi = family_bbox(fam)
