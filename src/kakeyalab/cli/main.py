@@ -336,9 +336,9 @@ def _cmd_dim(args) -> RunResult:
             for d, v in zip(curve.deltas, curve.volumes)]
     text, nans = emit_report(rows, _DIM_SCHEMA)
     _write_text(args.out, text)
-    print(f"dimension {est.dimension:.3f} over deltas "
-          f"[{deltas[0]:g}, {deltas[-1]:g}], c_eps {bound.c_epsilon:.3f} "
-          f"-> {args.out}")
+    lo, hi = est.delta_range
+    print(f"dimension {est.dimension:.3f} over deltas [{lo:g}, {hi:g}], "
+          f"c_eps {bound.c_epsilon:.3f} -> {args.out}")
     check = None
     if args.check:
         check = bound.consistent

@@ -84,6 +84,19 @@ class DistinctReport:
 _MAX_PAIRS = 1 << 24
 
 
+def _line_share(Ai, Wi, Li, Aj, Wj, cut):
+    """Row-wise share of t in [0, L_i] with core_i(t) within cut of line_j:
+    the interval where |P + tQ| <= cut, P and Q the parts of a_i - a_j and
+    w_i across w_j, about the minimiser t0 (its residual V is explicit)."""
+    P, Q = (v - _axis_dot(v.T, Wj.T)[:, None] * Wj for v in (Ai - Aj, Wi))
+    qa = _axis_dot(Q.T, Q.T)
+    t0 = np.where(qa > 0.0, -_axis_dot(P.T, Q.T) / np.where(qa > 0.0, qa, 1.0), 0.0)
+    V = P + t0[:, None] * Q
+    with np.errstate(divide="ignore", invalid="ignore"):  # parallel: +-inf or nan
+        half = np.sqrt((cut * cut - _axis_dot(V.T, V.T)) / qa)
+    return (np.clip(t0 + half, 0.0, Li) - np.clip(t0 - half, 0.0, Li)) / Li
+
+
 def essentially_distinct_check(
     fam: TubeFamily, samples_per_pair: int = 64, seed: int = 0
 ) -> DistinctReport:
@@ -91,7 +104,14 @@ def essentially_distinct_check(
     half its volume by more than three standard errors.
 
     Pairs whose core segments stay farther apart than 2 delta cannot
-    meet; they are recorded as zero overlap without sampling.
+    meet; they are recorded as zero overlap without sampling.  Nor are
+    pairs whose line bound is at most 1/2 - 1e-9: a point of T_i at axial
+    position t lies within delta of core_i(t) and, if in T_j, within delta
+    of line_j, so T_j holds at most the share of t with core_i(t) within
+    2 delta of line_j (`_line_share`).  Block k of 2^21 / samples_per_pair
+    prefiltered pairs draws for all of them from make_rng(seed, k), so a
+    sampled pair sees the same samples whatever the bound clears;
+    n_sampled counts the pairs sampled.
 
     Direction separation by delta does not by itself keep a pair below
     the half-volume line: two length-1 tubes through a common point
@@ -110,36 +130,40 @@ def essentially_distinct_check(
     B = A + L[:, None] * W
     cut = 2.0 * fam.delta + 1e-12
 
-    # Core-distance prefilter, in row blocks of at most 2^18 pairs (or one
+    # Prefilter and line bound, in row blocks of at most 2^18 pairs (or one
     # row): each pair costs a few hundred bytes of (pairs, dim) temporaries.
-    keep = []
+    keep, live = [], []
     block_rows = max(1, (1 << 18) // max(n, 1))
     for i0 in range(0, n, block_rows):
         rows = np.arange(i0, min(i0 + block_rows, n))
         ii, jj = np.nonzero(np.arange(n) > rows[:, None])  # pairs i < j, row-major
         ii += i0
         near = _segment_distance_batch(A[ii], B[ii], A[jj], B[jj]) <= cut
-        keep.append(np.stack((ii[near], jj[near])))
+        ii, jj = ii[near], jj[near]
+        keep.append(np.stack((ii, jj)))
+        live.append(_line_share(A[ii], W[ii], L[ii], A[jj], W[jj], cut) > 0.5 - 1e-9)
     I, J = np.concatenate(keep, axis=1)
+    live = np.concatenate(live)
 
     flagged = []
     S = samples_per_pair
     pair_block = max(1, (1 << 21) // max(S, 1))
     for bidx, p0 in enumerate(range(0, len(I), pair_block)):
-        bi = I[p0 : p0 + pair_block]
-        bj = J[p0 : p0 + pair_block]
+        m = live[p0 : p0 + pair_block]
+        bi, bj = I[p0 : p0 + pair_block][m], J[p0 : p0 + pair_block][m]
         rng = make_rng(seed, bidx)
-        t = rng.uniform(0.0, 1.0, size=(len(bi), S)) * L[bi][:, None]
+        size = (len(m), S)
+        t = rng.uniform(0.0, 1.0, size=size)[m] * L[bi][:, None]
         # Per-axis (pairs, S) coordinates of points sampled in tube i.
         pts = [a[:, None] + t * w[:, None] for a, w in zip(A[bi].T, W[bi].T)]
         if d == 2:
             (e1,) = _perp_frame(W[bi])
-            r = fam.delta * rng.uniform(-1.0, 1.0, size=(len(bi), S))
+            r = fam.delta * rng.uniform(-1.0, 1.0, size=size)[m]
             pts = [p + r * e[:, None] for p, e in zip(pts, e1.T)]
         else:
             e1, e2 = _perp_frame(W[bi])
-            rad = fam.delta * np.sqrt(rng.uniform(0.0, 1.0, size=(len(bi), S)))
-            ang = rng.uniform(0.0, 2.0 * math.pi, size=(len(bi), S))
+            rad = fam.delta * np.sqrt(rng.uniform(0.0, 1.0, size=size)[m])
+            ang = rng.uniform(0.0, 2.0 * math.pi, size=size)[m]
             x, y = rad * np.cos(ang), rad * np.sin(ang)
             pts = [p + x * u[:, None] + y * v[:, None]
                    for p, u, v in zip(pts, e1.T, e2.T)]
@@ -152,7 +176,7 @@ def essentially_distinct_check(
             flagged.append(
                 PairOverlap(int(bi[k]), int(bj[k]), float(phat[k]), float(se[k]))
             )
-    return DistinctReport(n * (n - 1) // 2, len(I), S, tuple(flagged))
+    return DistinctReport(n * (n - 1) // 2, int(live.sum()), S, tuple(flagged))
 
 
 @dataclass(frozen=True)

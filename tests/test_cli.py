@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -365,6 +366,18 @@ class TestDimInputs:
         rows = out.read_text().splitlines()
         assert rows[0] == "delta,volume,ratio"
         assert len(rows) == 5
+
+    def test_prints_the_scales_the_fit_used(self, tmp_path, capsys):
+        # The fit drops one scale at each end: of 2^-3..2^-6 it uses
+        # 2^-4 and 2^-5, and says so.
+        tree_path = tmp_path / "t.json"
+        assert dispatch(["perron", "--m", "4", "--out", str(tree_path)]) == 0
+        capsys.readouterr()
+        assert dispatch(["dim", "--in", str(tree_path), "--deltas", "2^-3..2^-6",
+                         "--out", str(tmp_path / "d.csv")]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^dimension \d\.\d{3} over deltas \[0\.0625, 0\.03125\], ",
+                         out, re.M)
 
     def test_reads_family_json(self, tmp_path):
         fam_path = tmp_path / "fam.json"

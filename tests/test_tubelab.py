@@ -1,5 +1,6 @@
 """Tube family construction, volume estimation, and structural checks."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -39,6 +40,8 @@ from kakeyalab.tubelab import (
 from kakeyalab.tubelab import checks, generate
 from kakeyalab.tubelab.checks import _prism_count
 
+from distinct_oracle import essentially_distinct_check as oracle_distinct_check
+
 
 def prism_count(prism: Prism, *tubes: Tube) -> int:
     """Tubes wholly inside the prism, counted by the Wolff check's kernel."""
@@ -54,27 +57,33 @@ def overlap_fraction(t1: Tube, t2: Tube, n: int, seed: int) -> float:
     Deliberately shares no code with the library check: PCG stream,
     square-then-reject disc sampling, scalar membership arithmetic.
     """
-    assert t1.dim == 3
     rng = np.random.default_rng(seed)
     w = np.asarray(t1.omega)
-    seed_axis = np.zeros(3)
-    seed_axis[np.argmin(np.abs(w))] = 1.0
-    e1 = seed_axis - (seed_axis @ w) * w
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(w, e1)
-    kept = []
-    while sum(len(k) for k in kept) < n:
-        xy = rng.uniform(-t1.delta, t1.delta, size=(2 * n, 2))
-        kept.append(xy[np.einsum("ij,ij->i", xy, xy) <= t1.delta**2])
-    xy = np.concatenate(kept)[:n]
+    if t1.dim == 2:
+        frame = [np.array([-w[1], w[0]])]
+        xy = rng.uniform(-t1.delta, t1.delta, size=(n, 1))
+    else:
+        seed_axis = np.zeros(3)
+        seed_axis[np.argmin(np.abs(w))] = 1.0
+        e1 = seed_axis - (seed_axis @ w) * w
+        e1 /= np.linalg.norm(e1)
+        frame = [e1, np.cross(w, e1)]
+        kept = []
+        while sum(len(k) for k in kept) < n:
+            xy = rng.uniform(-t1.delta, t1.delta, size=(2 * n, 2))
+            kept.append(xy[np.einsum("ij,ij->i", xy, xy) <= t1.delta**2])
+        xy = np.concatenate(kept)[:n]
     t = rng.uniform(0.0, t1.length, size=n)
-    pts = (
-        np.asarray(t1.a)
-        + t[:, None] * w
-        + xy[:, :1] * e1
-        + xy[:, 1:] * e2
-    )
+    pts = np.asarray(t1.a) + t[:, None] * w
+    for k, e in enumerate(frame):
+        pts = pts + xy[:, k : k + 1] * e
     return float(points_in_tube(pts, t2).mean())
+
+
+def line_share(t1: Tube, t2: Tube) -> float:
+    """The distinct check's bound on the share of t1 inside t2."""
+    rows = [np.array([v]) for v in (t1.a, t1.omega, t1.length, t2.a, t2.omega)]
+    return float(checks._line_share(*rows, 2.0 * t1.delta + 1e-12)[0])
 
 
 def make_dyadic_fixture(delta: float) -> TubeFamily:
@@ -611,8 +620,11 @@ class TestEssentiallyDistinct:
             Tube(2, [-0.5, 0], [1, 0], delta),
             Tube(2, [0, -0.5], [0, 1], delta),
         )
+        # Line 2 stays within 2 delta of core 1 for 4 delta of its unit
+        # length, so the line bound clears the pair without sampling.
+        assert line_share(*tubes) == pytest.approx(4 * delta)
         rep = essentially_distinct_check(TubeFamily(delta, tubes), 256, seed=1)
-        assert rep.n_sampled == 1 and rep.ok
+        assert rep.n_sampled == 0 and rep.ok
 
     def test_shared_anchor_minimal_separation_flagged(self):
         # Direction separation alone does not cap pairwise overlap: two
@@ -649,7 +661,9 @@ class TestEssentiallyDistinct:
         # sampler moved to per-axis arrays and the shared tube kernel.
         fam = TubeFamily(1 / 8, parallel_lines_family(1 / 8).tubes[:10])
         rep = essentially_distinct_check(fam, samples_per_pair=1 << 16, seed=4)
-        assert rep.n_sampled == 45
+        # All 45 pairs pass the core-distance prefilter and fill the two
+        # blocks; the line bound clears 7 of them before sampling.
+        assert rep.n_sampled == 38
         assert [(p.i, p.j, p.estimate) for p in rep.flagged] == [
             (0, 1, 0.6889190673828125), (0, 8, 0.688385009765625),
             (1, 2, 0.695526123046875), (1, 8, 0.6954803466796875),
@@ -679,6 +693,98 @@ class TestEssentiallyDistinct:
             assert est > 0.4
             confirmed += est > 0.5
         assert confirmed >= 0.9 * len(flags)
+
+
+class TestDistinctAgainstOracle:
+    """The line bound only skips work: every flag, estimate and standard
+    error equals the unbounded sampler's (`tests/distinct_oracle.py`)."""
+
+    CASES = {
+        "parallel-1/8": (lambda: parallel_lines_family(1 / 8), 1024, (0, 1, 2, 3)),
+        "parallel-1/16": (lambda: parallel_lines_family(1 / 16), 256, (0, 1, 2)),
+        "parallel-1/32": (lambda: parallel_lines_family(1 / 32), 64, (2, 3)),
+        "random-3d": (lambda: generate_family(1 / 8, 3, "random", seed=5), 64, (0, 1, 2)),
+        "bush-2d": (lambda: generate_family(2.0 ** -6, 2, "bush"), 256, (0, 1, 2)),
+        "random-2d": (lambda: generate_family(2.0 ** -6, 2, "random", seed=7), 64, (0, 1, 2)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_flags_equal_oracle(self, case):
+        make, samples, seeds = self.CASES[case]
+        fam = make()
+        for seed in seeds:
+            got = essentially_distinct_check(fam, samples, seed)
+            want = oracle_distinct_check(fam, samples, seed)
+            key = [(p.i, p.j, p.estimate, p.std_error) for p in got.flagged]
+            assert key == [(p.i, p.j, p.estimate, p.std_error) for p in want.flagged]
+            assert got.n_pairs == want.n_pairs
+            assert got.n_sampled <= want.n_sampled
+
+
+class TestLineBound:
+    """A pair the distinct check clears without sampling never overlaps
+    by more than half, checked by an independent sampler."""
+
+    LIMIT = 0.5 + 5 * 0.5 / math.sqrt(4096)  # 1/2 + 5 sigma at 4096 samples
+
+    @staticmethod
+    def cleared_overlaps(fam, seed):
+        """Sampled overlap of each ordered pair within 2 delta that a
+        two-tube distinct check does not sample."""
+        out = []
+        for k, (ti, tj) in enumerate(itertools.permutations(fam.tubes, 2)):
+            if segment_distance(ti.a, ti.b, tj.a, tj.b) > 2 * fam.delta:
+                continue
+            if essentially_distinct_check(TubeFamily(fam.delta, (ti, tj))).n_sampled:
+                continue
+            out.append(overlap_fraction(ti, tj, 4096, seed * 100_003 + k))
+        return np.array(out)
+
+    @staticmethod
+    def clustered(dim, delta, seed):
+        """24 tubes of lengths 1/2..3/2 along nearly the same line."""
+        rng = np.random.default_rng(seed)
+        tubes = []
+        for _ in range(24):
+            w = np.eye(dim)[0] + 2 * delta * rng.normal(size=dim)
+            a = 0.6 * delta * rng.normal(size=dim) - rng.uniform(0, 0.3) * w
+            tubes.append(Tube(dim, a, w / np.linalg.norm(w), delta,
+                              rng.uniform(0.5, 1.5)))
+        return TubeFamily(delta, tuple(tubes))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_randomized_families(self, dim, seed):
+        fams = [self.clustered(dim, 1 / 16, seed),
+                generate_family(1 / 8 if dim == 2 else 1 / 4, dim, "random", seed=seed)]
+        for fam in fams:
+            over = self.cleared_overlaps(fam, seed)
+            assert len(over) > 0 and over.max() <= self.LIMIT
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_parallel_and_near_parallel_pairs(self, dim):
+        # Parallel cores 0..2 delta apart, some shifted along the axis, and
+        # cores crossing at angles of 1..4 delta at several positions.
+        delta = 1 / 16
+        ex, side = np.eye(dim)[0], np.eye(dim)[1]
+        skew = np.eye(dim)[-1] if dim == 3 else 0 * ex
+        tubes = [Tube(dim, 0 * ex, ex, delta)]
+        for off in (0.0, 0.3, 0.6, 1.0, 1.4, 1.8, 2.0):
+            for shift in (0.0, 0.3, 0.6):
+                tubes.append(Tube(dim, shift * ex + off * delta * side, ex, delta))
+        for turn in (1.0, 2.0, 4.0):
+            w = ex + turn * delta * side
+            w /= np.linalg.norm(w)
+            for at in (0.2, 0.35, 0.5, 0.65, 0.8, 1.1):
+                for lift in (0.0, 0.5):
+                    a = at * ex + lift * delta * skew - 1.5 * w
+                    tubes.append(Tube(dim, a, w, delta, 3.0))
+        fam = TubeFamily(delta, tuple(tubes))
+        over = self.cleared_overlaps(fam, dim)
+        assert over.max() <= self.LIMIT
+        # The set is not vacuous: many of its pairs overlap by more.
+        every = [overlap_fraction(tubes[0], t, 4096, k) for k, t in enumerate(tubes[1:])]
+        assert sum(o > self.LIMIT for o in every) >= 10
 
 
 class TestWolff:
