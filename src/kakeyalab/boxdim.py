@@ -7,14 +7,25 @@ tube with round end caps (a capsule), not of the capless tube that
 tubelab's `in_tube` tests, so it keeps its own distance test; the caps
 add at most a (delta + d)-ball per tube end.  A point cloud is measured
 by the same test as zero-length segments of width 0: a cell counts when
-its centre lies within d of a point.  A region is filled by scanline
-winding, strip by strip, so overlapping polygons count once (their
-union, not their parity), with its outline stamped in, then dilated by
-the digital disc of radius d.  That overstates the band N_dK minus K by
-about 11-13% of the band's area at every scale: on the unit square it
-gives 1.1436 where the exact 1 + 4d + pi d^2 is 1.1281 at d = 2^-5,
-and 1.00220 against 1.00195 at d = 2^-11.  The bias is about the same
-fraction at every scale, so it cancels in the fitted slope.
+its centre lies within d of a point.  A capsule is convex, so it meets
+each grid line along x (one per row, and per slice in 3-D) in one
+interval: the union of the cylinder's chord, a quadratic in x cut to
+the segment's span, and the two end balls' chords.  Each (tube, line)
+pair adds that interval to a per-strip difference array, so the fill
+costs lines x tubes, not bounding-box cells.  The closed form is
+trusted only for cell centres more than a margin (1e-9 of the
+coordinate scale) inside or outside it; the cells at each end are
+decided by the distance test itself, t = clip((g - a).w, 0, len) and
+|g - a - t w|^2 <= (delta + d)^2, so the count is that test's count.
+
+A region is filled by scanline winding, strip by strip, so overlapping
+polygons count once (their union, not their parity), with its outline
+stamped in, then dilated by the digital disc of radius d.  That
+overstates the band N_dK minus K by about 11-13% of the band's area at
+every scale: on the unit square it gives 1.1436 where the exact
+1 + 4d + pi d^2 is 1.1281 at d = 2^-5, and 1.00220 against 1.00195 at
+d = 2^-11.  The bias is about the same fraction at every scale, so it
+cancels in the fitted slope.
 
 The log-log slope of those volumes against d gives the Minkowski
 dimension, and the same curve feeds the discretized lower bound
@@ -42,11 +53,17 @@ __all__ = [
     "neighborhood_volume_curve",
 ]
 
-# Grid caps: the per-segment test holds the whole grid; the region fill
-# only strips of about _STRIP_CELLS cells, so its cap bounds the work.
+# Grid caps.  Both fills hold one strip of the grid at a time, so the
+# caps bound work, not memory.  The capsule fill's strips and span blocks
+# are small: transients of a few MiB come from the heap once the region
+# fill has raised malloc's mmap threshold, and linger there as resident
+# growth (+7 MiB at the analysis benchmark's next Fefferman peak with
+# 2^22-cell strips and 2^14-span blocks).
 _MAX_CELLS = 1 << 27
 _SCAN_CELLS = 1 << 31
 _STRIP_CELLS = 1 << 22
+_LINE_STRIP_CELLS = 1 << 18
+_SPAN_BLOCK = 1 << 13
 # Grid pitch is delta / _CELL_FACTOR.
 _CELL_FACTOR = 4.0
 
@@ -94,12 +111,19 @@ class DimensionEstimate:
     """Least-squares Minkowski dimension with its fit residual.
 
     delta_range records the (coarsest, finest) scales the fit used
-    after dropping one scale at each end.
+    after dropping one scale at each end.  local_slopes holds ambient
+    minus the log-log slope between each pair of neighbouring scales of
+    the whole curve, coarsest first.  uncertainty is the slope's
+    least-squares standard error when the fit uses 3 or more scales;
+    with 2 the fit is a single local slope, so it is half the range of
+    local_slopes instead.
     """
 
     dimension: float
     residual: float
     delta_range: tuple[float, float]
+    local_slopes: tuple[float, ...]
+    uncertainty: float
 
 
 @dataclass(frozen=True)
@@ -133,6 +157,12 @@ def _axes(lo: np.ndarray, hi: np.ndarray, cell: float,
             f"analysis grid would need {int(np.prod(counts))} cells; "
             "use coarser deltas")
     return lo, counts
+
+
+def _grid(pts, reach, cell, cap):
+    """Origin and cell counts of the grid over pts padded by reach + cell."""
+    pad = reach + cell
+    return _axes(pts.min(axis=0) - pad, pts.max(axis=0) + pad, cell, cap)
 
 
 def _window(lo, counts, cell, wlo, whi):
@@ -177,10 +207,7 @@ def _spans(first, count):
 
 
 def _region_volume(polys, bedges, delta, cell):
-    verts = np.vstack(polys)
-    pad = delta + cell
-    lo, counts = _axes(verts.min(axis=0) - pad, verts.max(axis=0) + pad, cell,
-                       cap=_SCAN_CELLS)
+    lo, counts = _grid(np.vstack(polys), delta, cell, _SCAN_CELLS)
     nx, ny = int(counts[0]), int(counts[1])
     # Non-horizontal edges and the rows whose centres each may cross; a
     # CCW edge crossing a row downward adds 1 to the winding count, upward -1.
@@ -241,25 +268,120 @@ def _region_volume(polys, bedges, delta, cell):
     return float(total) * cell ** 2
 
 
+def _chord(centre, q2, rr2):
+    """Ends of {u : (u - centre)^2 + q2 <= rr2}, or (inf, -inf) where empty."""
+    h = np.sqrt(np.maximum(rr2 - q2, 0.0))
+    hit = q2 <= rr2
+    return np.where(hit, centre - h, np.inf), np.where(hit, centre + h, -np.inf)
+
+
+def _line_chords(da, db, ub, w, length, radii):
+    """Where lines along x meet capsules, in u = x - a[0], per radius.
+
+    Line k is a[k] + (u, da[k]), and also b[k] + (u - ub[k], db[k]) for
+    the far end b[k] = a[k] + length[k] w[k].  Each interval is the union
+    of the cylinder's chord, a quadratic in u cut to the segment's span
+    0 <= u w0 + qe <= length, and the two end balls' chords; pieces that
+    miss are dropped first, and a line that misses all gets (inf, -inf).
+    """
+    e0 = w[:, 0]
+    qa2 = sum(d * d for d in da)
+    qb2 = sum(d * d for d in db)
+    qe = sum(d * w[:, m] for m, d in enumerate(da, 1))
+    alpha = sum(w[:, m] ** 2 for m in range(1, w.shape[1]))
+    cross2 = (da[0] * w[:, 2] - da[1] * w[:, 1]) ** 2 if len(da) == 2 else 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        uc = e0 * qe / alpha
+        ta, tb = -qe / e0, (length - qe) / e0
+    tl = np.where(e0 > 0, ta, np.where(e0 < 0, tb, -np.inf))
+    th = np.where(e0 > 0, tb, np.where(e0 < 0, ta, np.inf))
+    cyl = (length > 0) & ((e0 != 0) | ((qe >= 0) & (qe <= length)))
+    tilted = alpha > 0
+    out = []
+    for rr in radii:
+        rr2 = rr * rr
+        D = alpha * rr2 - cross2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = np.sqrt(np.maximum(D, 0.0)) / alpha
+        c_lo = np.where(tilted, np.maximum(uc - h, tl), tl)
+        c_hi = np.where(tilted, np.minimum(uc + h, th), th)
+        hit = cyl & (c_lo <= c_hi) & np.where(tilted, D >= 0, qa2 - qe * qe <= rr2)
+        (a_lo, a_hi), (b_lo, b_hi) = _chord(0.0, qa2, rr2), _chord(ub, qb2, rr2)
+        out.append((np.minimum(np.minimum(a_lo, b_lo), np.where(hit, c_lo, np.inf)),
+                    np.maximum(np.maximum(a_hi, b_hi), np.where(hit, c_hi, -np.inf))))
+    return out
+
+
 def _capsule_volume(A: np.ndarray, W: np.ndarray, lengths: np.ndarray,
                     reach: float, cell: float) -> float:
     """Volume of the cells whose centres lie within reach of a segment
     A[i] + t W[i], 0 <= t <= lengths[i]."""
     dim = A.shape[1]
     B = A + lengths[:, None] * W
-    ends = np.vstack([A, B])
+    lo, counts = _grid(np.vstack([A, B]), reach, cell, _MAX_CELLS)
     pad = reach + cell
-    lo, counts = _axes(ends.min(axis=0) - pad, ends.max(axis=0) + pad, cell)
-    occ = np.zeros(tuple(counts), dtype=bool)
+    w0, w1 = _window(lo, counts, cell, np.minimum(A, B) - pad, np.maximum(A, B) + pad)
+    nx, ny = int(counts[0]), int(counts[1])
+    nz = int(counts[2]) if dim == 3 else 1
+    # The closed form decides only cell centres more than margin inside
+    # (or outside) the capsule; margin dwarfs its rounding error.
+    margin = 1e-9 * (float(np.abs(np.concatenate([lo, lo + counts * cell])).max()) + reach)
+    radii = [reach + margin] + ([reach - margin] if reach > margin else [])
     r2 = reach * reach
-    for a, w, length, b in zip(A, W, lengths, B):
-        i0, i1 = _window(lo, counts, cell, np.minimum(a, b) - pad, np.maximum(a, b) + pad)
-        axes = [lo[k] + (np.arange(i0[k], i1[k]) + 0.5) * cell for k in range(dim)]
-        grids = np.meshgrid(*axes, indexing="ij", sparse=True)
-        t = np.clip(sum((g - c) * e for g, c, e in zip(grids, a, w)), 0.0, length)
-        dist2 = sum((g - c - t * e) ** 2 for g, c, e in zip(grids, a, w))
-        occ[tuple(map(slice, i0, i1))] |= dist2 <= r2
-    return float(occ.sum()) * cell ** dim
+    # Lines run along x, one per (y row, z slice); a strip of y rows holds
+    # an int32 difference array of about _LINE_STRIP_CELLS cells.
+    rows, total = max(1, _LINE_STRIP_CELLS // ((nx + 1) * nz)), 0
+    for s0 in range(0, ny, rows):
+        s1 = min(s0 + rows, ny)
+        first = np.maximum(w0[:, 1], s0)
+        nrow = np.maximum(np.minimum(w1[:, 1], s1) - first, 0)
+        cum = np.cumsum(nrow * (w1[:, 2] - w0[:, 2]) if dim == 3 else nrow)
+        cuts = np.searchsorted(cum, np.arange(_SPAN_BLOCK, cum[-1], _SPAN_BLOCK), side="right")
+        groups = np.unique(np.concatenate([[0], cuts, [len(cum)]]))
+        diff = np.zeros((s1 - s0) * nz * (nx + 1), dtype=np.int32)
+        for g0, g1 in zip(groups[:-1], groups[1:]):
+            # one span per (tube, line) pair, about _SPAN_BLOCK of them
+            t, j = _spans(first[g0:g1], nrow[g0:g1])
+            t = t + g0
+            if dim == 3:
+                s, k = _spans(w0[t, 2], w1[t, 2] - w0[t, 2])
+                t, j = t[s], j[s]
+                line = (j - s0) * nz + k
+                g = [lo[1] + (j + 0.5) * cell, lo[2] + (k + 0.5) * cell]
+            else:
+                line = j - s0
+                g = [lo[1] + (j + 0.5) * cell]
+            da = [gm - A[t, m] for m, gm in enumerate(g, 1)]
+            db = [gm - B[t, m] for m, gm in enumerate(g, 1)]
+            fa = (A[t, 0] - lo[0]) / cell - 0.5
+            ends = [(np.ceil(np.clip(fa + u_lo / cell, -1, nx)).astype(np.int64),
+                     np.floor(np.clip(fa + u_hi / cell, -1, nx)).astype(np.int64))
+                    for u_lo, u_hi in _line_chords(da, db, B[t, 0] - A[t, 0], W[t],
+                                                   lengths[t], radii)]
+            # outer cells [o0, o1], trusted inner cells [n0, n1]
+            (o0, o1), (n0, n1) = ends if len(ends) == 2 else (ends[0], (nx, -1))
+            o0, o1 = np.maximum(o0, w0[t, 0]), np.minimum(o1, w1[t, 0] - 1)
+            o1 = np.maximum(o1, o0 - 1)
+            n0, n1 = np.maximum(n0, o0), np.minimum(n1, o1)
+            empty = n0 > n1
+            n0, n1 = np.where(empty, o1 + 1, n0), np.where(empty, o1, n1)
+            # the cells of [o0, n0) and (n1, o1] are decided by the
+            # distance test itself, its axes summed in the same order
+            sl, il = _spans(o0, n0 - o0)
+            sr, ir = _spans(n1 + 1, o1 - n1)
+            s, i = np.concatenate([sl, sr]), np.concatenate([il, ir])
+            ts = t[s]
+            d = [lo[0] + (i + 0.5) * cell - A[ts, 0]] + [dm[s] for dm in da]
+            tp = np.clip(sum(dm * W[ts, m] for m, dm in enumerate(d)), 0.0, lengths[ts])
+            near = sum((dm - tp * W[ts, m]) ** 2 for m, dm in enumerate(d)) <= r2
+            cells = line[s][near] * (nx + 1) + i[near]
+            base = line[~empty] * (nx + 1)
+            up = np.concatenate([base + n0[~empty], cells])
+            down = np.concatenate([base + n1[~empty] + 1, cells + 1])
+            # int32 steps like diff's: a scalar step misses add.at's fast path
+            np.add.at(diff, np.concatenate([up, down]), np.repeat(np.int32([1, -1]), len(up)))
+        total += int(np.count_nonzero(np.cumsum(diff, out=diff)))
+    return float(total) * cell ** dim
 
 
 def neighborhood_volume_curve(shape, deltas) -> BoxCountCurve:
@@ -281,6 +403,7 @@ def neighborhood_volume_curve(shape, deltas) -> BoxCountCurve:
     if isinstance(shape, Region2):
         polys = _float_polygons(shape)
         bedges = _boundary_edges(shape, polys)
+        pts, width, cap = np.vstack(polys), 0.0, _SCAN_CELLS
         jobs = [(lambda d=d: _region_volume(polys, bedges, d, d / _CELL_FACTOR))
                 for d in ds]
     else:
@@ -296,9 +419,13 @@ def neighborhood_volume_curve(shape, deltas) -> BoxCountCurve:
             if not np.all(np.isfinite(A)):
                 raise DimError("point cloud must be finite")
             W, lengths, width = np.zeros_like(A), np.zeros(len(A)), 0.0
+        pts, cap = np.vstack([A, A + lengths[:, None] * W]), _MAX_CELLS
         jobs = [(lambda d=d: _capsule_volume(A, W, lengths, width + d, d / _CELL_FACTOR))
                 for d in ds]
 
+    # every scale is admitted before any is filled
+    for d in ds:
+        _grid(pts, width + d, d / _CELL_FACTOR, cap)
     vols = map_ordered(lambda job: job(), jobs)
     return BoxCountCurve(tuple(zip(ds, vols)))
 
@@ -318,9 +445,18 @@ def minkowski_estimate(curve: BoxCountCurve, ambient: int) -> DimensionEstimate:
     x = np.log([d for d, _ in used])
     y = np.log([v for _, v in used])
     slope, intercept = np.polyfit(x, y, 1)
-    residual = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+    res = y - (slope * x + intercept)
+    residual = float(np.sqrt(np.mean(res ** 2)))
     dimension = min(max(ambient - float(slope), 0.0), float(ambient))
-    return DimensionEstimate(dimension, residual, (used[0][0], used[-1][0]))
+    lx, ly = np.log(curve.deltas), np.log(curve.volumes)
+    local = tuple(float(ambient - s) for s in np.diff(ly) / np.diff(lx))
+    if len(used) >= 3:
+        spread = math.sqrt(float(res @ res) / (len(used) - 2)
+                           / float(((x - x.mean()) ** 2).sum()))
+    else:
+        spread = (max(local) - min(local)) / 2
+    return DimensionEstimate(dimension, residual, (used[0][0], used[-1][0]),
+                             local, spread)
 
 
 def kakeya_bound_check(curve: BoxCountCurve, epsilon: float) -> KakeyaBoundReport:

@@ -337,7 +337,9 @@ def _cmd_dim(args) -> RunResult:
     text, nans = emit_report(rows, _DIM_SCHEMA)
     _write_text(args.out, text)
     lo, hi = est.delta_range
+    slopes = ", ".join(f"{s:.3f}" for s in est.local_slopes)
     print(f"dimension {est.dimension:.3f} over deltas [{lo:g}, {hi:g}], "
+          f"+- {est.uncertainty:.3f} (local slopes {slopes}), "
           f"c_eps {bound.c_epsilon:.3f} -> {args.out}")
     check = None
     if args.check:

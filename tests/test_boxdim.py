@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from capsule_fill_oracle import capsule_volume as oracle_capsule_volume
 from region_fill_oracle import region_volume as oracle_region_volume
 
 from kakeyalab import boxdim
+from kakeyalab.cli.main import dispatch
 from kakeyalab.boxdim import (
     BoxCountCurve,
     DimError,
@@ -25,7 +27,8 @@ from kakeyalab.exactgeom.primitives import Point2
 from kakeyalab.exactgeom.region import Region2
 from kakeyalab.exactgeom.scalar import ExactScalar
 from kakeyalab.perron import PerronSpec, build_perron_tree
-from kakeyalab.tubelab.generate import parallel_lines_family
+from kakeyalab.tubelab.core import family_to_json
+from kakeyalab.tubelab.generate import generate_family, parallel_lines_family
 
 
 def rational_point(x, y):
@@ -178,6 +181,46 @@ class TestMinkowski:
         curve = BoxCountCurve(tuple((d, d ** 3) for d in ds))
         assert minkowski_estimate(curve, 2).dimension == 0.0
 
+    @pytest.mark.parametrize("name", ["square", "segment", "cantor"])
+    def test_error_bar_from_local_slopes(self, name):
+        # the local slopes are known: they climb to 2 on the square and
+        # to 1 on the segment from below (the stadium's curvature), and
+        # sit near 1 + log 2 / log 3 on Cantor x [0, 1] at 3-adic scales
+        if name == "cantor":
+            shape = Region2([
+                [rational_point(a, 0), rational_point(b, 0),
+                 rational_point(b, 1), rational_point(a, 1)]
+                for a, b in cantor_intervals(10)])
+            ds = [3.0 ** -k for k in range(2, 8)]
+        else:
+            shape = unit_square() if name == "square" else np.column_stack(
+                [np.linspace(0, 1, 1 << 13), np.zeros(1 << 13)])
+            ds = [2.0 ** -k for k in range(3, 10)]
+        curve = neighborhood_volume_curve(shape, ds)
+        est = minkowski_estimate(curve, 2)
+        local = np.array(est.local_slopes)
+        assert len(local) == len(curve) - 1
+        if name == "cantor":
+            assert np.all(np.abs(local - (1 + math.log(2) / math.log(3))) < 0.045)
+        else:
+            target = 2.0 if name == "square" else 1.0
+            assert np.all(np.diff(local) > 0) and np.all(local < target)
+            assert local[-1] > target - 0.015
+        # 3+ fitted scales: the least-squares standard error of the slope
+        x = np.log(curve.deltas[1:-1])
+        y = np.log(curve.volumes[1:-1])
+        coef, cov = np.polyfit(x, y, 1, cov="unscaled")
+        ssr = float(((y - np.polyval(coef, x)) ** 2).sum())
+        assert est.uncertainty == pytest.approx(math.sqrt(ssr / (len(x) - 2) * cov[0, 0]))
+        assert 0.0 < est.uncertainty < 0.02
+        # a 4-scale curve fits 2 scales, one local slope: the error bar
+        # is half the range of the three local slopes instead
+        short = minkowski_estimate(BoxCountCurve(curve.entries[:4]), 2)
+        assert short.local_slopes == pytest.approx(est.local_slopes[:3], abs=1e-12)
+        assert short.dimension == pytest.approx(short.local_slopes[1], abs=1e-12)
+        assert short.uncertainty == pytest.approx(
+            (max(short.local_slopes) - min(short.local_slopes)) / 2, abs=1e-12)
+
     def test_validation(self):
         ds = [2.0 ** -k for k in range(3, 6)]
         short = BoxCountCurve(tuple((d, d) for d in ds))
@@ -318,3 +361,140 @@ class TestStripFill:
     def test_random_lattice_polygons(self, region):
         with pytest.MonkeyPatch.context() as monkeypatch:
             self.assert_same_as_oracle(region, [1 / 4, 1 / 8, 1 / 13], monkeypatch)
+
+
+def capsule_arrays(fam):
+    return (np.array([t.a for t in fam.tubes]), np.array([t.omega for t in fam.tubes]),
+            np.array([t.length for t in fam.tubes]))
+
+
+def random_segments(seed, dim, kind):
+    """1-30 segments from [-1, 1]^dim: in general position, along an
+    axis, on a 1/8 lattice (grid rows then lie exactly a reach away),
+    within 1e-17..1e-3 of the x axis, half of them of zero length, or
+    bare points (zero direction and length, as point clouds are)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 31))
+    A = rng.uniform(-1, 1, (n, dim))
+    W = rng.normal(size=(n, dim))
+    L = rng.uniform(0, 1.5, n)
+    if kind in ("axis", "lattice"):
+        W = np.zeros((n, dim))
+        W[np.arange(n), rng.integers(0, dim, n)] = rng.choice([-1.0, 1.0], n)
+    if kind == "lattice":
+        A, L = np.round(A * 8) / 8, np.round(L * 8) / 8
+    if kind == "near-axis":
+        W[:, 0] = 1.0
+        W[:, 1:] *= 10.0 ** rng.uniform(-17, -3, (n, 1))
+    W /= np.linalg.norm(W, axis=1)[:, None]
+    if kind == "zero-length":
+        L[rng.random(n) < 0.5] = 0.0
+    if kind == "points":
+        W[:], L[:] = 0.0, 0.0
+    return A, W, L
+
+
+class TestCapsuleFill:
+    """The row-span fill against the per-tube box oracle, count for count."""
+
+    def assert_same_as_oracle(self, A, W, L, width, deltas):
+        for d in deltas:
+            cell = d / boxdim._CELL_FACTOR
+            assert (boxdim._capsule_volume(A, W, L, width + d, cell)
+                    == oracle_capsule_volume(A, W, L, width + d, cell))
+
+    def test_analysis_bush(self):
+        fam = generate_family(2.0 ** -8, 2, "bush", seed=11)
+        self.assert_same_as_oracle(*capsule_arrays(fam), fam.delta,
+                                   [2.0 ** -k for k in range(5, 8)])
+
+    def test_generated_families(self, monkeypatch):
+        # the package's sizes, then strips of 2^13 cells (a few grid rows)
+        # and blocks of 499 spans, so every family is cut across strips
+        # and span blocks
+        for strip, block in ((boxdim._LINE_STRIP_CELLS, boxdim._SPAN_BLOCK), (1 << 13, 499)):
+            monkeypatch.setattr(boxdim, "_LINE_STRIP_CELLS", strip)
+            monkeypatch.setattr(boxdim, "_SPAN_BLOCK", block)
+            for fam, deltas in (
+                    (generate_family(2.0 ** -5, 2, "bush", seed=0), [2.0 ** -k for k in range(3, 7)]),
+                    (generate_family(2.0 ** -5, 2, "random", seed=1), [2.0 ** -k for k in range(3, 6)]),
+                    (generate_family(2.0 ** -3, 3, "random", seed=2), [0.3, 0.2]),
+                    (generate_family(2.0 ** -3, 3, "bush", seed=3), [0.3, 0.2]),
+                    (parallel_lines_family(1 / 8), [0.25, 0.125])):
+                self.assert_same_as_oracle(*capsule_arrays(fam), fam.delta, deltas)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize(
+        "kind", ["general", "axis", "lattice", "near-axis", "zero-length", "points"])
+    def test_random_segments(self, dim, kind):
+        for seed in range(6):
+            A, W, L = random_segments(seed, dim, kind)
+            for cell, reach in ((1 / 16, 1 / 8), (1 / 32, 0.1), (1 / 40, 0.05)):
+                assert (boxdim._capsule_volume(A, W, L, reach, cell)
+                        == oracle_capsule_volume(A, W, L, reach, cell)), (seed, cell)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_cell_centres_on_the_wall(self, dim):
+        # Each segment is placed so that one cell centre lies a rounding
+        # error from its side wall or its start cap; a zero-length
+        # segment at the origin pins the grid.  The closed form alone
+        # (no margin) and the distance test summed in another axis order
+        # both miscount some of these cells.
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            for reach, cell in ((0.1, 1 / 32), (0.07, 1 / 64), (1 / 3, 0.1)):
+                n = 100
+                g = -(reach + cell) + (rng.integers(int(2.0 / cell), int(2.4 / cell),
+                                                    (n, dim)) + 0.5) * cell
+                e, v = rng.normal(size=(2, n, dim))
+                e /= np.linalg.norm(e, axis=1)[:, None]
+                v /= np.linalg.norm(v, axis=1)[:, None]
+                side = v - (v * e).sum(axis=1)[:, None] * e
+                side /= np.linalg.norm(side, axis=1)[:, None]
+                cap = v * np.sign((v * e).sum(axis=1))[:, None]
+                s = rng.uniform(0.1, 0.3, (n, 1))
+                A = np.where(rng.random((n, 1)) < 0.5, g + reach * side - s * e, g + reach * cap)
+                A, W = np.vstack([np.zeros(dim), A]), np.vstack([np.zeros(dim), e])
+                L = np.concatenate([[0.0], rng.uniform(0.4, 0.6, n)])
+                assert (A + L[:, None] * W).min() >= 0.0 and A.min() >= 0.0
+                assert (boxdim._capsule_volume(A, W, L, reach, cell)
+                        == oracle_capsule_volume(A, W, L, reach, cell)), (seed, reach)
+
+    def test_point_clouds(self):
+        rng = np.random.default_rng(5)
+        segment = np.column_stack([np.linspace(0, 1, 1 << 13), np.zeros(1 << 13)])
+        for pts, deltas in ((segment, [2.0 ** -k for k in range(5, 10)]),
+                            (rng.uniform(0, 1, (500, 2)), [2.0 ** -k for k in range(3, 8)]),
+                            (rng.uniform(0, 1, (200, 3)), [2.0 ** -k for k in range(2, 5)])):
+            curve = neighborhood_volume_curve(pts, deltas)
+            want = [oracle_capsule_volume(pts, np.zeros_like(pts), np.zeros(len(pts)),
+                                          d, d / boxdim._CELL_FACTOR) for d in deltas]
+            assert list(curve.volumes) == want
+
+
+class TestAdmission:
+    """Every scale is checked against its grid cap before any is filled."""
+
+    @pytest.fixture
+    def no_fill(self, monkeypatch):
+        def fill(*args):
+            raise AssertionError("a scale was filled")
+
+        monkeypatch.setattr(boxdim, "_capsule_volume", fill)
+        monkeypatch.setattr(boxdim, "_region_volume", fill)
+
+    def test_curve_refuses_the_finest_scale(self, no_fill):
+        # the analysis bush at 2^-11 needs 16458 x 8266 cells, over 2^27;
+        # the unit square at 2^-14 needs over 2^31
+        fam = generate_family(2.0 ** -8, 2, "bush", seed=11)
+        with pytest.raises(DimError, match="136041828 cells"):
+            neighborhood_volume_curve(fam, [2.0 ** -k for k in range(5, 12)])
+        with pytest.raises(DimError, match="cells"):
+            neighborhood_volume_curve(unit_square(), [2.0 ** -k for k in range(3, 15)])
+
+    def test_cli_exits_2(self, no_fill, tmp_path):
+        path = tmp_path / "family.json"
+        path.write_text(family_to_json(generate_family(2.0 ** -8, 2, "bush", seed=11)))
+        assert dispatch(["dim", "--in", str(path), "--deltas", "2^-5..2^-11",
+                         "--out", str(tmp_path / "d.csv")]) == 2
+        assert not (tmp_path / "d.csv").exists()

@@ -9,7 +9,10 @@ from a small intermediate interpreter instead.
 The Fefferman step at r = 1/16 works on N = 4096, where one complex
 N x N array is 256 MiB: its bound is two of them.  The dense path it
 replaced peaked at about 805 MiB, and the whole-grid region fill at
-about 450 MiB for the m=6 tree curve down to delta = 2^-12.
+about 450 MiB for the m=6 tree curve down to delta = 2^-12.  The
+capsule fill of the delta = 2^-8 bush down to 2^-8 peaked at about
+63 MiB with the whole grid and per-tube boxes, and at about 212 MiB
+with row spans taken all at once instead of in blocks.
 """
 
 import os
@@ -22,12 +25,14 @@ import kakeyalab
 SRC = str(Path(kakeyalab.__file__).resolve().parents[1])
 
 
+TREE = ("from kakeyalab.perron import PerronSpec, build_perron_tree\n"
+        "tree = build_perron_tree(PerronSpec.default(6))\n")
+
+
 def peak_mib(code: str) -> float:
     env = dict(os.environ, KAKEYA_LAB_THREADS="1",
                PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     script = ("import resource\n"
-              "from kakeyalab.perron import PerronSpec, build_perron_tree\n"
-              "tree = build_perron_tree(PerronSpec.default(6))\n"
               + code +
               "\nprint(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
     launcher = ("import subprocess, sys\n"
@@ -38,13 +43,21 @@ def peak_mib(code: str) -> float:
 
 
 def test_fefferman_peak_under_two_arrays():
-    peak = peak_mib("from kakeyalab.spectral import fefferman_experiment\n"
+    peak = peak_mib(TREE + "from kakeyalab.spectral import fefferman_experiment\n"
                     "fefferman_experiment(tree, 1 / 16, 4.0)")
     assert peak < 512.0, f"fefferman r=1/16 peaked at {peak:.0f} MiB"
 
 
 def test_region_curve_peak():
-    peak = peak_mib("from kakeyalab.boxdim import neighborhood_volume_curve\n"
+    peak = peak_mib(TREE + "from kakeyalab.boxdim import neighborhood_volume_curve\n"
                     "neighborhood_volume_curve(tree.region, "
                     "[2.0 ** -k for k in range(9, 13)])")
     assert peak < 256.0, f"m=6 region curve to 2^-12 peaked at {peak:.0f} MiB"
+
+
+def test_tube_curve_peak():
+    peak = peak_mib("from kakeyalab.boxdim import neighborhood_volume_curve\n"
+                    "from kakeyalab.tubelab.generate import generate_family\n"
+                    "fam = generate_family(2.0 ** -8, 2, 'bush', seed=11)\n"
+                    "neighborhood_volume_curve(fam, [2.0 ** -k for k in range(5, 9)])")
+    assert peak < 96.0, f"bush curve to 2^-8 peaked at {peak:.0f} MiB"
