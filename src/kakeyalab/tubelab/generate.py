@@ -36,19 +36,31 @@ def direction_chord(u: np.ndarray, v: np.ndarray) -> float:
 _PAD = 1e-11
 
 
-def _directions_2d(delta: float) -> np.ndarray:
-    """Uniform angular lattice on [0, pi), the maximal separated net.
-
-    n points step pi/n apart have chord spacing 2 sin(pi/(2n)); the
-    largest n keeping that >= delta is floor(pi / (2 asin(delta/2))).
-    """
-    dpad = delta * (1.0 + _PAD)
-    n = int(math.pi / (2.0 * math.asin(dpad / 2.0)))
+def _directions_2d(n: int) -> np.ndarray:
+    """Uniform angular lattice of n points on [0, pi).  Their chord
+    spacing is 2 sin(pi/(2n)): the largest n keeping that >= delta,
+    floor(pi / (2 asin(delta/2))), makes the maximal separated net."""
     theta = np.arange(n) * (math.pi / n)
     return np.stack([np.cos(theta), np.sin(theta)], axis=1)
 
 
-def _directions_3d(delta: float) -> np.ndarray:
+def _rings_3d(dpad: float) -> tuple[list[tuple[float, float, float, int, int]], bool]:
+    """Bands of the 3-D net as (radius, z, span, stagger, size), and
+    whether the pole joins them; see _directions_3d."""
+    beta = 2.0 * math.asin(dpad / 2.0)
+    polars = [(math.pi / 2.0, math.pi, 0)]
+    while polars[-1][0] - beta > 1e-9:
+        polars.append((math.pi / 2.0 - len(polars) * beta, 2.0 * math.pi, len(polars) % 2))
+    rings = []
+    for polar, span, stagger in polars:
+        r = math.sin(polar)
+        # a ring of diameter 2r <= delta can hold one point only
+        m = 1 if dpad >= 2.0 * r else max(1, int(span / (2.0 * math.asin(dpad / (2.0 * r)))))
+        rings.append((r, math.cos(polar), span, stagger, m))
+    return rings, 2.0 * math.sin(polars[-1][0] / 2.0) >= dpad
+
+
+def _directions_3d(rings: list[tuple[float, float, float, int, int]], pole: bool) -> np.ndarray:
     """Staggered latitude-band net on the upper half-sphere.
 
     The equator ring comes first and keeps only half its azimuths, so
@@ -60,34 +72,18 @@ def _directions_3d(delta: float) -> np.ndarray:
     Cell half-diagonals stay well under delta, so the net is maximal:
     no direction is delta-far from every chosen one.
     """
-    dpad = delta * (1.0 + _PAD)
-    beta = 2.0 * math.asin(dpad / 2.0)
-
-    def ring(polar: float, span: float, stagger: int) -> np.ndarray:
-        r = math.sin(polar)
-        z = math.cos(polar)
-        if dpad >= 2.0 * r:
-            # the whole ring has diameter 2r; it can hold one point only
-            m = 1
-        else:
-            step = 2.0 * math.asin(dpad / (2.0 * r))
-            m = max(1, int(math.floor(span / step)))
+    rows = []
+    for r, z, span, stagger, m in rings:
         phi = (np.arange(m) + 0.5 * stagger) * (span / m)
-        return np.stack([r * np.cos(phi), r * np.sin(phi), np.full(m, z)], axis=1)
-
-    rows = [ring(math.pi / 2.0, math.pi, 0)]
-    i = 0
-    polar = math.pi / 2.0
-    while polar - beta > 1e-9:
-        i += 1
-        polar = math.pi / 2.0 - i * beta
-        rows.append(ring(polar, 2.0 * math.pi, i % 2))
-    if 2.0 * math.sin(polar / 2.0) >= dpad:
+        rows.append(np.stack([r * np.cos(phi), r * np.sin(phi), np.full(m, z)], axis=1))
+    if pole:
         rows.append(np.array([[0.0, 0.0, 1.0]]))
     return np.concatenate(rows)
 
 
 _NET_CACHE: dict[tuple[float, int], np.ndarray] = {}
+# Most directions generate_directions builds: 3-D delta = 2^-7 makes 102,847.
+_MAX_DIRECTIONS = 1 << 17
 
 
 def generate_directions(delta: float, dim: int) -> np.ndarray:
@@ -95,6 +91,7 @@ def generate_directions(delta: float, dim: int) -> np.ndarray:
 
     Rows are unit vectors; for dim 2 the angles are uniform on [0, pi),
     for dim 3 representatives have z >= 0.  Deterministic in (delta, dim).
+    A net of more than _MAX_DIRECTIONS is refused before it is built.
     """
     if not (0.0 < delta < 1.0):
         raise TubeError(f"delta must lie in (0, 1), got {delta}")
@@ -102,7 +99,14 @@ def generate_directions(delta: float, dim: int) -> np.ndarray:
         raise TubeError(f"dim must be 2 or 3, got {dim}")
     key = (delta, dim)
     if key not in _NET_CACHE:
-        net = _directions_2d(delta) if dim == 2 else _directions_3d(delta)
+        dpad = delta * (1.0 + _PAD)
+        rings, pole = _rings_3d(dpad) if dim == 3 else ([], False)
+        n = (int(math.pi / (2.0 * math.asin(dpad / 2.0))) if dim == 2
+             else sum(r[-1] for r in rings) + pole)
+        if n > _MAX_DIRECTIONS:
+            raise TubeError(f"a {dim}-D net at delta = {delta!r} has {n:,} directions, "
+                            f"over the limit of {_MAX_DIRECTIONS:,}")
+        net = _directions_2d(n) if dim == 2 else _directions_3d(rings, pole)
         net.setflags(write=False)
         _NET_CACHE[key] = net
     return _NET_CACHE[key]

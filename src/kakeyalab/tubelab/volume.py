@@ -1,9 +1,9 @@
 """Union volume of a tube family, by grid occupancy or Monte Carlo.
 
 Both methods reduce to point-in-union queries.  Tubes are bucketed
-into a coarse spatial hash along their core segments so each query
-point only tests nearby tubes, nearest first, and stops at its first
-containing tube.
+into a coarse spatial hash along their core segments, built in one pass
+over all cores in numpy blocks; each query point tests only nearby
+tubes, nearest first, and stops at its first containing tube.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 
 from ..rng import mc_hit_fraction
 from .core import (
-    Tube,
     TubeError,
     TubeFamily,
     VolumeEstimate,
@@ -30,6 +29,9 @@ __all__ = ["union_volume", "kakeya_ratio", "TubeIndex"]
 # Candidate (point, tube) pairs tested per batch of a query; the
 # kernel's per-axis temporaries stay cache-sized.
 _PAIR_BATCH = 1 << 15
+# Core walk points per block of the index build: a block's neighbour
+# keys, their sort and the gap temporaries stay a few MiB.
+_WALK_BLOCK = 1 << 16
 
 
 class TubeIndex:
@@ -37,7 +39,8 @@ class TubeIndex:
 
     Lattice cell k holds candidate tubes members[starts[k]:starts[k + 1]],
     nearest core segment to the cell centre first.  A query tests each
-    point's candidates in that order and stops at the first hit.
+    point's candidates in that order and stops at the first hit.  The
+    build walks all cores at once, a block of whole tubes at a time.
     """
 
     def __init__(self, fam: TubeFamily):
@@ -54,20 +57,50 @@ class TubeIndex:
         self.shape = np.maximum(
             1, np.ceil((self.hi - self.lo) / self.h - 1e-12).astype(int)
         )
-        cells = [self._cells_near_tube(t).astype(np.int32) for t in fam.tubes]
-        tube = np.repeat(np.arange(len(cells), dtype=np.int32), [len(c) for c in cells])
-        cells = np.concatenate(cells)
-        # Within a cell, candidates go nearest core segment to the cell
-        # centre first: squared distance, summed in axis order.  One sort
-        # key: the cell above the float32 bits of the distance, which for
-        # non-negative values order like the values (ties keep tube order).
-        rel = [lo + (ix + 0.5) * self.h - a[tube] for lo, ix, a in
-               zip(self.lo, np.unravel_index(cells, self.shape), self.anchors)]
+        # Walk each core at spacing h/2 and mark the 3^dim cells around
+        # each walk point's cell.  One cell is enough: h >= 2 delta, so
+        # every tube point lies within delta + h/4 <= 3h/4 of some walk
+        # point along each axis.  Whole tubes go in blocks of _WALK_BLOCK
+        # walk points (one tube may exceed it).
+        n = np.ceil(self.lengths / (self.h / 2.0)).astype(np.int64) + 1
+        cuts = np.searchsorted(np.cumsum(n), np.arange(_WALK_BLOCK, n.sum(), _WALK_BLOCK), "right")
+        bounds = np.unique(np.r_[0, cuts, len(n)])
+        keys, tubes = (np.concatenate(c) for c in zip(*[
+            self._block_pairs(i, n[i:j]) for i, j in zip(bounds[:-1], bounds[1:])]))
+        self.members = tubes[np.argsort(keys, kind="stable")]
+        self.starts = np.r_[0, np.cumsum(np.bincount(keys >> 32, minlength=np.prod(self.shape)))]
+
+    def _block_pairs(self, first: int, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Sort keys and int32 tube ids of the (tube, cell) pairs of tubes
+        first, first + 1, ... with n walk points each, tube-major with cells
+        ascending.  A key is the cell above the float32 bits of the squared
+        distance from the cell centre to the core segment, summed in axis
+        order: nearest first within a cell, ties in tube order."""
+        lengths = self.lengths[first:first + len(n)]
+        tube = np.repeat(np.arange(first, first + len(n)), n)
+        end = np.cumsum(n) - 1
+        # np.linspace(0, length, n): k * (length / (n - 1)), the last point length
+        t = (np.arange(len(tube)) - np.repeat(end - n + 1, n)) * np.repeat(lengths / (n - 1), n)
+        t[end] = lengths
+        cell = self._cell_ids(np.stack([a[tube] + t * w[tube]
+                                        for a, w in zip(self.anchors, self.omegas)], axis=1))
+        # Each axis index is monotone in t, so a walk never returns to a
+        # cell it left: dropping consecutive repeats leaves each cell once.
+        new = np.r_[True, (tube[1:] != tube[:-1]) | (cell[1:] != cell[:-1])]
+        # Neighbours on the lattice padded by one cell, so none wraps.
+        pad = (len(self.lengths), *(self.shape + 2))
+        stride = np.r_[np.cumprod(pad[:0:-1])[::-1], 1]
+        offs = np.indices([3] * self.dim).reshape(self.dim, -1).T @ stride[1:] - stride[1:].sum()
+        ix = np.unravel_index(cell[new], self.shape)
+        key = np.sort((_axis_dot([tube[new]] + [x + 1 for x in ix], stride)[:, None] + offs).ravel())
+        tube, *ix = np.unravel_index(key[np.r_[True, key[1:] != key[:-1]]], pad)
+        inside = np.all([(x >= 1) & (x <= m) for x, m in zip(ix, self.shape)], axis=0)
+        tube, ix = tube[inside], [x[inside] - 1 for x in ix]
+        rel = [lo + (x + 0.5) * self.h - a[tube] for lo, x, a in zip(self.lo, ix, self.anchors)]
         s = np.clip(_axis_dot(rel, [w[tube] for w in self.omegas]), 0.0, self.lengths[tube])
         perp = [r - s * w[tube] for r, w in zip(rel, self.omegas)]
         gap = _axis_dot(perp, perp).astype(np.float32).view(np.uint32)
-        self.members = tube[np.argsort((cells.astype(np.int64) << 32) | gap, kind="stable")]
-        self.starts = np.r_[0, np.cumsum(np.bincount(cells, minlength=np.prod(self.shape)))]
+        return (np.ravel_multi_index(ix, self.shape) << 32) | gap, tube.astype(np.int32)
 
     @property
     def buckets(self) -> dict[int, np.ndarray]:
@@ -78,23 +111,6 @@ class TubeIndex:
     def _cell_ids(self, pts: np.ndarray) -> np.ndarray:
         ix = np.clip(((pts - self.lo) / self.h).astype(int), 0, self.shape - 1)
         return np.ravel_multi_index(ix.T, self.shape)
-
-    def _cells_near_tube(self, t: Tube) -> np.ndarray:
-        # Walk the core at spacing h/2 and mark the 3^dim cells around
-        # each walk point's cell.  One cell is enough: h >= 2 delta, so
-        # every tube point lies within delta + h/4 <= 3h/4 of some walk
-        # point along each axis.
-        step = self.h / 2.0
-        n = int(math.ceil(t.length / step)) + 1
-        pts = t.a[None, :] + np.linspace(0.0, t.length, n)[:, None] * t.omega[None, :]
-        base = np.unique(self._cell_ids(pts))
-        base = np.stack(np.unravel_index(base, self.shape), axis=1)
-        offs = np.stack(
-            np.meshgrid(*([np.arange(-1, 2)] * self.dim), indexing="ij"), axis=-1
-        ).reshape(-1, self.dim)
-        cells = (base[:, None, :] + offs[None, :, :]).reshape(-1, self.dim)
-        cells = cells[((cells >= 0) & (cells < self.shape)).all(axis=1)]
-        return np.unique(np.ravel_multi_index(cells.T, self.shape))
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         """Boolean mask over rows of pts: inside the union of tubes.

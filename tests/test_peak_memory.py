@@ -12,7 +12,10 @@ replaced peaked at about 805 MiB, and the whole-grid region fill at
 about 450 MiB for the m=6 tree curve down to delta = 2^-12.  The
 capsule fill of the delta = 2^-8 bush down to 2^-8 peaked at about
 63 MiB with the whole grid and per-tube boxes, and at about 212 MiB
-with row spans taken all at once instead of in blocks.
+with row spans taken all at once instead of in blocks.  The union volume
+of the delta = 2^-9 bush peaked at about 142 MiB when the tube index was
+built one tube at a time, most of it the index's whole-family gap
+temporaries; built in blocks of walk points it peaks at about 82 MiB.
 """
 
 import os
@@ -61,3 +64,10 @@ def test_tube_curve_peak():
                     "fam = generate_family(2.0 ** -8, 2, 'bush', seed=11)\n"
                     "neighborhood_volume_curve(fam, [2.0 ** -k for k in range(5, 9)])")
     assert peak < 96.0, f"bush curve to 2^-8 peaked at {peak:.0f} MiB"
+
+
+def test_bush_union_volume_peak():
+    peak = peak_mib("from kakeyalab.tubelab import generate_family, union_volume\n"
+                    "fam = generate_family(2.0 ** -9, 2, 'bush')\n"
+                    "union_volume(fam, samples=1_000_000, seed=0)")
+    assert peak < 112.0, f"bush union volume at 2^-9 peaked at {peak:.0f} MiB"

@@ -11,6 +11,8 @@ import importlib
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -88,3 +90,28 @@ def test_index_counters_ignore_the_candidate_order(monkeypatch):
             volume.TubeIndex(fam)
         assert [s.name for s in tr.spans] == ["tubelab.index_build"]
         assert tr.spans[0].counts == counts
+
+
+def test_index_counters_read_a_real_build(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import tracer
+    from tube_index_oracle import index_arrays
+
+    from kakeyalab.tubelab import generate_family, parallel_lines_family, volume
+
+    targets = [t for t in layers.targets()
+               if t.owner is volume.TubeIndex and t.attr == "__init__"]
+    assert len(targets) == 1
+    for fam in [generate_family(2.0 ** -9, 2, "bush"), parallel_lines_family(1 / 32),
+                generate_family(1 / 16, 3, "random", seed=5)]:
+        with tracer.Tracer().installed(targets) as tr:
+            index = volume.TubeIndex(fam)
+        assert [s.name for s in tr.spans] == ["tubelab.index_build"]
+        # TubeIndex.buckets, which only the counter reads, against the
+        # per-tube build
+        members, starts = index_arrays(index, fam)
+        sizes = np.diff(starts)
+        assert tr.spans[0].counts == {"cells": int(np.count_nonzero(sizes)),
+                                      "entries": len(members),
+                                      "max_bucket": int(sizes.max())}

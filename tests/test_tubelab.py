@@ -37,10 +37,11 @@ from kakeyalab.tubelab import (
     union_volume,
     wolff_axiom_check,
 )
-from kakeyalab.tubelab import checks, generate
+from kakeyalab.tubelab import checks, generate, volume
 from kakeyalab.tubelab.checks import _prism_count
 
 from distinct_oracle import essentially_distinct_check as oracle_distinct_check
+from tube_index_oracle import index_arrays as oracle_index_arrays
 
 
 def prism_count(prism: Prism, *tubes: Tube) -> int:
@@ -406,6 +407,26 @@ class TestSizeGuard:
                                             r"over the limit of 16,777,216"):
             essentially_distinct_check(TubeFamily(1 / 256, (t,) * 5_794))
 
+    def test_direction_nets_refused_before_allocating(self, monkeypatch):
+        # 2^17 directions at most: 3-D delta = 2^-7 and 2-D 2^-15 are admitted
+        assert len(generate_directions(2.0 ** -7, 3)) == 102_847
+        assert len(generate_directions(2.0 ** -15, 2)) == 102_943
+        monkeypatch.setattr(generate, "np", self.NoNumpy())
+        with pytest.raises(TubeError, match=r"3-D net at delta = 0.00390625 has 411,576 "
+                                            r"directions, over the limit of 131,072"):
+            generate_directions(2.0 ** -8, 3)
+        with pytest.raises(TubeError, match=r"2-D net at delta = 1.52587890625e-05 has "
+                                            r"205,887 directions"):
+            generate_directions(2.0 ** -16, 2)
+
+    def test_direction_net_cli_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(generate, "np", self.NoNumpy())
+        out = tmp_path / "fam.json"
+        argv = ["tubes", "gen", "--dim", "3", "--delta", repr(2.0 ** -8), "--out", str(out)]
+        assert dispatch(argv) == 2
+        assert "over the limit of 131,072" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cli_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(generate, "np", self.NoNumpy())
         out = tmp_path / "slab.csv"
@@ -577,6 +598,69 @@ class TestTubeIndex:
         only_probe = points_in_tube(pts, probe) & ~self.brute_force(
             TubeFamily(d, tuple(fan)), pts)
         assert only_probe.sum() > 100 and got[only_probe].all()
+
+    @staticmethod
+    def on_cell_walls(dim):
+        # Axis-parallel cores starting at 0: delta = 1/64, h = 2 delta and
+        # lo = -delta on every axis, so the cell walls sit at odd multiples
+        # of 1/64, and so do the other coordinates of every core.
+        d = 1 / 64
+        tubes = []
+        for axis in range(dim):
+            for j in range(0, 12, 3):
+                a = np.full(dim, (2 * j + 1) / 64)
+                a[axis] = 0.0
+                tubes.append(Tube(dim, a, np.eye(dim)[axis], d, 0.75))
+        return TubeFamily(d, tuple(tubes))
+
+    FAMILIES = {
+        "bush-2^-7": lambda: generate_family(2.0 ** -7, 2, "bush"),
+        "bush-2^-8": lambda: generate_family(2.0 ** -8, 2, "bush"),
+        "bush-2^-9": lambda: generate_family(2.0 ** -9, 2, "bush"),
+        "random-2d": lambda: generate_family(2.0 ** -7, 2, "random", seed=3),
+        "perron-base": lambda: generate_family(2.0 ** -6, 2, "perron-base", tree_levels=4),
+        "random-3d": lambda: generate_family(1 / 16, 3, "random", seed=5),
+        "parallel-lines-1/16": lambda: parallel_lines_family(1 / 16),
+        "parallel-lines-1/32": lambda: parallel_lines_family(1 / 32),
+        "single": lambda: TubeFamily(0.01, (Tube(2, [0.1, 0.2], [0.6, 0.8], 0.01),)),
+        "cell-walls-2d": lambda: TestTubeIndex.on_cell_walls(2),
+        "cell-walls-3d": lambda: TestTubeIndex.on_cell_walls(3),
+        # delta is below the ulp of 1, so the core ends on the hi face
+        "hi-face": lambda: TubeFamily(1e-20, (Tube(2, [0, 0], [1, 0], 1e-20),)),
+        "shorter-than-h/2": lambda: TubeFamily(0.05, (
+            Tube(3, [0, 0, 0], [0, 0, 1], 0.05), Tube(3, [0.3, 0.3, 0.3], [1, 0, 0], 0.05, 0.01))),
+    }
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_build_equals_oracle(self, name):
+        # the per-tube build (tests/tube_index_oracle.py), byte for byte
+        fam = self.FAMILIES[name]()
+        index = TubeIndex(fam)
+        members, starts = oracle_index_arrays(index, fam)
+        assert index.members.dtype == members.dtype and index.starts.dtype == starts.dtype
+        assert np.array_equal(index.members, members)
+        assert np.array_equal(index.starts, starts)
+
+    def test_edge_families_hit_their_edge(self):
+        walls = TubeIndex(self.on_cell_walls(3))
+        assert walls.h == 1 / 32 and (walls.lo == -1 / 64).all()
+        assert all(((t.a - walls.lo) / walls.h % 1 == 0).sum() == 2
+                   for t in self.on_cell_walls(3).tubes)  # on a cell edge
+        clip = TubeIndex(self.FAMILIES["hi-face"]())
+        assert clip.hi[0] == 1.0 and (1.0 - clip.lo[0]) / clip.h == clip.shape[0]
+        short = TubeIndex(self.FAMILIES["shorter-than-h/2"]())
+        assert 0.01 < short.h / 2
+
+    @pytest.mark.parametrize("name", ["bush-2^-7", "random-3d", "single"])
+    @pytest.mark.parametrize("block", [1, 97, 1000])
+    def test_build_equals_oracle_across_blocks(self, name, block, monkeypatch):
+        # blocks of one tube, and blocks cut mid-family at odd sizes
+        monkeypatch.setattr(volume, "_WALK_BLOCK", block)
+        fam = self.FAMILIES[name]()
+        index = TubeIndex(fam)
+        members, starts = oracle_index_arrays(index, fam)
+        assert np.array_equal(index.members, members)
+        assert np.array_equal(index.starts, starts)
 
     def test_buckets_hold_the_cells_of_each_core(self):
         fam = generate_family(2.0 ** -6, 2, "random", seed=3)
