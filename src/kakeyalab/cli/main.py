@@ -38,6 +38,7 @@ from ..perron import (
     tree_from_json,
     tree_to_json,
 )
+from ..rng import admit_samples
 from ..spectral import (
     MultiplierSpec,
     apply_multiplier,
@@ -197,6 +198,8 @@ def _analyze_rows(fam, args) -> list[tuple]:
 
 
 def _cmd_tubes(args) -> RunResult:
+    if args.mode == "analyze" and args.method == "monte-carlo":
+        admit_samples(args.mc_samples)
     fam = _tube_family(args)
     params = {"mode": args.mode, "dim": fam.dim, "delta": args.delta,
               "placement": args.placement, "checks": args.checks,

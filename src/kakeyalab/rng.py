@@ -15,11 +15,19 @@ import numpy as np
 from .parallel import map_ordered
 
 _MC_CHUNK = 1 << 18
+MAX_MC_SAMPLES = 1 << 30  # minutes of sampling for either estimator
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Generator for (seed, stream); distinct streams are independent."""
     return np.random.Generator(np.random.Philox(key=np.uint64([seed, stream])))
+
+
+def admit_samples(samples: int) -> None:
+    """Refuse more than MAX_MC_SAMPLES samples, before any is drawn."""
+    if samples > MAX_MC_SAMPLES:
+        raise ValueError(f"{samples:,} Monte Carlo samples are over the limit "
+                         f"of {MAX_MC_SAMPLES:,}")
 
 
 def mc_hit_fraction(hits: Callable[[np.random.Generator, int], int],
@@ -31,6 +39,7 @@ def mc_hit_fraction(hits: Callable[[np.random.Generator, int], int],
     samples hit.  Chunks and the summation order are fixed by samples
     alone, so the fraction is bit-identical for any thread count.
     """
+    admit_samples(samples)
     n_chunks = max(1, math.ceil(samples / _MC_CHUNK))
     sizes = [_MC_CHUNK] * (n_chunks - 1) + [samples - _MC_CHUNK * (n_chunks - 1)]
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ..rng import mc_hit_fraction
+from ..rng import admit_samples, mc_hit_fraction
 from .core import (
     TubeError,
     TubeFamily,
@@ -202,6 +202,7 @@ def union_volume(
     if method == "monte-carlo":
         if samples < 1:
             raise TubeError("need at least one sample")
+        admit_samples(samples)
         return _mc_volume(fam, samples, seed)
     if method == "grid":
         if resolution < 2:

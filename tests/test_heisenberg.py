@@ -6,7 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import heisenberg_oracle
+from kakeyalab import heisenberg
+from kakeyalab import rng as rng_module
+from kakeyalab.cli import dispatch
 from kakeyalab.heisenberg import (
+    _BAND,
     MEMBERSHIP_CALIBRATION,
     ComplexLineParams,
     CPoint3,
@@ -17,7 +22,9 @@ from kakeyalab.heisenberg import (
     membership_defect,
     surface_line_point,
     surface_segment_points,
+    _real_defect,
 )
+from kakeyalab.rng import MAX_MC_SAMPLES, admit_samples, make_rng
 
 POLYDISC = (4.0 * math.pi) ** 3
 
@@ -173,3 +180,84 @@ class TestExhibit:
                 inside += membership_defect(shifted) <= MEMBERSHIP_CALIBRATION * delta
                 total += 1
         assert inside / total >= 0.99
+
+
+def real_form_draws(stream_rng, size):
+    """r and phi as the sampler draws them."""
+    r = 2.0 * np.sqrt(stream_rng.random((size, 3)))
+    return r, stream_rng.random((size, 3)) * (2.0 * math.pi)
+
+
+class TestRealForm:
+    """The real-form sampler against the complex-form oracle."""
+
+    @pytest.mark.parametrize("delta", [2.0**-k for k in range(2, 10)] + [4.0, 6.0])
+    def test_estimates_equal_oracle(self, delta, monkeypatch):
+        for seed, samples in ((0, 300_000), (13, 300_000), (4, 600_001)):
+            want = heisenberg_oracle.heisenberg_neighborhood_volume(delta, samples, seed)
+            for threads in ("1", "4"):
+                monkeypatch.setenv("KAKEYA_LAB_THREADS", threads)
+                got = heisenberg_neighborhood_volume(delta, samples, seed)
+                assert (got.value, got.std_error) == (want.value, want.std_error)
+
+    def test_forms_agree_far_inside_the_band(self):
+        # 2^20 samples, four chunks of the seed-11 streams; both sides
+        # read the same draws, so a differing draw shows as a wide gap
+        gap = 0.0
+        for stream in range(4):
+            r, phi = real_form_draws(make_rng(11, stream), 1 << 18)
+            exact = heisenberg_oracle.sample_defects(make_rng(11, stream), 1 << 18)
+            gap = max(gap, float(np.max(np.abs(_real_defect(r, phi) - exact))))
+        assert 0.0 < gap <= _BAND / 1e4
+
+    def test_ties_are_decided_by_the_complex_form(self, monkeypatch):
+        # delta = min(real, complex) defect of a sample whose two forms
+        # differ: the real and the complex test disagree on that sample,
+        # which sits on the <= threshold of one of them, so the chunk
+        # must go to the complex form.
+        samples, seed = 20_000, 6
+        r, phi = real_form_draws(make_rng(seed, 0), samples)
+        fast = _real_defect(r, phi)
+        exact = heisenberg_oracle.sample_defects(make_rng(seed, 0), samples)
+        split = np.flatnonzero(fast != exact)
+        assert len(split) > 100
+        recheck_sizes = []
+        complex_defect = heisenberg._defect
+
+        def recorded(z1, z2, z3):
+            recheck_sizes.append(len(z1))
+            return complex_defect(z1, z2, z3)
+
+        monkeypatch.setattr(heisenberg, "_defect", recorded)
+        for k in split[:: len(split) // 12][:12]:
+            delta = float(min(fast[k], exact[k]))
+            assert np.sum(fast <= delta) != np.sum(exact <= delta)
+            recheck_sizes.clear()
+            got = heisenberg_neighborhood_volume(delta, samples, seed)
+            assert got == heisenberg_oracle.heisenberg_neighborhood_volume(
+                delta, samples, seed)
+            assert recheck_sizes == [samples]
+
+
+class TestSampleAdmission:
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"np.{name} reached before the sample guard")
+
+    def test_over_limit_refused_before_drawing(self, monkeypatch):
+        admit_samples(MAX_MC_SAMPLES)  # at the limit
+        monkeypatch.setattr(heisenberg, "np", self.NoNumpy())
+        monkeypatch.setattr(rng_module, "np", self.NoNumpy())
+        with pytest.raises(ValueError, match=r"1,073,741,825 Monte Carlo samples are "
+                                             r"over the limit of 1,073,741,824"):
+            heisenberg_neighborhood_volume(2.0**-7, MAX_MC_SAMPLES + 1)
+
+    def test_cli_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(heisenberg, "np", self.NoNumpy())
+        monkeypatch.setattr(rng_module, "np", self.NoNumpy())
+        out = tmp_path / "heis.csv"
+        argv = ["heisenberg", "--delta", repr(2.0**-7),
+                "--samples", str(2**31), "--out", str(out)]
+        assert dispatch(argv) == 2
+        assert "over the limit of 1,073,741,824" in capsys.readouterr().err
+        assert not out.exists()

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import kakeyalab.tubelab as tubelab
+from kakeyalab import rng as rng_module
 from kakeyalab.cli import dispatch
 from kakeyalab.rng import make_rng
 from kakeyalab.tubelab import (
@@ -425,6 +426,24 @@ class TestSizeGuard:
         argv = ["tubes", "gen", "--dim", "3", "--delta", repr(2.0 ** -8), "--out", str(out)]
         assert dispatch(argv) == 2
         assert "over the limit of 131,072" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mc_samples_refused_before_allocating(self, monkeypatch):
+        fam = parallel_lines_family(1 / 8)
+        monkeypatch.setattr(volume, "np", self.NoNumpy())
+        monkeypatch.setattr(rng_module, "np", self.NoNumpy())
+        with pytest.raises(ValueError, match=r"1,073,741,825 Monte Carlo samples are "
+                                             r"over the limit of 1,073,741,824"):
+            union_volume(fam, samples=2**30 + 1)
+
+    def test_mc_samples_cli_exits_2(self, tmp_path, capsys, monkeypatch):
+        for module in (generate, volume, rng_module):
+            monkeypatch.setattr(module, "np", self.NoNumpy())
+        out = tmp_path / "bush.csv"
+        argv = ["tubes", "analyze", "--delta", "0.125", "--checks", "volume",
+                "--mc-samples", str(2**30 + 1), "--out", str(out)]
+        assert dispatch(argv) == 2
+        assert "over the limit of 1,073,741,824" in capsys.readouterr().err
         assert not out.exists()
 
     def test_cli_exits_2(self, tmp_path, capsys, monkeypatch):
