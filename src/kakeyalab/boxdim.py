@@ -18,14 +18,20 @@ coordinate scale) inside or outside it; the cells at each end are
 decided by the distance test itself, t = clip((g - a).w, 0, len) and
 |g - a - t w|^2 <= (delta + d)^2, so the count is that test's count.
 
-A region is filled by scanline winding, strip by strip, so overlapping
-polygons count once (their union, not their parity), with its outline
-stamped in, then dilated by the digital disc of radius d.  That
-overstates the band N_dK minus K by about 11-13% of the band's area at
-every scale: on the unit square it gives 1.1436 where the exact
-1 + 4d + pi d^2 is 1.1281 at d = 2^-5, and 1.00220 against 1.00195 at
-d = 2^-11.  The bias is about the same fraction at every scale, so it
-cancels in the fitted slope.
+A region K is closed, so N_dK is K together with the points within d
+of its outline, and the same fill measures it: each outline edge is a
+capsule of reach d, and its crossing of each row centre adds +1 (going
+down) or -1 (going up) at the first cell whose centre is at or past
+the crossing.  A cell's running sum is then its winding count plus the
+capsules that hold it; every polygon is CCW, so both parts are >= 0
+and a positive sum counts the union, however deep the overlap.  The
+winding runs over the outline only, not every polygon edge: an edge
+two pieces share cancels exactly, but its two traversals can round to
+neighbouring cells, where no capsule would cover the difference; a
+crossing of an outline edge that rounds past a cell centre stays
+inside that edge's own capsule.  On the unit square at d = 2^-5 this
+gives 1.128174 against the exact 1 + 4d + pi d^2 = 1.128068 (a
+digital-disc dilation gave 1.143616).
 
 The log-log slope of those volumes against d gives the Minkowski
 dimension, and the same curve feeds the discretized lower bound
@@ -53,15 +59,11 @@ __all__ = [
     "neighborhood_volume_curve",
 ]
 
-# Grid caps.  Both fills hold one strip of the grid at a time, so the
-# caps bound work, not memory.  The capsule fill's strips and span blocks
-# are small: transients of a few MiB come from the heap once the region
-# fill has raised malloc's mmap threshold, and linger there as resident
-# growth (+7 MiB at the analysis benchmark's next Fefferman peak with
-# 2^22-cell strips and 2^14-span blocks).
+# Grid caps: tube families and point clouds, then regions.  The fill
+# holds one strip of the grid at a time, so the caps bound work, not
+# memory.
 _MAX_CELLS = 1 << 27
 _SCAN_CELLS = 1 << 31
-_STRIP_CELLS = 1 << 22
 _LINE_STRIP_CELLS = 1 << 18
 _SPAN_BLOCK = 1 << 13
 # Grid pitch is delta / _CELL_FACTOR.
@@ -113,10 +115,13 @@ class DimensionEstimate:
     delta_range records the (coarsest, finest) scales the fit used
     after dropping one scale at each end.  local_slopes holds ambient
     minus the log-log slope between each pair of neighbouring scales of
-    the whole curve, coarsest first.  uncertainty is the slope's
-    least-squares standard error when the fit uses 3 or more scales;
-    with 2 the fit is a single local slope, so it is half the range of
-    local_slopes instead.
+    the whole curve, coarsest first.  When the fit uses 3 or more
+    scales, uncertainty is the larger of the slope's least-squares
+    standard error and the full range of the local slopes between
+    fitted scales: a bending curve's slopes trend rather than scatter,
+    and the standard error alone would not cover the trend.  With 2
+    fitted scales the fit is a single local slope, so it is half the
+    range of local_slopes instead.
     """
 
     dimension: float
@@ -142,13 +147,6 @@ class KakeyaBoundReport:
     consistent: bool
 
 
-def _float_polygons(region: Region2) -> list[np.ndarray]:
-    polys = [np.array(poly, dtype=float) for poly in region.floats()]
-    if not polys:
-        raise DimError("cannot measure an empty region")
-    return polys
-
-
 def _axes(lo: np.ndarray, hi: np.ndarray, cell: float,
           cap: int = _MAX_CELLS) -> tuple[np.ndarray, np.ndarray]:
     counts = np.maximum(np.ceil((hi - lo) / cell).astype(int), 1)
@@ -172,13 +170,16 @@ def _window(lo, counts, cell, wlo, whi):
     return i0, i1
 
 
-def _boundary_edges(region: Region2, polys: list[np.ndarray]) -> np.ndarray:
+def _boundary_edges(region: Region2) -> np.ndarray:
     """Edges of the union outline, as an (n, 2, 2) float array.
 
     Every polygon is CCW, so an edge two pieces share is traversed once
     each way and cancels; edges with a nonzero net count trace the outer
     boundary, however many overlapping copies repeat them.
     """
+    polys = region.floats()
+    if not polys:
+        raise DimError("cannot measure an empty region")
     counts: dict = {}
     keyed = []
     for poly in region.polygons:
@@ -195,77 +196,13 @@ def _boundary_edges(region: Region2, polys: list[np.ndarray]) -> np.ndarray:
         for k, key in enumerate(ring):
             if counts[key] != 0:
                 out.append((V[k], V[(k + 1) % len(V)]))
-    if not out:
-        return np.zeros((0, 2, 2))
-    return np.array(out)
+    return np.array(out).reshape(-1, 2, 2)
 
 
 def _spans(first, count):
     """(j, i) for every i in [first[j], first[j] + count[j]), j-major."""
     j = np.repeat(np.arange(len(count)), count)
     return j, np.arange(len(j)) - np.repeat(np.cumsum(count) - count, count) + first[j]
-
-
-def _region_volume(polys, bedges, delta, cell):
-    lo, counts = _grid(np.vstack(polys), delta, cell, _SCAN_CELLS)
-    nx, ny = int(counts[0]), int(counts[1])
-    # Non-horizontal edges and the rows whose centres each may cross; a
-    # CCW edge crossing a row downward adds 1 to the winding count, upward -1.
-    E = np.vstack([np.hstack([V, np.roll(V, -1, axis=0)]) for V in polys])
-    ax, ay, bx, by = E[E[:, 1] != E[:, 3]].T
-    e_lo = np.maximum(np.floor((np.minimum(ay, by) - lo[1]) / cell - 0.5).astype(np.int64), 0)
-    e_hi = np.minimum(np.ceil((np.maximum(ay, by) - lo[1]) / cell + 0.5).astype(np.int64), ny)
-    sign = np.where(ay > by, 1, -1).astype(np.int32)
-    # The outline is stamped in (slivers thinner than a cell still count)
-    # at np.linspace(0, 1, n) along each edge.  Sample rows are monotone,
-    # so a strip finds its samples from u0 + k du, half a row wider.
-    A, B = bedges[:, 0], bedges[:, 1]
-    ns = (np.hypot(B[:, 0] - A[:, 0], B[:, 1] - A[:, 1]) / (0.5 * cell)).astype(np.int64) + 2
-    u0 = (A[:, 1] - lo[1]) / cell - 0.5
-    du = np.where(A[:, 1] == B[:, 1], 1e-300, (B[:, 1] - A[:, 1]) / cell / (ns - 1))
-    # the digital disc of radius r cells, as a half-width per row offset
-    r = delta / cell
-    rr = int(math.floor(r))
-    width = {dy: max(dx for dx in range(rr + 1) if dx * dx + dy * dy <= r * r * (1 + 1e-12))
-             for dy in range(-rr, rr + 1)}
-    # Each strip of rows [s0, s1) is filled from the rows [h0, h1) within
-    # rr of it by the whole grid's cell-centre rules, then counted; a
-    # crossing or an outline sample costs about the memory of 8 cells.
-    per_row = nx + 8 * (int(np.maximum(e_hi - e_lo, 0).sum()) + int(ns.sum())) // ny
-    rows, total = max(1, _STRIP_CELLS // per_row), 0
-    for s0 in range(0, ny, rows):
-        s1 = min(s0 + rows, ny)
-        h0, h1 = max(s0 - rr, 0), min(s1 + rr, ny)
-        first = np.maximum(e_lo, h0)
-        e, row = _spans(first, np.maximum(np.minimum(e_hi, h1) - first, 0))
-        yc = lo[1] + (row + 0.5) * cell
-        m = (ay[e] > yc) != (by[e] > yc)
-        e, row, yc = e[m], row[m], yc[m]
-        xc = ax[e] + (yc - ay[e]) * (bx[e] - ax[e]) / (by[e] - ay[e])
-        ix = np.ceil((xc - lo[0]) / cell - 0.5).astype(np.int64)
-        wind = np.zeros((h1 - h0, nx), dtype=np.int32)
-        np.add.at(wind.ravel(), (row - h0) * nx + ix, sign[e])
-        inside = np.cumsum(wind, axis=1, out=wind) > 0
-        ka, kb = (h0 - 1 - u0) / du, (h1 - u0) / du
-        first = np.clip(np.floor(np.minimum(ka, kb)), 0, ns).astype(np.int64)
-        j, k = _spans(first, np.clip(np.ceil(np.maximum(ka, kb)), 0, ns).astype(np.int64) - first)
-        t = np.where(k == ns[j] - 1, 1.0, k * (1.0 / (ns[j] - 1)))
-        ix = ((A[j, 0] + t * (B[j, 0] - A[j, 0]) - lo[0]) / cell - 0.5).round().astype(np.int64)
-        iy = ((A[j, 1] + t * (B[j, 1] - A[j, 1]) - lo[1]) / cell - 0.5).round().astype(np.int64)
-        on = (iy >= h0) & (iy < h1)
-        inside[iy[on] - h0, ix[on]] = True
-        occ = np.zeros((s1 - s0, nx), dtype=bool)
-        grow, w = inside.copy(), 0
-        for dy in sorted(width, key=width.get):
-            while w < width[dy]:
-                w += 1
-                grow[:, w:] |= inside[:, :-w]
-                grow[:, :-w] |= inside[:, w:]
-            j0, j1 = max(s0, h0 + dy), min(s1, h1 + dy)
-            if j0 < j1:
-                occ[j0 - s0:j1 - s0] |= grow[j0 - dy - h0:j1 - dy - h0]
-        total += int(np.count_nonzero(occ))
-    return float(total) * cell ** 2
 
 
 def _chord(centre, q2, rr2):
@@ -313,12 +250,15 @@ def _line_chords(da, db, ub, w, length, radii):
 
 
 def _capsule_volume(A: np.ndarray, W: np.ndarray, lengths: np.ndarray,
-                    reach: float, cell: float) -> float:
+                    reach: float, cell: float, wind: np.ndarray = np.zeros((0, 2, 2)),
+                    cap: int = _MAX_CELLS) -> float:
     """Volume of the cells whose centres lie within reach of a segment
-    A[i] + t W[i], 0 <= t <= lengths[i]."""
+    A[i] + t W[i], 0 <= t <= lengths[i], or inside the closed CCW curves
+    that wind traces in 2-D: wind[i] holds the exact ends of segment i,
+    for each i < len(wind)."""
     dim = A.shape[1]
     B = A + lengths[:, None] * W
-    lo, counts = _grid(np.vstack([A, B]), reach, cell, _MAX_CELLS)
+    lo, counts = _grid(np.vstack([A, B]), reach, cell, cap)
     pad = reach + cell
     w0, w1 = _window(lo, counts, cell, np.minimum(A, B) - pad, np.maximum(A, B) + pad)
     nx, ny = int(counts[0]), int(counts[1])
@@ -378,8 +318,17 @@ def _capsule_volume(A: np.ndarray, W: np.ndarray, lengths: np.ndarray,
             base = line[~empty] * (nx + 1)
             up = np.concatenate([base + n0[~empty], cells])
             down = np.concatenate([base + n1[~empty] + 1, cells + 1])
+            # an edge crossing its row's centre going down winds +1, going
+            # up -1, from the first cell whose centre is at or past it
+            c = np.nonzero(t < len(wind))[0]
+            c = c[(wind[t[c], 0, 1] > g[0][c]) != (wind[t[c], 1, 1] > g[0][c])]
+            (ax, ay), (bx, by) = wind[t[c], 0].T, wind[t[c], 1].T
+            xc = ax + (g[0][c] - ay) * (bx - ax) / (by - ay)
+            cross = line[c] * (nx + 1) + np.ceil((xc - lo[0]) / cell - 0.5).astype(np.int64)
             # int32 steps like diff's: a scalar step misses add.at's fast path
-            np.add.at(diff, np.concatenate([up, down]), np.repeat(np.int32([1, -1]), len(up)))
+            np.add.at(diff, np.concatenate([up, down, cross]),
+                      np.concatenate([np.repeat(np.int32([1, -1]), len(up)),
+                                      np.where(ay > by, 1, -1).astype(np.int32)]))
         total += int(np.count_nonzero(np.cumsum(diff, out=diff)))
     return float(total) * cell ** dim
 
@@ -400,33 +349,31 @@ def neighborhood_volume_curve(shape, deltas) -> BoxCountCurve:
     if any(b >= a for a, b in zip(ds, ds[1:])):
         raise DimError("deltas must be strictly decreasing")
 
+    wind, cap = np.zeros((0, 2, 2)), _MAX_CELLS
     if isinstance(shape, Region2):
-        polys = _float_polygons(shape)
-        bedges = _boundary_edges(shape, polys)
-        pts, width, cap = np.vstack(polys), 0.0, _SCAN_CELLS
-        jobs = [(lambda d=d: _region_volume(polys, bedges, d, d / _CELL_FACTOR))
-                for d in ds]
+        wind, cap = _boundary_edges(shape), _SCAN_CELLS
+        A, D = wind[:, 0], wind[:, 1] - wind[:, 0]
+        lengths = np.hypot(D[:, 0], D[:, 1])
+        W, width = D / lengths[:, None], 0.0
+    elif isinstance(shape, TubeFamily):
+        A = np.array([t.a for t in shape.tubes])
+        W = np.array([t.omega for t in shape.tubes])
+        lengths = np.array([t.length for t in shape.tubes])
+        width = shape.delta
     else:
-        if isinstance(shape, TubeFamily):
-            A = np.array([t.a for t in shape.tubes])
-            W = np.array([t.omega for t in shape.tubes])
-            lengths = np.array([t.length for t in shape.tubes])
-            width = shape.delta
-        else:
-            A = np.asarray(shape, dtype=float)
-            if A.ndim != 2 or A.shape[1] not in (2, 3) or len(A) == 0:
-                raise DimError("point cloud must be a non-empty (n, 2) or (n, 3) array")
-            if not np.all(np.isfinite(A)):
-                raise DimError("point cloud must be finite")
-            W, lengths, width = np.zeros_like(A), np.zeros(len(A)), 0.0
-        pts, cap = np.vstack([A, A + lengths[:, None] * W]), _MAX_CELLS
-        jobs = [(lambda d=d: _capsule_volume(A, W, lengths, width + d, d / _CELL_FACTOR))
-                for d in ds]
+        A = np.asarray(shape, dtype=float)
+        if A.ndim != 2 or A.shape[1] not in (2, 3) or len(A) == 0:
+            raise DimError("point cloud must be a non-empty (n, 2) or (n, 3) array")
+        if not np.all(np.isfinite(A)):
+            raise DimError("point cloud must be finite")
+        W, lengths, width = np.zeros_like(A), np.zeros(len(A)), 0.0
 
-    # every scale is admitted before any is filled
+    # every scale is admitted, on the fill's own points, before any is filled
+    pts = np.vstack([A, A + lengths[:, None] * W])
     for d in ds:
         _grid(pts, width + d, d / _CELL_FACTOR, cap)
-    vols = map_ordered(lambda job: job(), jobs)
+    vols = map_ordered(lambda d: _capsule_volume(A, W, lengths, width + d, d / _CELL_FACTOR,
+                                                 wind, cap), ds)
     return BoxCountCurve(tuple(zip(ds, vols)))
 
 
@@ -451,8 +398,9 @@ def minkowski_estimate(curve: BoxCountCurve, ambient: int) -> DimensionEstimate:
     lx, ly = np.log(curve.deltas), np.log(curve.volumes)
     local = tuple(float(ambient - s) for s in np.diff(ly) / np.diff(lx))
     if len(used) >= 3:
-        spread = math.sqrt(float(res @ res) / (len(used) - 2)
-                           / float(((x - x.mean()) ** 2).sum()))
+        spread = max(math.sqrt(float(res @ res) / (len(used) - 2)
+                               / float(((x - x.mean()) ** 2).sum())),
+                     max(local[1:-1]) - min(local[1:-1]))
     else:
         spread = (max(local) - min(local)) / 2
     return DimensionEstimate(dimension, residual, (used[0][0], used[-1][0]),

@@ -8,8 +8,10 @@ test process would start at this process's peak: the run is launched
 from a small intermediate interpreter instead.
 The Fefferman step at r = 1/16 works on N = 4096, where one complex
 N x N array is 256 MiB: its bound is two of them.  The dense path it
-replaced peaked at about 805 MiB, and the whole-grid region fill at
-about 450 MiB for the m=6 tree curve down to delta = 2^-12.  The
+replaced peaked at about 805 MiB.  The m=6 tree curve down to
+delta = 2^-12 peaked at about 450 MiB with the whole-grid region fill,
+at about 98 MiB with the strip-wise disc-dilation fill, and at about
+38 MiB since regions share the tubes' row-span capsule fill.  The
 capsule fill of the delta = 2^-8 bush down to 2^-8 peaked at about
 63 MiB with the whole grid and per-tube boxes, and at about 212 MiB
 with row spans taken all at once instead of in blocks.  The union volume
