@@ -2,7 +2,6 @@
 
 from .io import (
     CliError,
-    RunManifest,
     emit_report,
     emit_svg,
     load_config,
@@ -15,7 +14,6 @@ from .main import dispatch, main
 
 __all__ = [
     "CliError",
-    "RunManifest",
     "dispatch",
     "emit_report",
     "emit_svg",

@@ -1,5 +1,5 @@
 """Deterministic artifact emission: CSV reports, SVG figures, binary
-fields, run manifests, and config files.
+fields, file digests, and config files.
 
 Everything here is a pure function of its inputs so reruns produce
 byte-identical output; wall time and digests live only in the manifest.
@@ -10,10 +10,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import json
 import math
 import struct
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,7 +20,6 @@ from ..spectral import GridField, SpectralError
 
 __all__ = [
     "CliError",
-    "RunManifest",
     "emit_report",
     "emit_svg",
     "load_config",
@@ -237,23 +234,3 @@ def sha256_file(path: str) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce one run and verify its outputs."""
-
-    subcommand: str
-    parameters: dict
-    seeds: dict
-    tool_version: str
-    wall_time_s: float
-    outputs: dict
-    flags: dict
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
-
-    def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(self.to_json())

@@ -59,7 +59,6 @@ from ..tubelab import (
 )
 from .io import (
     CliError,
-    RunManifest,
     emit_report,
     emit_svg,
     load_config,
@@ -353,112 +352,98 @@ def _cmd_dim(args) -> RunResult:
         outputs=[args.out], check_passed=check, nan_cells=nans)
 
 
-@dataclass(frozen=True)
-class _Arg:
-    flag: str
-    conv: type | None
-    default: object = None
-    required: bool = False
-    help: str = ""
-    choices: tuple[str, ...] | None = None
-    positional: bool = False
-
-    @property
-    def dest(self) -> str:
-        # "in" shadows the keyword, so that flag lands on "infile"
-        name = self.flag.lstrip("-").replace("-", "_")
-        return "infile" if name == "in" else name
-
-
-_SUBCOMMANDS: dict[str, tuple[str, tuple[_Arg, ...], object]] = {
+# Each subcommand: (help, ((flag, add_argument keywords), ...), handler).
+# "required" is checked after the --config fold, not by argparse.
+_SUBCOMMANDS = {
     "perron": (
         "build one shifted Perron tree and write it as JSON/SVG",
         (
-            _Arg("--m", int, required=True, help="splitting depth"),
-            _Arg("--schedule", str, help="comma list of shift fractions"),
-            _Arg("--out", str, required=True, help="tree JSON path"),
-            _Arg("--svg", str, help="optional region figure"),
+            ("--m", dict(type=int, required=True, help="splitting depth")),
+            ("--schedule", dict(help="comma list of shift fractions")),
+            ("--out", dict(required=True, help="tree JSON path")),
+            ("--svg", dict(help="optional region figure")),
         ),
         _cmd_perron,
     ),
     "kakeya": (
         "assemble three rotated trees into an all-directions set",
         (
-            _Arg("--m", int, required=True, help="splitting depth per tree"),
-            _Arg("--schedule", str, help="comma list of shift fractions"),
-            _Arg("--out", str, required=True, help="region JSON path"),
-            _Arg("--svg", str, help="optional region figure"),
+            ("--m", dict(type=int, required=True, help="splitting depth per tree")),
+            ("--schedule", dict(help="comma list of shift fractions")),
+            ("--out", dict(required=True, help="region JSON path")),
+            ("--svg", dict(help="optional region figure")),
         ),
         _cmd_kakeya,
     ),
     "tubes": (
         "generate a tube family or run axiom checks on one",
         (
-            _Arg("mode", str, choices=("gen", "analyze"), positional=True,
-                 help="gen writes family JSON, analyze writes a CSV report"),
-            _Arg("--dim", int, default=2, help="ambient dimension"),
-            _Arg("--delta", float, required=True, help="tube width"),
-            _Arg("--placement", str, default="bush",
-                 choices=("bush", "random", "perron-base", "parallel-lines"),
-                 help="anchor rule"),
-            _Arg("--seed", int, default=0, help="rng seed"),
-            _Arg("--checks", str, default="volume,distinct,sticky",
-                 help="comma list from volume,distinct,wolff,sticky"),
-            _Arg("--method", str, default="monte-carlo",
-                 choices=("monte-carlo", "grid"), help="volume estimator"),
-            _Arg("--mc-samples", int, default=1_000_000,
-                 help="monte carlo sample count"),
-            _Arg("--grid-res", int, default=256, help="grid cells per axis"),
-            _Arg("--out", str, required=True, help="family JSON or report CSV"),
+            ("mode", dict(choices=("gen", "analyze"),
+                          help="gen writes family JSON, analyze writes a CSV report")),
+            ("--dim", dict(type=int, default=2, help="ambient dimension")),
+            ("--delta", dict(type=float, required=True, help="tube width")),
+            ("--placement", dict(default="bush",
+                                 choices=("bush", "random", "perron-base", "parallel-lines"),
+                                 help="anchor rule")),
+            ("--seed", dict(type=int, default=0, help="rng seed")),
+            ("--checks", dict(default="volume,distinct,sticky",
+                              help="comma list from volume,distinct,wolff,sticky")),
+            ("--method", dict(default="monte-carlo", choices=("monte-carlo", "grid"),
+                              help="volume estimator")),
+            ("--mc-samples", dict(type=int, default=1_000_000,
+                                  help="monte carlo sample count")),
+            ("--grid-res", dict(type=int, default=256, help="grid cells per axis")),
+            ("--out", dict(required=True, help="family JSON or report CSV")),
         ),
         _cmd_tubes,
     ),
     "heisenberg": (
         "measure the delta-neighborhood of the Heisenberg surface",
         (
-            _Arg("--delta", float, required=True, help="tube width"),
-            _Arg("--samples", int, default=1_000_000,
-                 help="monte carlo sample count"),
-            _Arg("--seed", int, default=0, help="rng seed"),
-            _Arg("--out", str, required=True, help="report CSV path"),
+            ("--delta", dict(type=float, required=True, help="tube width")),
+            ("--samples", dict(type=int, default=1_000_000,
+                               help="monte carlo sample count")),
+            ("--seed", dict(type=int, default=0, help="rng seed")),
+            ("--out", dict(required=True, help="report CSV path")),
         ),
         _cmd_heisenberg,
     ),
     "fefferman": (
         "run the wave-packet pile-up experiment at eccentricity r",
         (
-            _Arg("--r", float, required=True, help="packet angular width"),
-            _Arg("--p", float, default=2.0, help="Lebesgue exponent"),
-            _Arg("--grid", int, help="samples per axis (default: minimal)"),
-            _Arg("--period", float, help="torus period (default: minimal)"),
-            _Arg("--tree", str, help="tree JSON for directions (default m=6)"),
-            _Arg("--out", str, required=True, help="report CSV path"),
-            _Arg("--heatmap", str, help="optional |Sf| figure"),
+            ("--r", dict(type=float, required=True, help="packet angular width")),
+            ("--p", dict(type=float, default=2.0, help="Lebesgue exponent")),
+            ("--grid", dict(type=int, help="samples per axis (default: minimal)")),
+            ("--period", dict(type=float, help="torus period (default: minimal)")),
+            ("--tree", dict(help="tree JSON for directions (default m=6)")),
+            ("--out", dict(required=True, help="report CSV path")),
+            ("--heatmap", dict(help="optional |Sf| figure")),
         ),
         _cmd_fefferman,
     ),
     "multiplier": (
         "apply a Fourier multiplier to a stored field",
         (
-            _Arg("--kind", str, required=True,
-                 choices=("ball", "square", "br"), help="symbol family"),
-            _Arg("--R", float, required=True, help="cutoff radius"),
-            _Arg("--alpha", float, default=0.0, help="Bochner-Riesz order"),
-            _Arg("--in", str, required=True, help="input field file"),
-            _Arg("--out", str, required=True, help="output field file"),
+            ("--kind", dict(required=True, choices=("ball", "square", "br"),
+                            help="symbol family")),
+            ("--R", dict(type=float, required=True, help="cutoff radius")),
+            ("--alpha", dict(type=float, default=0.0, help="Bochner-Riesz order")),
+            # "in" is a keyword, so the flag lands on args.infile
+            ("--in", dict(dest="infile", required=True, help="input field file")),
+            ("--out", dict(required=True, help="output field file")),
         ),
         _cmd_multiplier,
     ),
     "dim": (
         "estimate Minkowski dimension from neighborhood volumes",
         (
-            _Arg("--in", str, required=True,
-                 help="region JSON, tube family JSON, or points CSV"),
-            _Arg("--deltas", str, required=True,
-                 help='scales, "2^-3..2^-9" or comma floats'),
-            _Arg("--epsilon", float, default=0.5,
-                 help="exponent for the lower-bound ratio"),
-            _Arg("--out", str, required=True, help="report CSV path"),
+            ("--in", dict(dest="infile", required=True,
+                          help="region JSON, tube family JSON, or points CSV")),
+            ("--deltas", dict(required=True,
+                              help='scales, "2^-3..2^-9" or comma floats')),
+            ("--epsilon", dict(type=float, default=0.5,
+                               help="exponent for the lower-bound ratio")),
+            ("--out", dict(required=True, help="report CSV path")),
         ),
         _cmd_dim,
     ),
@@ -474,18 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="cmd", required=True, metavar="subcommand")
     for name, (help_text, argspec, _) in _SUBCOMMANDS.items():
         sub = subs.add_parser(name, help=help_text, description=help_text)
-        for spec in argspec:
-            kwargs: dict = {"help": spec.help}
-            if spec.choices:
-                kwargs["choices"] = spec.choices
-            if spec.positional:
-                sub.add_argument(spec.flag, **kwargs)
-            else:
-                # requiredness is enforced after config merge, not here
-                if spec.conv is not None and spec.conv is not str:
-                    kwargs["type"] = spec.conv
-                sub.add_argument(spec.flag, dest=spec.dest, default=None,
-                                 **kwargs)
+        for flag, kwargs in argspec:
+            sub.add_argument(flag, **{k: v for k, v in kwargs.items() if k != "required"})
         sub.add_argument("--config", default=None,
                          help="key=value file; flags override it")
         sub.add_argument("--check", action="store_true",
@@ -493,60 +468,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args: argparse.Namespace) -> argparse.Namespace:
-    """Fold in the config file, then defaults, then check requiredness."""
-    _, argspec, _ = _SUBCOMMANDS[args.cmd]
-    by_key = {spec.flag.lstrip("-").replace("-", "_"): spec
-              for spec in argspec if not spec.positional}
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv; with --config, parse again with the file's lines as
+    --key=value flags right after the subcommand, so explicit flags win."""
+    args = parser.parse_args(argv)
+    options = {flag[2:].replace("-", "_"): (flag, kwargs)
+               for flag, kwargs in _SUBCOMMANDS[args.cmd][1] if flag.startswith("--")}
     if args.config:
-        raw = load_config(args.config, set(by_key))
-        for key, text in raw.items():
-            spec = by_key[key]
-            if getattr(args, spec.dest) is not None:
-                continue
-            try:
-                value = spec.conv(text) if spec.conv else text
-            except ValueError as exc:
-                raise CliError(
-                    f"config key {key!r}: bad value {text!r}") from exc
-            if spec.choices and value not in spec.choices:
-                raise CliError(
-                    f"config key {key!r}: {value!r} not in {spec.choices}")
-            setattr(args, spec.dest, value)
-    for spec in by_key.values():
-        if getattr(args, spec.dest) is None:
-            if spec.required:
-                raise CliError(f"missing required option {spec.flag}")
-            setattr(args, spec.dest, spec.default)
+        raw = load_config(args.config, set(options))
+        at = argv.index(args.cmd) + 1
+        args = parser.parse_args(
+            argv[:at] + [f"{options[k][0]}={v}" for k, v in raw.items()] + argv[at:])
+    for key, (flag, kwargs) in options.items():
+        if kwargs.get("required") and getattr(args, kwargs.get("dest", key)) is None:
+            raise CliError(f"missing required option {flag}")
     return args
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = _parse(build_parser(), list(argv))
+        started = time.perf_counter()
+        result = _SUBCOMMANDS[args.cmd][2](args)
+    except SystemExit as exc:  # argparse's usage errors, --help and --version
         code = exc.code
         return int(code) if isinstance(code, int) else 2
-    started = time.perf_counter()
-    try:
-        args = _resolve(args)
-        result = _SUBCOMMANDS[args.cmd][2](args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    wall = time.perf_counter() - started
-    manifest = RunManifest(
-        subcommand=args.cmd,
-        parameters=result.parameters,
-        seeds=result.seeds,
-        tool_version=kakeyalab.__version__,
-        wall_time_s=wall,
-        outputs={path: sha256_file(path) for path in result.outputs},
-        flags={"check": bool(args.check), "config": args.config,
-               "nan_cells": result.nan_cells},
-    )
-    manifest.write(result.outputs[0] + ".manifest.json")
+    manifest = {
+        "subcommand": args.cmd,
+        "parameters": result.parameters,
+        "seeds": result.seeds,
+        "tool_version": kakeyalab.__version__,
+        "wall_time_s": time.perf_counter() - started,
+        "outputs": {path: sha256_file(path) for path in result.outputs},
+        "flags": {"check": bool(args.check), "config": args.config,
+                  "nan_cells": result.nan_cells},
+    }
+    _write_text(result.outputs[0] + ".manifest.json",
+                json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     if args.check and not result.check_passed:
         print("acceptance check failed", file=sys.stderr)
         return 3
@@ -555,7 +516,3 @@ def dispatch(argv) -> int:
 
 def main(argv=None) -> int:
     return dispatch(sys.argv[1:] if argv is None else argv)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

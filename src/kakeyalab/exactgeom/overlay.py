@@ -304,8 +304,6 @@ def _span_filter(i, js, fs, fb, ms, mb, span):
 
 def _collect_crossings(edges, xs_seen):
     """Add both edges of every crossing inside two spans to xs_seen[x]."""
-    if len(edges) < 2:
-        return
     minx, maxx, ya, yb, fs, fb, lid = np.array([
         (float(e.px), float(e.qx), float(e.py), float(e.qy), float(e.slope), float(e.icept),
          e.line_id)

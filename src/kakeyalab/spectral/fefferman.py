@@ -22,7 +22,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..exactgeom import GeomError
 from ..parallel import map_ordered
 from ..perron import PerronTree, covering_segment
 from .grid import GridField, SpectralError, _inverse_into, lp_norm
@@ -95,14 +94,6 @@ def _check_memory(N: int) -> None:
                             f"array, over the {_ARRAY_BYTES / 2 ** 30:g} GiB limit")
 
 
-def _abscissa(phi: float) -> Fraction:
-    """Base abscissa of the direction at angle phi, rounded from floats.
-
-    Rounding can land just outside the apex sector; plan_placements
-    then retries with the abscissa nudged toward zero."""
-    return Fraction(-math.cos(phi) / math.sin(phi))
-
-
 def plan_placements(tree: PerronTree, r: float, L: float):
     """Packets for every sector direction: list of (WavePacket, leaf).
 
@@ -115,15 +106,7 @@ def plan_placements(tree: PerronTree, r: float, L: float):
     out = []
     for i in range(int(_SECTOR / r)):
         phi = _SECTOR + (i + 0.5) * r
-        t = _abscissa(phi)
-        for _ in range(4):
-            try:
-                seg, leaf = covering_segment(tree, t)
-                break
-            except GeomError:
-                t = Fraction(math.nextafter(float(t), 0.0))
-        else:
-            raise SpectralError(f"direction {phi} missed the sector")
+        seg, leaf = covering_segment(tree, Fraction(-math.cos(phi) / math.sin(phi)))
         base = np.array([float(seg.q.x), float(seg.q.y)])
         n_hat = np.array([math.cos(phi), math.sin(phi)])
         center = origin + lam * base - (lam / 2.0) * n_hat

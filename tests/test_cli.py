@@ -4,11 +4,16 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kakeyalab
 from kakeyalab.cli import (
     CliError,
     dispatch,
@@ -122,6 +127,59 @@ class TestDispatch:
         code = dispatch(["perron", "--m", "3", "--out", str(out), "--check"])
         assert code == 0
 
+    def test_bad_schedule_is_exit_2(self, tmp_path, capsys):
+        assert dispatch(["perron", "--m", "2", "--schedule", "a,b",
+                         "--out", str(tmp_path / "t.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: bad schedule")
+
+    def test_empty_check_list_is_exit_2(self, tmp_path, capsys):
+        assert dispatch(["tubes", "analyze", "--delta", "0.125", "--checks", ",",
+                         "--out", str(tmp_path / "r.csv")]) == 2
+        assert "empty check list" in capsys.readouterr().err
+
+    def test_unparsable_points_csv_is_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "pts.csv"
+        src.write_text("0.5,0.5\nx,y\n")
+        assert dispatch(["dim", "--in", str(src), "--deltas", "2^-2..2^-4",
+                         "--out", str(tmp_path / "d.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}: ") and "Traceback" not in err
+
+
+class TestCheckBranches:
+    """Each subcommand's --check assertion, at sizes that take well under a second."""
+
+    def test_kakeya_covers_the_full_circle(self, tmp_path, capsys):
+        assert dispatch(["kakeya", "--m", "2", "--out", str(tmp_path / "k.json"),
+                         "--check"]) == 0
+        assert "coverage 1440/1440 full-circle directions" in capsys.readouterr().out
+
+    def test_tubes_analyze_pass_and_fail(self, tmp_path, capsys):
+        base = ["tubes", "analyze", "--delta", "0.125", "--mc-samples", "20000"]
+        assert dispatch(base + ["--checks", "volume",
+                                "--out", str(tmp_path / "a.csv"), "--check"]) == 0
+        assert "(0 fail)" in capsys.readouterr().out
+        # the slab packs delta^-2 tubes into one prism: the Wolff check fails
+        assert dispatch(base + ["--placement", "parallel-lines", "--checks", "wolff",
+                                "--out", str(tmp_path / "b.csv"), "--check"]) == 3
+        captured = capsys.readouterr()
+        assert "(1 fail)" in captured.out
+        assert "acceptance check failed" in captured.err
+
+    @pytest.mark.parametrize("samples, code", [(20000, 3), (400000, 0)])
+    def test_heisenberg_needs_a_one_percent_error(self, tmp_path, samples, code):
+        assert dispatch(["heisenberg", "--delta", "0.125", "--samples", str(samples),
+                         "--out", str(tmp_path / "h.csv"), "--check"]) == code
+
+    @pytest.mark.parametrize("p", ["2", "4"])
+    def test_fefferman_ratio(self, tmp_path, capsys, p):
+        out = tmp_path / "f.csv"
+        assert dispatch(["fefferman", "--r", "0.25", "--p", p, "--out", str(out),
+                         "--check"]) == 0
+        assert re.search(rf"^4 packets, L\^{p} ratio 0\.\d{{4}} -> ", capsys.readouterr().out, re.M)
+        row = next(csv.DictReader(io.StringIO(out.read_text())))
+        assert 0.0 < float(row["ratio"]) < 1.0
+
 
 class TestManifest:
     def test_digests_recomputable(self, tmp_path):
@@ -198,11 +256,70 @@ class TestConfigFile:
         assert dispatch(["heisenberg", "--config", str(cfg),
                          "--out", str(tmp_path / "h.csv")]) == 2
 
-    def test_bad_value_rejected(self, tmp_path):
+    def test_bad_value_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("delta=wide\n")
         assert dispatch(["heisenberg", "--config", str(cfg),
                          "--out", str(tmp_path / "h.csv")]) == 2
+        assert "argument --delta: invalid float value: 'wide'" in capsys.readouterr().err
+
+    def test_bad_choice_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("delta=0.25\nplacement=spiral\n")
+        assert dispatch(["tubes", "gen", "--config", str(cfg),
+                         "--out", str(tmp_path / "f.json")]) == 2
+        assert "argument --placement: invalid choice: 'spiral'" in capsys.readouterr().err
+
+    def test_positional_is_not_a_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode=gen\ndelta=0.25\n")
+        assert dispatch(["tubes", "analyze", "--config", str(cfg),
+                         "--out", str(tmp_path / "f.json")]) == 2
+        assert "unknown key 'mode'" in capsys.readouterr().err
+
+    def test_in_key_reaches_infile(self, tmp_path):
+        src, dst = tmp_path / "f.bin", tmp_path / "g.bin"
+        write_field(str(src), GridField(1, 8, 1.0, np.ones(8, dtype=complex)))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"kind=ball\nR=1.0\nin={src}\n")
+        assert dispatch(["multiplier", "--config", str(cfg), "--out", str(dst)]) == 0
+        manifest = json.loads((tmp_path / "g.bin.manifest.json").read_text())
+        assert manifest["parameters"]["in"] == str(src)
+        assert manifest["flags"]["config"] == str(cfg)
+
+    @pytest.mark.parametrize("name", ["a=b.csv", "-h.csv", "--out"])
+    def test_value_stays_a_value(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"delta=0.125\nsamples=20000\nout={name}\n")
+        assert dispatch(["heisenberg", "--config", str(cfg)]) == 0
+        assert (tmp_path / name).exists()
+
+    def test_negative_number_stays_a_value(self, tmp_path, capsys):
+        # -0.125 reaches the library, which refuses it, instead of being
+        # taken for a flag
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("delta=-0.125\n")
+        assert dispatch(["heisenberg", "--config", str(cfg),
+                         "--out", str(tmp_path / "h.csv")]) == 2
+        assert capsys.readouterr().err == "error: 1/delta must be a positive integer\n"
+
+    def test_cli_choice_overrides_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("delta=0.5\nplacement=random\nseed=1\n")
+        out = tmp_path / "f.json"
+        assert dispatch(["tubes", "gen", "--config", str(cfg), "--placement", "bush",
+                         "--delta", "0.25", "--out", str(out)]) == 0
+        params = json.loads((tmp_path / "f.json.manifest.json").read_text())["parameters"]
+        assert (params["placement"], params["delta"]) == ("bush", 0.25)
+        assert json.loads(out.read_text())["placement_tag"] == "bush"
+
+    def test_required_option_missing_after_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("samples=20000\n")
+        assert dispatch(["heisenberg", "--config", str(cfg),
+                         "--out", str(tmp_path / "h.csv")]) == 2
+        assert capsys.readouterr().err == "error: missing required option --delta\n"
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -341,6 +458,16 @@ class TestFieldFile:
         want = apply_multiplier(field, MultiplierSpec.ball(2.5))
         assert np.array_equal(read_field(str(dst)).data, want.data)
 
+    def test_square_multiplier_matches_library(self, tmp_path):
+        rng = np.random.default_rng(9)
+        field = GridField(2, 32, 4.0, rng.standard_normal((32, 32)) + 0j)
+        src, dst = tmp_path / "f.bin", tmp_path / "g.bin"
+        write_field(str(src), field)
+        assert dispatch(["multiplier", "--kind", "square", "--R", "1.5",
+                         "--in", str(src), "--out", str(dst), "--check"]) == 0
+        want = apply_multiplier(field, MultiplierSpec.square(1.5))
+        assert np.array_equal(read_field(str(dst)).data, want.data)
+
 
 class TestParseDeltas:
     def test_dyadic_range(self):
@@ -419,3 +546,14 @@ class TestTubesReport:
         assert dispatch(["tubes", "analyze", "--delta", "0.125",
                          "--placement", "bush", "--checks", "wolff",
                          "--out", str(tmp_path / "r.csv")]) == 2
+
+
+def test_module_entry_point_runs_quietly():
+    # python -m kakeyalab.cli must not re-import an already imported
+    # kakeyalab.cli.main (runpy warns when that happens)
+    env = {**os.environ, "PYTHONPATH": str(Path(kakeyalab.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "kakeyalab.cli", "--version"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == f"kakeyalab {kakeyalab.__version__}\n"

@@ -104,14 +104,6 @@ class TestPlacements:
         _, peak_y = np.unravel_index(np.argmax(rep.heatmap), rep.heatmap.shape)
         assert base_bin < peak_y < base_bin + 32
 
-    def test_only_sector_misses_are_retried(self, tree, monkeypatch):
-        def broken(tree, t):
-            raise TypeError("not a sector miss")
-
-        monkeypatch.setattr(fefferman, "covering_segment", broken)
-        with pytest.raises(TypeError, match="not a sector miss"):
-            plan_placements(tree, 1 / 8, minimal_grid(1 / 8)[1])
-
 
 def dense_norm_and_filtered(fhat, N, L, p):
     """The dense path the block path replaced: the whole N x N symbol
