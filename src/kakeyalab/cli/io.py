@@ -11,6 +11,7 @@ import csv
 import hashlib
 import io
 import math
+import os
 import struct
 
 import numpy as np
@@ -57,10 +58,16 @@ def read_field(path: str) -> GridField:
         magic, dim, n, period = _HEADER.unpack(head)
         if magic != _FIELD_MAGIC:
             raise CliError(f"{path}: not a field file (bad magic)")
+        # GridField's own rules, checked before n ** dim is formed
+        if dim not in (1, 2):
+            raise CliError(f"{path}: dim must be 1 or 2, got {dim}")
+        if n < 8 or n & (n - 1):
+            raise CliError(f"{path}: N must be a power of two >= 8, got {n}")
+        want = 16 * n ** dim
+        found = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if found != want:
+            raise CliError(f"{path}: expected {want} data bytes, found {found}")
         raw = fh.read()
-    want = 16 * n ** dim
-    if len(raw) != want:
-        raise CliError(f"{path}: expected {want} data bytes, found {len(raw)}")
     data = np.frombuffer(raw, dtype="<c16").reshape((n,) * dim)
     try:
         return GridField(dim, n, period, data.copy())

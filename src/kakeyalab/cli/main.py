@@ -226,9 +226,9 @@ _HEIS_SCHEMA = ("delta", "volume", "std_error", "sum_tube_vol", "count")
 
 
 def _cmd_heisenberg(args) -> RunResult:
+    count = lattice_count(args.delta)
     est = heisenberg_neighborhood_volume(args.delta, args.samples,
                                          seed=args.seed)
-    count = lattice_count(args.delta)
     sum_tube = count * complex_tube_volume(args.delta)
     text, nans = emit_report(
         [(args.delta, est.value, est.std_error, sum_tube, count)],

@@ -314,14 +314,13 @@ def _collect_crossings(edges, xs_seen):
     el = np.abs(minx) * _MARGIN + _TINY
     er = np.abs(maxx) * _MARGIN + _TINY
     span = (minx + el, maxx - er, minx - el, maxx + er)
-    m = 1e-9 * max(maxx.max() - minx.min(), maxy.max() - miny.min(), 1.0)
     for i, ei in enumerate(edges[:-1]):
         j0 = i + 1
         js = j0 + np.nonzero(
-            (minx[j0:] <= maxx[i] + m)
-            & (maxx[j0:] >= minx[i] - m)
-            & (miny[j0:] <= maxy[i] + m)
-            & (maxy[j0:] >= miny[i] - m)
+            (minx[j0:] <= maxx[i])
+            & (maxx[j0:] >= minx[i])
+            & (miny[j0:] <= maxy[i])
+            & (maxy[j0:] >= miny[i])
             & (lid[j0:] != lid[i])
         )[0]
         if js.size == 0:

@@ -2,9 +2,11 @@
 
 The predicates compute on frame points, pairs of plain rationals (see
 Point2), and decide every sign exactly.  Doubles only skip work: a
-bounding box or a height more than _SLACK away settles a test before
-any exact arithmetic.  float() of a rational is correctly rounded, so
-those shortcuts never disagree with the exact answer.
+strict inequality between the doubles of two coordinates settles a
+test before any exact arithmetic.  float() of a rational is correctly
+rounded, hence monotone: a <= b gives float(a) <= float(b), so
+float(a) < float(b) proves a < b.  Equal doubles prove nothing and fall
+through to the exact comparison.
 """
 
 from __future__ import annotations
@@ -95,9 +97,6 @@ def on_segment(p: Point2, a: Point2, b: Point2) -> bool:
     return 0 <= t_num <= dot(a, b, b)  # |b-a|^2
 
 
-_SLACK = 1e-9  # floats of coordinates err far below this
-
-
 def _bbox(points):
     xs = [float(v.x) for v in points]
     ys = [float(v.y) for v in points]
@@ -105,12 +104,7 @@ def _bbox(points):
 
 
 def _bbox_touch(a, b) -> bool:
-    return (
-        a[0] <= b[1] + _SLACK
-        and b[0] <= a[1] + _SLACK
-        and a[2] <= b[3] + _SLACK
-        and b[2] <= a[3] + _SLACK
-    )
+    return a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]
 
 
 # segment_hits result kinds
@@ -227,26 +221,24 @@ def validate_simple_polygon(poly):
 def point_in_polygon_closed(p: Point2, poly) -> bool:
     """Closed membership: boundary counts as inside.  Exact ray parity.
 
-    A vertex height more than _SLACK from p's, or a crossing more than
-    _SLACK left or right of p, is decided by doubles; only the rest is
-    compared exactly.
+    A vertex whose height's double differs from p's, or an edge whose
+    x span's doubles lie strictly left or right of p's, is decided by
+    doubles; only the rest is compared exactly.
     """
     px, py = float(p.x), float(p.y)
     fl = [(float(v.x), float(v.y)) for v in poly]
-    below = [fy + _SLACK < py or (fy - _SLACK <= py and v.y <= p.y)
-             for v, (_, fy) in zip(poly, fl)]
+    below = [fy < py or (fy == py and v.y <= p.y) for v, (_, fy) in zip(poly, fl)]
     inside = False
     for i in range(len(poly)):
         (vx, vy), (wx, wy) = fl[i - 1], fl[i]
         lox, hix = (vx, wx) if vx <= wx else (wx, vx)
-        if (lox - _SLACK <= px <= hix + _SLACK
-                and min(vy, wy) - _SLACK <= py <= max(vy, wy) + _SLACK
+        if (lox <= px <= hix and min(vy, wy) <= py <= max(vy, wy)
                 and on_segment(p, poly[i - 1], poly[i])):
             return True
         if below[i - 1] != below[i]:
-            if px + _SLACK < lox:
+            if px < lox:
                 inside = not inside  # the crossing lies right of p
-            elif px - _SLACK <= hix:
+            elif px <= hix:
                 # x where the edge crosses the horizontal through p
                 v, w = poly[i - 1], poly[i]
                 t = (p.y - v.y) / (w.y - v.y)

@@ -6,8 +6,7 @@ segments.  Their delta-tubes keep total volume of constant order
 while the union sits inside the delta-neighbourhood of the surface,
 whose volume is only ~ delta: over C the strong discretized volume
 bound fails outright, and this module measures that failure.
-The volume sampler tests the defect by two real sines and turns to the
-complex form only for a chunk with a sample within _BAND of delta.
+The volume sampler tests the defect in real form, by two real sines.
 
 Segments use the gauge-fixed chart (b + conj(w) z, z, w + a z) with
 a, b real, which lies on the surface identically, so the full
@@ -48,11 +47,9 @@ _POLYDISC_VOLUME = (4.0 * math.pi) ** 3
 
 _BOUND_TOL = 1e-12
 
-# A real-form defect within _BAND of delta sends its chunk to the
-# complex form.  Both forms round a dozen values of size <= 8, so they
-# differ by a few ulps of 8 (2.2e-15 at most over 2^20 draws); 2^-30
-# leaves more than 10^5 times that.
-_BAND = 2.0**-30
+# Largest 1/delta lattice_count takes: its disc count at 2^20 loops
+# 2^21 times, about half a second.
+_MAX_INVERSE_DELTA = 1 << 20
 
 
 class HeisenbergError(ValueError):
@@ -109,12 +106,8 @@ def membership_defect(p: CPoint3) -> float:
     return abs(p.z1.imag - (p.z2 * p.z3.conjugate()).imag)
 
 
-def _defect(z1: np.ndarray, z2: np.ndarray, z3: np.ndarray) -> np.ndarray:
-    return np.abs(z1.imag - (z2 * np.conj(z3)).imag)
-
-
 def _real_defect(r: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """_defect of z = r e^{i phi}: |r1 sin phi1 - r2 r3 sin(phi2 - phi3)|."""
+    """Defect of z = r e^{i phi}: |r1 sin phi1 - r2 r3 sin(phi2 - phi3)|."""
     d = r[:, 1] * r[:, 2] * np.sin(phi[:, 1] - phi[:, 2])
     d -= r[:, 0] * np.sin(phi[:, 0])
     return np.abs(d, out=d)
@@ -147,7 +140,10 @@ def surface_segment_points(params: ComplexLineParams, n: int) -> list[CPoint3]:
 
 
 def _inverse_delta(delta: float) -> int:
-    inv = round(1.0 / delta)
+    if 0 < delta * _MAX_INVERSE_DELTA < 1.0:
+        raise HeisenbergError(f"1/delta = {1.0 / delta:g} is over the limit of "
+                              f"{_MAX_INVERSE_DELTA:,}")
+    inv = round(1.0 / delta) if 0 < delta < math.inf else 0
     if inv < 1 or abs(inv * delta - 1.0) > 1e-9:
         raise HeisenbergError("1/delta must be a positive integer")
     return inv
@@ -189,22 +185,18 @@ def heisenberg_neighborhood_volume(
     Upper-bounds the volume of any union of family tubes once delta is
     rescaled by MEMBERSHIP_CALIBRATION, since tubes live where the
     defect is small.  Samples z = 2 sqrt(u) e^{i phi} are tested in
-    real form; a chunk with one within _BAND of delta is counted whole
-    by the complex form, as numpy rounds the complex product of a few
-    rows apart from a full chunk's.  So every count, and the estimate,
-    is the complex form's for any delta, seed and thread count.
+    real form only; each count depends on the seed alone, not on the
+    thread count.
     """
+    if not delta > 0:
+        raise HeisenbergError(f"delta must be positive, got {delta}")
     if samples < 10**4:
         raise HeisenbergError("need at least 10^4 samples")
 
     def hits(rng, size: int) -> int:
         r = 2.0 * np.sqrt(rng.random((size, 3)))
         phi = rng.random((size, 3)) * (2.0 * math.pi)
-        d = _real_defect(r, phi)
-        if np.any(np.abs(d - delta) <= _BAND):
-            z = r * np.exp(1j * phi)
-            d = _defect(z[:, 0], z[:, 1], z[:, 2])
-        return int(np.count_nonzero(d <= delta))
+        return int(np.count_nonzero(_real_defect(r, phi) <= delta))
 
     p = mc_hit_fraction(hits, samples, seed)
     se = _POLYDISC_VOLUME * math.sqrt(p * (1.0 - p) / samples)

@@ -8,7 +8,6 @@ experiment that drives packets onto a tree region.
 
 from .fefferman import (
     FeffermanReport,
-    PacketDiagnostic,
     fefferman_experiment,
     minimal_grid,
     plan_placements,
@@ -53,7 +52,6 @@ __all__ = [
     "packet_mass_fraction",
     "required_samples",
     "FeffermanReport",
-    "PacketDiagnostic",
     "fefferman_experiment",
     "minimal_grid",
     "plan_placements",

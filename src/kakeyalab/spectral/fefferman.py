@@ -30,7 +30,6 @@ from .packets import (FreqRect, WavePacket, _check_grid, packet_symbol_block,
                       required_samples)
 
 __all__ = [
-    "PacketDiagnostic",
     "FeffermanReport",
     "minimal_grid",
     "plan_placements",
@@ -46,25 +45,9 @@ _ARRAY_BYTES = 1 << 32
 
 
 @dataclass(frozen=True)
-class PacketDiagnostic:
-    """Per-packet record: where it went and what the filter kept.
-
-    power is the frequency-side L^2 mass of the packet's symbol;
-    kept_fraction is the share of it surviving the unit low-pass cut.
-    """
-
-    index: int
-    angle: float
-    leaf: int
-    center: np.ndarray
-    power: float
-    kept_fraction: float
-
-
-@dataclass(frozen=True)
 class FeffermanReport:
-    """Norm comparison for one (r, p) run, with per-packet diagnostics
-    and a coarse |Sf| occupancy map for rendering."""
+    """Norm comparison for one (r, p) run on the N x N grid of period L,
+    with a coarse |Sf| occupancy map for rendering."""
 
     r: float
     p: float
@@ -73,7 +56,6 @@ class FeffermanReport:
     n_packets: int
     input_norm: float
     output_norm: float
-    packets: tuple[PacketDiagnostic, ...]
     heatmap: np.ndarray
 
     @property
@@ -139,34 +121,24 @@ def _norm_and_filtered(blocks, N: int, L: float, p: float):
 def fefferman_experiment(tree: PerronTree, r: float, p: float,
                          N: int | None = None, L: float | None = None) -> FeffermanReport:
     """Build the packet sum for the tree's directions at scale r and
-    measure the L^p norm ratio across the unit low-pass filter."""
+    measure the L^p norm ratio across the unit low-pass filter.
+
+    L defaults to the minimal period 4/r^2, then N to the smallest valid
+    grid for that L; a value given is kept.
+    """
     if not p >= 1:
         raise SpectralError(f"p must be >= 1, got {p}")
-    if N is None or L is None:
-        N, L = minimal_grid(r)
+    if L is None:
+        _, L = minimal_grid(r)
+    if N is None:
+        N = required_samples(r, L)
     _check_memory(N)
     _check_grid(r, N, L)
     placements = plan_placements(tree, r, L)
-    freqs = np.fft.fftfreq(N, d=L / N)
-
-    def run(job):
-        packet, _ = job
-        ix, iy, block = packet_symbol_block(packet.theta, packet.y, N, L)
-        q = (np.square(freqs[ix])[:, None] + np.square(freqs[iy])[None, :])
-        power = np.abs(block) ** 2
-        total = power.sum()
-        kept = power[q <= 1.0].sum() / total if total > 0 else 0.0
-        return ix, iy, block, float(total) / L ** 2, float(kept)
-
-    blocks, diags = [], []
-    for i, ((packet, leaf), (ix, iy, block, pw, kept)) in enumerate(
-            zip(placements, map_ordered(run, placements))):
-        blocks.append((ix, iy, block))
-        diags.append(PacketDiagnostic(i, packet.theta.angle, leaf,
-                                      packet.y, pw, kept))
+    blocks = map_ordered(lambda job: packet_symbol_block(job[0].theta, job[0].y, N, L),
+                         placements)
     in_norm, out_norm, heat = _norm_and_filtered(blocks, N, L, p)
-    return FeffermanReport(r, p, N, L, len(placements), in_norm, out_norm,
-                           tuple(diags), heat)
+    return FeffermanReport(r, p, N, L, len(placements), in_norm, out_norm, heat)
 
 
 def single_packet_ratio(r: float, p: float) -> float:

@@ -81,7 +81,6 @@ def _directions_3d(rings: list[tuple[float, float, float, int, int]], pole: bool
     return np.concatenate(rows)
 
 
-_NET_CACHE: dict[tuple[float, int], np.ndarray] = {}
 # Most directions generate_directions builds: 3-D delta = 2^-7 makes 102,847.
 _MAX_DIRECTIONS = 1 << 17
 
@@ -97,19 +96,14 @@ def generate_directions(delta: float, dim: int) -> np.ndarray:
         raise TubeError(f"delta must lie in (0, 1), got {delta}")
     if dim not in (2, 3):
         raise TubeError(f"dim must be 2 or 3, got {dim}")
-    key = (delta, dim)
-    if key not in _NET_CACHE:
-        dpad = delta * (1.0 + _PAD)
-        rings, pole = _rings_3d(dpad) if dim == 3 else ([], False)
-        n = (int(math.pi / (2.0 * math.asin(dpad / 2.0))) if dim == 2
-             else sum(r[-1] for r in rings) + pole)
-        if n > _MAX_DIRECTIONS:
-            raise TubeError(f"a {dim}-D net at delta = {delta!r} has {n:,} directions, "
-                            f"over the limit of {_MAX_DIRECTIONS:,}")
-        net = _directions_2d(n) if dim == 2 else _directions_3d(rings, pole)
-        net.setflags(write=False)
-        _NET_CACHE[key] = net
-    return _NET_CACHE[key]
+    dpad = delta * (1.0 + _PAD)
+    rings, pole = _rings_3d(dpad) if dim == 3 else ([], False)
+    n = (int(math.pi / (2.0 * math.asin(dpad / 2.0))) if dim == 2
+         else sum(r[-1] for r in rings) + pole)
+    if n > _MAX_DIRECTIONS:
+        raise TubeError(f"a {dim}-D net at delta = {delta!r} has {n:,} directions, "
+                        f"over the limit of {_MAX_DIRECTIONS:,}")
+    return _directions_2d(n) if dim == 2 else _directions_3d(rings, pole)
 
 
 def _random_ball(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -122,17 +116,6 @@ def _random_ball(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
         out[have : have + take] = cand[:take]
         have += take
     return out
-
-
-_PERRON_CACHE: dict[int, object] = {}
-
-
-def _perron_tree(m: int):
-    if m not in _PERRON_CACHE:
-        from ..perron import PerronSpec, build_perron_tree
-
-        _PERRON_CACHE[m] = build_perron_tree(PerronSpec.default(m))
-    return _PERRON_CACHE[m]
 
 
 def generate_family(
@@ -159,17 +142,18 @@ def generate_family(
     elif placement == "perron-base":
         if dim != 2:
             raise TubeError("perron-base placement is two-dimensional only")
-        tubes = [
-            _tree_segment_tube(float(math.atan2(w[1], w[0])), delta, tree_levels)
-            for w in dirs
-        ]
+        from ..perron import PerronSpec, build_perron_tree
+
+        tree = build_perron_tree(PerronSpec.default(tree_levels))
+        tubes = [_tree_segment_tube(float(math.atan2(w[1], w[0])), delta, tree)
+                 for w in dirs]
     else:
         raise TubeError(f"unknown placement {placement!r}")
     return TubeFamily(delta, tuple(tubes), placement)
 
 
-def _tree_segment_tube(theta: float, delta: float, m: int) -> Tube:
-    """Unit tube along the tracked tree segment at line angle theta.
+def _tree_segment_tube(theta: float, delta: float, tree) -> Tube:
+    """Unit tube along the tracked segment of tree at line angle theta.
 
     The tree's own fan realises line angles in [60, 120) degrees; the
     other two thirds come from the 120/240 degree rotations about the
@@ -178,7 +162,6 @@ def _tree_segment_tube(theta: float, delta: float, m: int) -> Tube:
     from ..exactgeom import RigidMotion, Segment2
     from ..perron import APEX, BASE_HALF, covering_segment
 
-    tree = _perron_tree(m)
     deg = math.degrees(theta % math.pi)
     if 60.0 <= deg < 120.0:
         turn = 0

@@ -6,8 +6,10 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,7 @@ from kakeyalab.cli import (
 from kakeyalab.exactgeom.region import Region2
 from kakeyalab.perron import PerronSpec, build_perron_tree, tree_from_json
 from kakeyalab.spectral import GridField, MultiplierSpec, apply_multiplier
+from kakeyalab.tubelab import family_from_json, generate_directions, generate_family, union_volume
 
 
 def run(tmp_path, *argv):
@@ -179,6 +182,66 @@ class TestCheckBranches:
         assert re.search(rf"^4 packets, L\^{p} ratio 0\.\d{{4}} -> ", capsys.readouterr().out, re.M)
         row = next(csv.DictReader(io.StringIO(out.read_text())))
         assert 0.0 < float(row["ratio"]) < 1.0
+
+
+class TestEarlyRefusal:
+    """Inputs that would stall or crash a run exit 2 at once, with an error line."""
+
+    def refused(self, capsys, argv):
+        started = time.perf_counter()
+        assert dispatch(argv) == 2
+        assert time.perf_counter() - started < 1.0
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--delta", "0"],  # no 1/delta to take
+        ["--delta", "0.3", "--samples", "20000000"],  # refused before 2e7 draws
+        ["--delta", "1e-8"],  # a lattice count over 2e8 rows
+    ])
+    def test_heisenberg_bad_delta(self, tmp_path, capsys, flags):
+        out = tmp_path / "h.csv"
+        assert self.refused(capsys, ["heisenberg", *flags, "--out", str(out)]).startswith("error: ")
+        assert not out.exists()
+
+    def test_field_header_checked_before_sizing(self, tmp_path, capsys):
+        # 32 bytes claiming dim 2^20 and N = 2^32 - 1: 16 * N ** dim would
+        # be a multi-megabyte integer
+        src = tmp_path / "f.bin"
+        src.write_bytes(struct.pack("<8sIId8x", b"KAKFLD01", 2 ** 20, 2 ** 32 - 1, 1.0))
+        err = self.refused(capsys, ["multiplier", "--kind", "ball", "--R", "1",
+                                    "--in", str(src), "--out", str(tmp_path / "g.bin")])
+        assert err == f"error: {src}: dim must be 1 or 2, got 1048576\n"
+
+    @pytest.mark.parametrize("dim, n, match", [
+        (2, 12, "N must be a power of two >= 8, got 12"),
+        (1, 4, "N must be a power of two >= 8, got 4"),
+        (2, 2 ** 31, "expected 73786976294838206464 data bytes, found 0"),
+    ])
+    def test_field_header_rules(self, tmp_path, dim, n, match):
+        src = tmp_path / "f.bin"
+        src.write_bytes(struct.pack("<8sIId8x", b"KAKFLD01", dim, n, 1.0))
+        with pytest.raises(CliError, match=match):
+            read_field(str(src))
+
+
+class TestFeffermanGrid:
+    @pytest.mark.parametrize("flags, n, period", [
+        (["--grid", "2048"], 2048, 256.0),
+        (["--period", "512"], 2048, 512.0),
+        ([], 1024, 256.0),
+    ])
+    def test_given_grid_or_period_is_kept(self, tmp_path, flags, n, period):
+        out = tmp_path / "f.csv"
+        assert dispatch(["fefferman", "--r", "0.125", *flags, "--out", str(out)]) == 0
+        row = next(csv.DictReader(io.StringIO(out.read_text())))
+        assert (int(row["N"]), float(row["L"])) == (n, period)
+
+    def test_grid_too_small_for_its_period(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        assert dispatch(["fefferman", "--r", "0.125", "--period", "512", "--grid", "1024",
+                         "--out", str(out)]) == 2
+        assert "need N >= 2048" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestManifest:
@@ -546,6 +609,36 @@ class TestTubesReport:
         assert dispatch(["tubes", "analyze", "--delta", "0.125",
                          "--placement", "bush", "--checks", "wolff",
                          "--out", str(tmp_path / "r.csv")]) == 2
+
+
+class TestTubesPaths:
+    def test_grid_volume(self, tmp_path):
+        out = tmp_path / "r.csv"
+        assert dispatch(["tubes", "analyze", "--delta", "0.125", "--checks", "volume",
+                         "--method", "grid", "--grid-res", "32", "--out", str(out)]) == 0
+        rows = {r["statistic"]: r for r in csv.DictReader(io.StringIO(out.read_text()))}
+        want = union_volume(generate_family(0.125, 2, "bush"), method="grid", resolution=32)
+        assert float(rows["union_volume"]["value"]) == want.value
+        assert float(rows["std_error"]["value"]) == want.std_error > 0
+
+    def test_perron_base_rerun_identical(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for out in (a, b):
+            assert dispatch(["tubes", "gen", "--delta", "0.0625",
+                             "--placement", "perron-base", "--out", str(out)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        fam = family_from_json(a.read_text())
+        assert fam.placement_tag == "perron-base"
+        assert len(fam) == len(generate_directions(0.0625, 2))
+
+    def test_three_dimensional_family(self, tmp_path):
+        out = tmp_path / "f.json"
+        assert dispatch(["tubes", "gen", "--dim", "3", "--delta", "0.25",
+                         "--placement", "random", "--seed", "3", "--out", str(out)]) == 0
+        fam = family_from_json(out.read_text())
+        assert fam.dim == 3
+        assert len(fam) == len(generate_directions(0.25, 3))
+        assert all(t.a @ t.a <= 1.0 and t.omega[2] >= 0.0 for t in fam.tubes)
 
 
 def test_module_entry_point_runs_quietly():

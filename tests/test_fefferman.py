@@ -47,8 +47,14 @@ class TestExperiment:
     def test_low_pass_contracts_l2(self, tree):
         rep = fefferman_experiment(tree, 1 / 8, 2.0)
         assert rep.ratio <= 1.0 + 1e-9
-        total = sum(d.power for d in rep.packets)
-        kept = sum(d.power * d.kept_fraction for d in rep.packets)
+        # each packet's symbol power, and the part of it inside the unit disc
+        freqs = np.fft.fftfreq(rep.N, d=rep.L / rep.N)
+        total = kept = 0.0
+        for packet, _ in plan_placements(tree, 1 / 8, rep.L):
+            ix, iy, block = packet_symbol_block(packet.theta, packet.y, rep.N, rep.L)
+            power = np.abs(block) ** 2
+            total += power.sum()
+            kept += power[freqs[ix][:, None] ** 2 + freqs[iy][None, :] ** 2 <= 1.0].sum()
         assert abs(rep.ratio ** 2 - kept / total) < 5e-3
 
     def test_pile_up_strengthens_as_scale_shrinks(self, tree):
@@ -81,7 +87,7 @@ class TestExperiment:
     def test_report_is_consistent(self, tree):
         rep = fefferman_experiment(tree, 1 / 8, 4.0)
         assert (rep.N, rep.L) == minimal_grid(1 / 8)
-        assert rep.n_packets == len(rep.packets) == int((math.pi / 3) / (1 / 8))
+        assert rep.n_packets == int((math.pi / 3) / (1 / 8))
         assert rep.input_norm > 0 and rep.output_norm > 0
         assert rep.heatmap.shape == (128, 128)
         assert np.all(rep.heatmap >= 0)

@@ -11,7 +11,6 @@ from kakeyalab import heisenberg
 from kakeyalab import rng as rng_module
 from kakeyalab.cli import dispatch
 from kakeyalab.heisenberg import (
-    _BAND,
     MEMBERSHIP_CALIBRATION,
     ComplexLineParams,
     CPoint3,
@@ -86,6 +85,15 @@ class TestFamily:
         with pytest.raises(HeisenbergError):
             lattice_count(0.3)
 
+    @pytest.mark.parametrize("delta", [0.0, -0.25, math.nan, math.inf, 2.0**-21])
+    def test_bad_delta_refused_before_counting(self, delta):
+        with pytest.raises(HeisenbergError, match="positive integer|over the limit"):
+            lattice_count(delta)
+
+    def test_finest_admitted_delta(self):
+        # the disc count at the cap: about half a second
+        assert lattice_count(2.0**-20) > 0
+
     def test_parameter_bounds_enforced(self):
         with pytest.raises(HeisenbergError):
             ComplexLineParams(1.2, 0.0, 0j)
@@ -117,6 +125,11 @@ class TestVolumes:
         a = heisenberg_neighborhood_volume(2.0**-4, 400_000, seed=3)
         b = heisenberg_neighborhood_volume(2.0**-5, 400_000, seed=4)
         assert a.value / b.value == pytest.approx(2.0, abs=0.1)
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan])
+    def test_delta_must_be_positive(self, delta):
+        with pytest.raises(HeisenbergError, match="delta must be positive"):
+            heisenberg_neighborhood_volume(delta, 20_000)
 
     def test_sample_floor(self):
         with pytest.raises(HeisenbergError):
@@ -208,35 +221,7 @@ class TestRealForm:
             r, phi = real_form_draws(make_rng(11, stream), 1 << 18)
             exact = heisenberg_oracle.sample_defects(make_rng(11, stream), 1 << 18)
             gap = max(gap, float(np.max(np.abs(_real_defect(r, phi) - exact))))
-        assert 0.0 < gap <= _BAND / 1e4
-
-    def test_ties_are_decided_by_the_complex_form(self, monkeypatch):
-        # delta = min(real, complex) defect of a sample whose two forms
-        # differ: the real and the complex test disagree on that sample,
-        # which sits on the <= threshold of one of them, so the chunk
-        # must go to the complex form.
-        samples, seed = 20_000, 6
-        r, phi = real_form_draws(make_rng(seed, 0), samples)
-        fast = _real_defect(r, phi)
-        exact = heisenberg_oracle.sample_defects(make_rng(seed, 0), samples)
-        split = np.flatnonzero(fast != exact)
-        assert len(split) > 100
-        recheck_sizes = []
-        complex_defect = heisenberg._defect
-
-        def recorded(z1, z2, z3):
-            recheck_sizes.append(len(z1))
-            return complex_defect(z1, z2, z3)
-
-        monkeypatch.setattr(heisenberg, "_defect", recorded)
-        for k in split[:: len(split) // 12][:12]:
-            delta = float(min(fast[k], exact[k]))
-            assert np.sum(fast <= delta) != np.sum(exact <= delta)
-            recheck_sizes.clear()
-            got = heisenberg_neighborhood_volume(delta, samples, seed)
-            assert got == heisenberg_oracle.heisenberg_neighborhood_volume(
-                delta, samples, seed)
-            assert recheck_sizes == [samples]
+        assert 0.0 < gap <= 2**-30 / 1e4
 
 
 class TestSampleAdmission:

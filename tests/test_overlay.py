@@ -306,3 +306,36 @@ def margin_sets():
 def test_float_filters_near_the_span_margin(groups):
     assert_filters_exact(groups)
     assert_same_as_oracle(groups)
+
+
+def near_end_sets():
+    """Two triangles whose slanted edges cross h before (h > 0) or after
+    (h < 0) the end of one edge and 2h after the start of the other, so
+    both x spans meet at 4/3 to within 2h.  At |h| = 1e-18 the doubles
+    of every end near the crossing coincide, so the box test ties; the
+    pair is mirrored, turned a quarter and given in both orders, so each
+    of its comparisons meets the tie."""
+    sets = []
+    end = F(4, 3)
+    for h in (0, F(1, 10**18), -F(1, 10**18), F(1, 10**12), -F(1, 10**12)):
+        # edge A: slope 1 up to (4/3, 4/3); edge B: slope -1 from x = 4/3 - 2h
+        a = [(F(1, 3), F(1, 3)), (end, F(1, 3)), (end, end)]
+        b = [(end - 2 * h, end), (F(7, 3), F(1, 3) - 2 * h), (F(7, 3), end)]
+        for mirror in (1, -1):
+            for turns in (0, 1):
+                tris = []
+                for tri in (a, b):
+                    pts = [(mirror * x, y) for x, y in tri]
+                    if turns:
+                        pts = [(-y, x) for x, y in pts]
+                    tris.append([Point2(x, y) for x, y in pts])
+                sets.append([[tris[0]], [tris[1]]])
+                sets.append([[tris[1]], [tris[0]]])
+    return sets
+
+
+def test_near_end_crossings_below_double_resolution():
+    assert float(F(4, 3) - F(2, 10**18)) == float(F(4, 3))
+    for groups in near_end_sets():
+        assert_filters_exact(groups)
+        assert_same_as_oracle(groups)

@@ -39,6 +39,46 @@ def P(x, y):
 # A coarse grid whose doubles are inexact: touching, collinear and
 # overlapping edges are common on it.
 TICKS = [F(0), F(1, 3), F(1, 2), F(2, 3), F(7, 5)]
+# An offset below double resolution at coordinates near 1.
+SUB_ULP = F(1, 10**18)
+
+
+def all_pairs_defect(poly):
+    """validate_simple_polygon's first defect, from exact tests on every
+    edge pair; None for a simple polygon."""
+    n = len(poly)
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = poly[i], poly[(i + 1) % n]
+            c, d = poly[j], poly[(j + 1) % n]
+            hit = segment_hits(a, b, c, d)
+            if hit[0] == HIT_NONE:
+                continue
+            if hit[0] == HIT_OVERLAP:
+                return "edges %d and %d overlap" % (i, j)
+            if not (j == i + 1 or (i == 0 and j == n - 1)):
+                return "edges %d and %d cross" % (i, j)
+            ok = ((hit[1] == ONE and hit[2] == ZERO) if j == i + 1
+                  else (hit[1] == ZERO and hit[2] == ONE))
+            if not ok:
+                return "adjacent edges %d and %d re-touch" % (i, j)
+    return None
+
+
+def assert_validation_is_exact(poly):
+    """validate_simple_polygon reports what all_pairs_defect does; returns it."""
+    want = all_pairs_defect(poly)
+    try:
+        validate_simple_polygon(poly)
+        got = None
+    except GeomError as exc:
+        got = str(exc)
+    if want is None and got is not None:
+        # simple but collinear: the area check, not the filter
+        assert got == "polygon has zero area"
+    else:
+        assert got == want
+    return want
 
 
 class TestSegmentHits:
@@ -140,25 +180,6 @@ class TestPolygonValidation:
         # Vertices on a coarse Q(sqrt3) grid make touching, collinear and
         # overlapping edges common; every pair the float filter skips
         # must be a pair the exact test would pass.
-        def all_pairs(poly):
-            n = len(poly)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    a, b = poly[i], poly[(i + 1) % n]
-                    c, d = poly[j], poly[(j + 1) % n]
-                    hit = segment_hits(a, b, c, d)
-                    if hit[0] == HIT_NONE:
-                        continue
-                    if hit[0] == HIT_OVERLAP:
-                        return "edges %d and %d overlap" % (i, j)
-                    if not (j == i + 1 or (i == 0 and j == n - 1)):
-                        return "edges %d and %d cross" % (i, j)
-                    ok = ((hit[1] == ONE and hit[2] == ZERO) if j == i + 1
-                          else (hit[1] == ZERO and hit[2] == ONE))
-                    if not ok:
-                        return "adjacent edges %d and %d re-touch" % (i, j)
-            return None
-
         rng = random.Random(0)
         ticks = TICKS
         outcomes = set()
@@ -168,19 +189,32 @@ class TestPolygonValidation:
             if len(pts) < 3:
                 continue
             poly = [Point2(ticks[i], ticks[j]) for i, j in rng.sample(sorted(pts), len(pts))]
-            want = all_pairs(poly)
-            try:
-                validate_simple_polygon(poly)
-                got = None
-            except GeomError as exc:
-                got = str(exc)
-            if want is None and got is not None:
-                # simple but collinear: the area check, not the filter
-                assert got == "polygon has zero area"
-            else:
-                assert got == want
+            want = assert_validation_is_exact(poly)
             outcomes.add(want.split()[-1] if want else "simple")
         assert {"simple", "cross", "overlap"} <= outcomes
+
+    def test_bbox_filter_below_double_resolution(self):
+        # A notch whose tip sits h above an edge at height 1/3: h > 0 is
+        # simple, h <= 0 touches or crosses.  At |h| = 1e-18 the tip's
+        # box and the edge's box have equal doubles, so only the exact
+        # test can tell; turned four ways, run both ways round and from
+        # two starts, so each box comparison meets the tie in either order.
+        third = F(1, 3)
+        assert float(third + SUB_ULP) == float(third - SUB_ULP) == float(third)
+        outcomes = set()
+        for h in (0, SUB_ULP, -SUB_ULP, F(1, 10**12), -F(1, 10**12)):
+            base = [(0, third), (2, third), (2, 2), (F(4, 3), 2), (1, third + h),
+                    (F(2, 3), 2), (0, 2)]
+            for turns in range(4):
+                pts = base
+                for _ in range(turns):
+                    pts = [(-y, x) for x, y in pts]
+                for start in (0, 3):
+                    for order in (1, -1):
+                        poly = [P(x, y) for x, y in (pts[start:] + pts[:start])[::order]]
+                        want = assert_validation_is_exact(poly)
+                        outcomes.add((h > 0, want.split()[-1] if want else "simple"))
+        assert outcomes == {(True, "simple"), (False, "cross")}
 
 
 class TestPointInPolygon:

@@ -15,6 +15,8 @@ from raster_oracle import poly_floats, raster_area
 from slab_oracle import overlay as oracle_overlay
 
 from kakeyalab.exactgeom import (
+    HIT_OVERLAP,
+    HIT_POINT,
     ExactScalar,
     GeomError,
     INV_SQRT3,
@@ -27,9 +29,11 @@ from kakeyalab.exactgeom import (
     ZERO,
     contains_segment,
     normalize,
+    on_segment,
     point_in_polygon_closed,
     polygon_area,
     region_area,
+    segment_hits,
 )
 from kakeyalab.exactgeom.scalar import scalar
 
@@ -299,6 +303,74 @@ def test_contains_sub_segments():
         a = Point2(seg.p.x + d.x * t0, seg.p.y + d.y * t0)
         b = Point2(seg.p.x + d.x * t1, seg.p.y + d.y * t1)
         assert contains_segment(tri, Segment2(a, b))
+
+
+def exact_contains(a, s):
+    """contains_segment with no float shortcut: split s at its hits with
+    every edge, then test each piece's midpoint against every polygon by
+    exact ray parity."""
+    def inside(p, poly):
+        parity = False
+        for v, w in zip(poly, poly[1:] + poly[:1]):
+            if on_segment(p, v, w):
+                return True
+            if (v.y <= p.y) != (w.y <= p.y):
+                t = (p.y - v.y) / (w.y - v.y)
+                parity ^= v.x + t * (w.x - v.x) > p.x
+        return parity
+
+    ts = {F(0), F(1)}
+    for poly in a.polygons:
+        for v, w in zip(poly, poly[1:] + poly[:1]):
+            hit = segment_hits(s.p, s.q, v, w)
+            if hit[0] == HIT_POINT:
+                ts.add(hit[1])
+            elif hit[0] == HIT_OVERLAP:
+                ts.update(hit[1])
+    order = sorted(ts)
+    d = s.q - s.p
+    for t0, t1 in zip(order, order[1:]):
+        mid = (t0 + t1) / 2
+        pt = P(s.p.x + d.x * mid, s.p.y + d.y * mid)
+        if not any(inside(pt, poly) for poly in a.polygons):
+            return False
+    return True
+
+
+def quarter_turns(pts, k):
+    """Points of (x, y) pairs, turned k times by 90 degrees about 0."""
+    for _ in range(k):
+        pts = [(-y, x) for x, y in pts]
+    return [P(x, y) for x, y in pts]
+
+
+def test_contains_segment_below_double_resolution():
+    # Two boxes meeting at x = 1/3, apart by h (a gap for h > 0), and
+    # segments across the seam, along it and ending at it, g off it.  At
+    # 1e-18 the doubles of 1/3 + h and 1/3 + g all coincide, so every
+    # box test of the seam is a tie; turned four ways, so each box
+    # comparison meets it.
+    third, tiny = F(1, 3), F(1, 10**18)
+    assert float(third + tiny) == float(third - tiny) == float(third)
+    offsets = (0, tiny, -tiny, F(1, 10**12), -F(1, 10**12))
+    outcomes = set()
+    for h in offsets:
+        boxes = [[(0, 0), (third, 0), (third, 1), (0, 1)],
+                 [(third + h, 0), (1, 0), (1, 1), (third + h, 1)]]
+        for g in offsets:
+            x = third + g
+            segs = [((F(1, 10), F(1, 2)), (F(9, 10), F(1, 2))),
+                    ((x, F(1, 4)), (x, F(3, 4))),
+                    ((F(1, 10), F(1, 4)), (x, F(3, 4))),
+                    ((x, F(1, 4)), (F(9, 10), F(3, 4)))]
+            for turns in range(4):
+                region = Region2([quarter_turns(box, turns) for box in boxes])
+                for ends in segs:
+                    seg = Segment2(*quarter_turns(ends, turns))
+                    want = exact_contains(region, seg)
+                    assert contains_segment(region, seg) == want
+                    outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_degenerate_polygon_rejected_with_diagnostic():
