@@ -18,13 +18,9 @@ from .primitives import (
     HIT_NONE,
     HIT_OVERLAP,
     HIT_POINT,
-    cross,
-    dot,
-    ensure_ccw,
-    on_segment,
-    orient,
+    integer_frame,
+    point_in_polygon,
     point_in_polygon_closed,
-    polygon_area,
     segment_hits,
     signed_area2,
     validate_simple_polygon,
@@ -53,14 +49,10 @@ __all__ = [
     "Segment2",
     "ZERO",
     "contains_segment",
-    "cross",
-    "dot",
-    "ensure_ccw",
+    "integer_frame",
     "normalize",
-    "on_segment",
-    "orient",
+    "point_in_polygon",
     "point_in_polygon_closed",
-    "polygon_area",
     "rational",
     "region_area",
     "segment_hits",

@@ -23,19 +23,26 @@ double crossing abscissa with a propagated error bound drops the pairs
 that cannot cross inside both spans and accepts the pairs that certainly
 do; the rest compare exact abscissas with spans.  The exact abscissa of
 each accepted crossing is still formed, as the breakpoint key.
-Inputs are simple polygons of frame points, plain rationals (u, y),
-validated where they enter (Region2); the convex CCW pieces out are
-correct by construction and taken as built, in the same frame.
+
+Exact work is on ints.  Inputs are simple polygons of frame points,
+plain rationals (u, y), validated where they enter (Region2); the sweep
+scales them all by one common denominator D (integer_frame), so each
+edge lies on a line Y = (a X + b) / k with int a, b and k > 0 in lowest
+terms, which is also its line id.  A breakpoint is a reduced ratio
+(n, d) of ints, and two heights at it compare by cross-multiplying.
+Rationals are built only for the convex CCW pieces out, in the input's
+frame and correct by construction, and for their area.
 """
 
 from __future__ import annotations
 
 import operator
 from itertools import groupby
+from math import gcd
 
 import numpy as np
 
-from .primitives import Point2, signed_area2
+from .primitives import Point2, integer_frame, ratio_sorted, reduced, signed_area2
 from .scalar import _Q
 
 _MARGIN = 1e-13
@@ -43,40 +50,35 @@ _TINY = 1e-280
 
 
 class _Edge:
-    __slots__ = ("px", "py", "qx", "qy", "slope", "icept", "line_id", "w",
+    __slots__ = ("px", "py", "qx", "qy", "a", "b", "k", "line_id", "w",
                  "i0", "i1", "pos", "top")
 
-    def __init__(self, p: Point2, q: Point2, w: int):
-        self.px, self.py = p.x, p.y
-        self.qx, self.qy = q.x, q.y
-        self.slope = (q.y - p.y) / (q.x - p.x)
-        self.icept = p.y - self.slope * p.x
+    def __init__(self, p, q, w: int):
+        self.px, self.py = p
+        self.qx, self.qy = q
+        k = q[0] - p[0]
+        a = q[1] - p[1]
+        b = p[1] * k - a * p[0]
+        g = gcd(a, b, k)
+        self.a, self.b, self.k = a // g, b // g, k // g  # Y = (a X + b) / k
         self.w = w  # winding weight: +1 if its polygon lies above the edge
         self.top = None  # key of the gap this edge tops in the current slab
 
 
-def _exact_y(e: _Edge, x):
-    return e.icept + e.slope * x
-
-
-def _below(a: _Edge, b: _Edge, x0, x1) -> bool:
-    """Is a strictly below b in the open slab (x0, x1)?  No two active
-    edges cross there."""
-    ya = _exact_y(a, x0)
-    yb = _exact_y(b, x0)
-    if ya != yb:
-        return ya < yb
-    return _exact_y(a, x1) < _exact_y(b, x1)
+def _crossing(e: _Edge, f: _Edge):
+    """(n, d) with d >= 0: the lines of e and f meet at X = n/d; d = 0 if
+    they are parallel."""
+    d = e.a * f.k - f.a * e.k
+    n = f.b * e.k - e.b * f.k
+    return (-n, -d) if d < 0 else (n, d)
 
 
 class _Chain:
-    __slots__ = ("s0", "s_last", "yb_l", "yt_l", "bot_e", "top_e")
+    __slots__ = ("s0", "s_last", "bot_e", "top_e")
 
-    def __init__(self, s, yb_l, yt_l, bot_e, top_e):
+    def __init__(self, s, bot_e, top_e):
         self.s0 = s
         self.s_last = None  # last slab of the chain; None while it is open
-        self.yb_l = yb_l
-        self.yt_l = yt_l
         self.bot_e = bot_e
         self.top_e = top_e
 
@@ -84,7 +86,6 @@ class _Chain:
 _i0 = operator.attrgetter("i0")
 _i1 = operator.attrgetter("i1")
 _line = operator.attrgetter("line_id")
-_key = operator.itemgetter(0)
 
 
 def overlay(groups):
@@ -97,37 +98,36 @@ def overlay(groups):
     pairwise interior-disjoint trapezoids/triangles), area their exact
     rational sum.
     """
+    D, polys = integer_frame([poly for group in groups for poly in group])
     edges = []
-    xs_seen = {}  # breakpoint abscissa -> both edges of each crossing there
-    for polys in groups:
-        for poly in polys:
-            orient = 1 if signed_area2(poly) > 0 else -1
-            marks = [xs_seen.setdefault(v.x, []) for v in poly]
-            n = len(poly)
-            for i in range(n):
-                j = (i + 1) % n
-                if marks[i] is marks[j]:
-                    continue  # vertical edges only contribute breakpoints
-                if poly[i].x < poly[j].x:
-                    e = _Edge(poly[i], poly[j], orient)
-                    e.i0, e.i1 = marks[i], marks[j]
-                else:
-                    e = _Edge(poly[j], poly[i], -orient)
-                    e.i0, e.i1 = marks[j], marks[i]
-                edges.append(e)
+    xs_seen = {}  # breakpoint (n, d) -> both edges of each crossing there
+    for poly in polys:
+        orient = 1 if signed_area2(poly) > 0 else -1
+        marks = [xs_seen.setdefault((v[0], 1), []) for v in poly]
+        n = len(poly)
+        for i in range(n):
+            j = (i + 1) % n
+            if marks[i] is marks[j]:
+                continue  # vertical edges only contribute breakpoints
+            if poly[i][0] < poly[j][0]:
+                e = _Edge(poly[i], poly[j], orient)
+                e.i0, e.i1 = marks[i], marks[j]
+            else:
+                e = _Edge(poly[j], poly[i], -orient)
+                e.i0, e.i1 = marks[j], marks[i]
+            edges.append(e)
 
     # canonical line ids (shared by collinear edges)
     line_ids = {}
     for e in edges:
-        e.line_id = line_ids.setdefault((e.slope, e.icept), len(line_ids))
+        e.line_id = line_ids.setdefault((e.a, e.b, e.k), len(line_ids))
 
     if len(xs_seen) < 2 or not edges:
         return [], _Q(0)
-    _collect_crossings(edges, xs_seen)
-    items = sorted(xs_seen.items(), key=lambda it: float(it[0]))
-    items.sort(key=_key)  # exact; in order bar float ties, so about n compares
-    xs, crossing = zip(*items)
-    del xs_seen, items
+    _collect_crossings(edges, xs_seen, D)
+    xs = ratio_sorted(xs_seen)
+    crossing = [xs_seen[x] for x in xs]
+    del xs_seen
     # i0, i1 held the breakpoint lists of the edge's ends; now their indices
     index = {id(c): s for s, c in enumerate(crossing)}
     for e in edges:
@@ -140,26 +140,38 @@ def overlay(groups):
 
     pieces = []
     open_chains = {}
-    area2 = _Q(0)
+    area2 = _Q(0)  # in the integer frame: D^2 times the frame's
+    pts = {}  # (breakpoint index, line id) -> the piece vertex there
+
+    def vertex(s, e, h):
+        """The point of e at xs[s] = (n, d), in the input's frame; its
+        height there is h / (e.k d)."""
+        pt = pts.get((s, e.line_id))
+        if pt is None:
+            n, d = xs[s]
+            pt = pts[s, e.line_id] = Point2(_Q(n, d * D), _Q(h, e.k * d * D))
+        return pt
 
     def close(key):
         nonlocal area2
         ch = open_chains.pop(key)
-        x0 = xs[ch.s0]
-        x1 = xs[ch.s_last + 1]
-        yb_r = _exact_y(ch.bot_e, x1)
-        yt_r = _exact_y(ch.top_e, x1)
-        area2 = area2 + (x1 - x0) * ((ch.yt_l - ch.yb_l) + (yt_r - yb_r))
-        bl = Point2(x0, ch.yb_l)
-        br = Point2(x1, yb_r)
-        tr = Point2(x1, yt_r)
-        tl = Point2(x0, ch.yt_l)
-        poly = [bl, br, tr, tl]
-        if bl == tl:
-            poly = [bl, br, tr]
-        elif br == tr:
-            poly = [bl, br, tl]
-        pieces.append(poly)
+        s0, s1 = ch.s0, ch.s_last + 1
+        (n0, d0), (n1, d1) = xs[s0], xs[s1]
+        bot, top = ch.bot_e, ch.top_e
+        hb0, ht0 = bot.a * n0 + bot.b * d0, top.a * n0 + top.b * d0
+        hb1, ht1 = bot.a * n1 + bot.b * d1, top.a * n1 + top.b * d1
+        # heights top minus bottom, times bot.k top.k d at each end
+        g0, g1 = ht0 * bot.k - hb0 * top.k, ht1 * bot.k - hb1 * top.k
+        area2 += _Q((n1 * d0 - n0 * d1) * (g0 * d1 + g1 * d0),
+                    bot.k * top.k * d0 * d0 * d1 * d1)
+        bl, br = vertex(s0, bot, hb0), vertex(s1, bot, hb1)
+        tr, tl = vertex(s1, top, ht1), vertex(s0, top, ht0)
+        if not g0:
+            pieces.append([bl, br, tr])
+        elif not g1:
+            pieces.append([bl, br, tl])
+        else:
+            pieces.append([bl, br, tr, tl])
 
     acts = []   # active edges in slab order
     covs = [0]  # covs[j]: coverage of the gap below acts[j]; covs[-1] is 0
@@ -190,13 +202,23 @@ def overlay(groups):
                     acts[j].pos = j
                 lo, hi = min(lo, p0), max(hi, p1)
         if si < nedges and starts[si].i0 == s:
+            (n0, d0), (n1, d1) = x, xs[s + 1]
             while si < nedges and starts[si].i0 == s:
                 e = starts[si]
                 si += 1
+                # e goes below f iff it is lower at x, or level there and
+                # lower at the slab's right end (no two active edges cross
+                # inside the slab)
+                h0 = e.a * n0 + e.b * d0
+                h1 = e.a * n1 + e.b * d1
                 a, b = 0, len(acts)
                 while a < b:
                     mid = (a + b) // 2
-                    if _below(e, acts[mid], x, xs[s + 1]):
+                    f = acts[mid]
+                    c = h0 * f.k - (f.a * n0 + f.b * d0) * e.k
+                    if not c:
+                        c = h1 * f.k - (f.a * n1 + f.b * d1) * e.k
+                    if c < 0:
                         b = mid
                     else:
                         a = mid + 1
@@ -246,12 +268,11 @@ def overlay(groups):
             else:
                 if ch is not None:
                     close(key)
-                open_chains[key] = _Chain(
-                    s, _exact_y(bottom, x), _exact_y(top, x), bottom, top)
+                open_chains[key] = _Chain(s, bottom, top)
 
     for key in list(open_chains):
         close(key)
-    return pieces, area2 / 2
+    return pieces, area2 / (2 * D * D)
 
 
 def _runs(acts, cr):
@@ -302,11 +323,13 @@ def _span_filter(i, js, fs, fb, ms, mb, span):
     return sure, ~(sure | out)
 
 
-def _collect_crossings(edges, xs_seen):
-    """Add both edges of every crossing inside two spans to xs_seen[x]."""
+def _collect_crossings(edges, xs_seen, D):
+    """Add both edges of every crossing inside two spans to xs_seen[x].
+
+    The doubles are those of the input's frame, each an int quotient
+    (correctly rounded, as float() of a rational is)."""
     minx, maxx, ya, yb, fs, fb, lid = np.array([
-        (float(e.px), float(e.qx), float(e.py), float(e.qy), float(e.slope), float(e.icept),
-         e.line_id)
+        (e.px / D, e.qx / D, e.py / D, e.qy / D, e.a / e.k, e.b / (e.k * D), e.line_id)
         for e in edges]).T
     miny = np.minimum(ya, yb)
     maxy = np.maximum(ya, yb)
@@ -328,11 +351,9 @@ def _collect_crossings(edges, xs_seen):
         sure, unsure = _span_filter(i, js, fs, fb, ms, mb, span)
         for j in js[sure].tolist():
             ej = edges[j]
-            xs_seen.setdefault((ej.icept - ei.icept) / (ei.slope - ej.slope), []).extend((ei, ej))
+            xs_seen.setdefault(reduced(*_crossing(ei, ej)), []).extend((ei, ej))
         for j in js[unsure].tolist():
             ej = edges[j]
-            if ei.slope == ej.slope:
-                continue
-            x = (ej.icept - ei.icept) / (ei.slope - ej.slope)
-            if ei.px < x < ei.qx and ej.px < x < ej.qx:
-                xs_seen.setdefault(x, []).extend((ei, ej))
+            n, d = _crossing(ei, ej)
+            if d and ei.px * d < n < ei.qx * d and ej.px * d < n < ej.qx * d:
+                xs_seen.setdefault(reduced(n, d), []).extend((ei, ej))

@@ -1,19 +1,23 @@
 """Points, segments, rigid motions, and exact incidence predicates.
 
-The predicates compute on frame points, pairs of plain rationals (see
-Point2), and decide every sign exactly.  Doubles only skip work: a
-strict inequality between the doubles of two coordinates settles a
-test before any exact arithmetic.  float() of a rational is correctly
-rounded, hence monotone: a <= b gives float(a) <= float(b), so
-float(a) < float(b) proves a < b.  Equal doubles prove nothing and fall
-through to the exact comparison.
+Polygons and segments arrive as Point2s of plain rationals (frame
+points, see Point2).  The predicates compute in an integer frame:
+integer_frame scales a set of polygons by the least common denominator
+D of all their coordinates, so every vertex is a pair of ints and every
+sign is an integer determinant.  Segment parameters and breakpoint
+abscissas are ratios (n, d) of ints with d > 0; no rational arithmetic
+runs inside a predicate.  Where doubles prune (region boxes), they are
+int quotients, correctly rounded hence monotone, so a double box
+touches whenever the exact box does.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import cmp_to_key
 
-from .scalar import ExactScalar, HALF, ONE, ZERO, _Q, rational
+from .scalar import ExactScalar, HALF, ONE, ZERO, rational
 
 
 class GeomError(ValueError):
@@ -23,10 +27,10 @@ class GeomError(ValueError):
 class Point2:
     """A pair of exact coordinates.
 
-    In a region and in every predicate below, a frame point: rationals
-    (u, y), x = s*u for the region's s in {1, sqrt3}, which signs, orders
-    and segment parameters do not depend on.  At the boundary (Region2's
-    input, RigidMotion) it holds real ExactScalar coordinates.
+    In a region, a frame point: rationals (u, y), x = s*u for the
+    region's s in {1, sqrt3}, which signs, orders and segment parameters
+    do not depend on.  At the boundary (Region2's input, RigidMotion) it
+    holds real ExactScalar coordinates.
     """
 
     __slots__ = ("x", "y")
@@ -34,12 +38,6 @@ class Point2:
     def __init__(self, x, y):
         self.x = x if isinstance(x, ExactScalar) else rational(x)
         self.y = y if isinstance(y, ExactScalar) else rational(y)
-
-    def __add__(self, other):
-        return Point2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other):
-        return Point2(self.x - other.x, self.y - other.y)
 
     def __eq__(self, other):
         if not isinstance(other, Point2):
@@ -71,35 +69,39 @@ class Segment2:
         return "Segment2(%r, %r)" % (self.p, self.q)
 
 
-_Q0, _Q1 = _Q(0), _Q(1)
+def integer_frame(polys):
+    """(D, int polygons): D the least common denominator of every frame
+    coordinate of polys, and each vertex (u, y) as the int pair (u*D, y*D).
+
+    Plain Python ints, also when the rationals are gmpy2's."""
+    dens = {c.denominator for poly in polys for p in poly for c in (p.x, p.y)}
+    D = math.lcm(*dens)
+    scale = {d: D // int(d) for d in dens}
+    return D, [[(int(p.x.numerator) * scale[p.x.denominator],
+                 int(p.y.numerator) * scale[p.y.denominator]) for p in poly] for poly in polys]
 
 
-def cross(o: Point2, a: Point2, b: Point2):
-    """Cross product (a - o) x (b - o)."""
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+def reduced(n, d):
+    """The ratio (n, d), d > 0, in lowest terms."""
+    g = math.gcd(n, d)
+    return n // g, d // g
 
 
-def dot(o: Point2, a: Point2, b: Point2):
-    return (a.x - o.x) * (b.x - o.x) + (a.y - o.y) * (b.y - o.y)
-
-
-def orient(o: Point2, a: Point2, b: Point2) -> int:
-    """Sign of the turn o->a->b: +1 left, -1 right, 0 collinear."""
-    c = cross(o, a, b)
+def _ratio_cmp(r, s):
+    c = r[0] * s[1] - s[0] * r[1]
     return (c > 0) - (c < 0)
 
 
-def on_segment(p: Point2, a: Point2, b: Point2) -> bool:
-    """Is p on the closed segment [a, b]?  Assumes a != b."""
-    if cross(a, b, p):
-        return False
-    t_num = dot(a, p, b)          # (p-a).(b-a)
-    return 0 <= t_num <= dot(a, b, b)  # |b-a|^2
+def ratio_sorted(ratios):
+    """Ratios (n, d), d > 0, in increasing order of n/d, exactly."""
+    out = sorted(ratios, key=lambda r: r[0] / r[1])
+    out.sort(key=cmp_to_key(_ratio_cmp))  # in order bar double ties, so about n compares
+    return out
 
 
 def _bbox(points):
-    xs = [float(v.x) for v in points]
-    ys = [float(v.y) for v in points]
+    xs = [v[0] for v in points]
+    ys = [v[1] for v in points]
     return min(xs), max(xs), min(ys), max(ys)
 
 
@@ -113,87 +115,75 @@ HIT_POINT = "point"
 HIT_OVERLAP = "overlap"
 
 
-def segment_hits(p1: Point2, q1: Point2, p2: Point2, q2: Point2):
+def segment_hits(p1, q1, p2, q2):
     """Classify the intersection of closed segments [p1,q1] and [p2,q2].
 
-    Returns one of
+    The ends are int pairs of one integer frame.  Returns one of
         (HIT_NONE,)
         (HIT_POINT, t1, t2)            parameters on each segment, in [0, 1]
         (HIT_OVERLAP, (a1, b1), (a2, b2))   collinear overlap, a<=b on seg 1
 
-    Parameters are rationals.  Both segments must be non-degenerate.
+    Parameters are ratios (n, d) with d > 0, not reduced.  Both segments
+    must be non-degenerate.
     """
-    d1 = q1 - p1
-    d2 = q2 - p2
-    denom = d1.x * d2.y - d1.y * d2.x
-    r = p2 - p1
-    if denom:
-        t1 = (r.x * d2.y - r.y * d2.x) / denom
-        t2 = (r.x * d1.y - r.y * d1.x) / denom
-        if 0 <= t1 <= 1 and 0 <= t2 <= 1:
-            return (HIT_POINT, t1, t2)
+    d1x, d1y = q1[0] - p1[0], q1[1] - p1[1]
+    d2x, d2y = q2[0] - p2[0], q2[1] - p2[1]
+    rx, ry = p2[0] - p1[0], p2[1] - p1[1]
+    den = d1x * d2y - d1y * d2x
+    if den:
+        n1 = rx * d2y - ry * d2x
+        n2 = rx * d1y - ry * d1x
+        if den < 0:
+            den, n1, n2 = -den, -n1, -n2
+        if 0 <= n1 <= den and 0 <= n2 <= den:
+            return (HIT_POINT, (n1, den), (n2, den))
         return (HIT_NONE,)
     # parallel
-    if r.x * d1.y - r.y * d1.x:
+    if rx * d1y - ry * d1x:
         return (HIT_NONE,)
-    # collinear: parametrize seg2 endpoints on seg1
-    dd = d1.x * d1.x + d1.y * d1.y
-    tp = (r.x * d1.x + r.y * d1.y) / dd
-    tq = ((q2.x - p1.x) * d1.x + (q2.y - p1.y) * d1.y) / dd
+    # collinear: parametrize seg2 endpoints on seg1, over |d1|^2
+    dd = d1x * d1x + d1y * d1y
+    tp = rx * d1x + ry * d1y
+    tq = (q2[0] - p1[0]) * d1x + (q2[1] - p1[1]) * d1y
     lo, hi = (tp, tq) if tp <= tq else (tq, tp)
-    lo = lo if lo > 0 else _Q0
-    hi = hi if hi < 1 else _Q1
+    lo, hi = max(lo, 0), min(hi, dd)
     if hi < lo:
         return (HIT_NONE,)
-    # map back to parameters on segment 2
-    dd2 = d2.x * d2.x + d2.y * d2.y
-
-    def to_t2(t):
-        pt_x = p1.x + d1.x * t
-        pt_y = p1.y + d1.y * t
-        return ((pt_x - p2.x) * d2.x + (pt_y - p2.y) * d2.y) / dd2
-
+    # the point at t = a/dd on seg 1 is at ((p1 - p2).d2 dd + a d1.d2) / (dd |d2|^2) on seg 2
+    c0 = -(rx * d2x + ry * d2y) * dd
+    c1 = d1x * d2x + d1y * d2y
+    den2 = dd * (d2x * d2x + d2y * d2y)
     if hi == lo:
-        return (HIT_POINT, lo, to_t2(lo))
-    return (HIT_OVERLAP, (lo, hi), (to_t2(lo), to_t2(hi)))
+        return (HIT_POINT, (lo, dd), (c0 + lo * c1, den2))
+    return (HIT_OVERLAP, ((lo, dd), (hi, dd)), ((c0 + lo * c1, den2), (c0 + hi * c1, den2)))
 
 
 # -- polygons ----------------------------------------------------------
 
 
 def signed_area2(poly):
-    """Twice the signed shoelace area of a vertex list."""
-    return sum((poly[i - 1].x * v.y - v.x * poly[i - 1].y for i, v in enumerate(poly)), _Q0)
-
-
-def polygon_area(poly):
-    """Area in the polygon's own frame (times s for the real area)."""
-    return abs(signed_area2(poly)) / 2
-
-
-def ensure_ccw(poly):
-    s = signed_area2(poly)
-    if not s:
-        raise GeomError("polygon has zero area")
-    return list(poly) if s > 0 else list(reversed(poly))
+    """Twice the signed shoelace area of a list of int pairs."""
+    return sum(poly[i - 1][0] * v[1] - v[0] * poly[i - 1][1] for i, v in enumerate(poly))
 
 
 def validate_simple_polygon(poly):
     """Check a vertex list is a simple polygon with positive area.
 
     Returns the CCW-oriented copy; raises GeomError with a diagnostic
-    otherwise.  Exact tests on the edge pairs whose bounding boxes touch,
-    in (i, j) order, so the first defect reported is the first of all.
+    otherwise.  Exact tests, in the polygon's own integer frame, on the
+    edge pairs whose bounding boxes touch, in (i, j) order, so the first
+    defect reported is the first of all.
     """
     n = len(poly)
     if n < 3:
         raise GeomError("polygon needs >= 3 vertices, got %d" % n)
+    _, (pts,) = integer_frame([poly])
     for i in range(n):
-        if poly[i] == poly[(i + 1) % n]:
+        if pts[i] == pts[(i + 1) % n]:
             raise GeomError("repeated consecutive vertex at index %d" % i)
-    if len({(p.x, p.y) for p in poly}) != n:
+    if len(set(pts)) != n:
         raise GeomError("polygon repeats a vertex")
-    edges = [(poly[i], poly[(i + 1) % n]) for i in range(n)]
+    edges = [(pts[i], pts[(i + 1) % n]) for i in range(n)]
     boxes = [_bbox(e) for e in edges]
     for i in range(n):
         for j in range(i + 1, n):
@@ -208,43 +198,48 @@ def validate_simple_polygon(poly):
             if not adjacent:
                 raise GeomError("edges %d and %d cross" % (i, j))
             # adjacent edges may only meet at the shared vertex
-            t1, t2 = hit[1], hit[2]
+            (n1, d1), (n2, d2) = hit[1], hit[2]
             if j == i + 1:
-                ok = t1 == 1 and t2 == 0
+                ok = n1 == d1 and n2 == 0
             else:  # closing edge: edge j ends where edge 0 starts
-                ok = t1 == 0 and t2 == 1
+                ok = n1 == 0 and n2 == d2
             if not ok:
                 raise GeomError("adjacent edges %d and %d re-touch" % (i, j))
-    return ensure_ccw(poly)
+    s = signed_area2(pts)
+    if not s:
+        raise GeomError("polygon has zero area")
+    return list(poly) if s > 0 else list(reversed(poly))
+
+
+def point_in_polygon(x, y, m, poly) -> bool:
+    """Closed membership of the point (x/m, y/m), m > 0, in a polygon of
+    int pairs: boundary counts as inside.  Exact ray parity; an edge
+    whose height range misses the point's is decided by its two
+    heights alone."""
+    inside = False
+    vx, vy = poly[-1]
+    dv = vy * m - y
+    for wx, wy in poly:
+        dw = wy * m - y
+        if dv <= 0 <= dw or dw <= 0 <= dv:
+            if dv == dw:  # horizontal, at the point's height
+                if min(vx, wx) * m <= x <= max(vx, wx) * m:
+                    return True
+            else:
+                c = (vx - wx) * dv - (wy - vy) * (x - vx * m)  # (w - v) x (p - v), times m
+                if not c:
+                    return True
+                # the crossing lies right of p iff p is left of an upward edge
+                if (dv <= 0) != (dw <= 0) and (c > 0) == (wy > vy):
+                    inside = not inside
+        vx, vy, dv = wx, wy, dw
+    return inside
 
 
 def point_in_polygon_closed(p: Point2, poly) -> bool:
-    """Closed membership: boundary counts as inside.  Exact ray parity.
-
-    A vertex whose height's double differs from p's, or an edge whose
-    x span's doubles lie strictly left or right of p's, is decided by
-    doubles; only the rest is compared exactly.
-    """
-    px, py = float(p.x), float(p.y)
-    fl = [(float(v.x), float(v.y)) for v in poly]
-    below = [fy < py or (fy == py and v.y <= p.y) for v, (_, fy) in zip(poly, fl)]
-    inside = False
-    for i in range(len(poly)):
-        (vx, vy), (wx, wy) = fl[i - 1], fl[i]
-        lox, hix = (vx, wx) if vx <= wx else (wx, vx)
-        if (lox <= px <= hix and min(vy, wy) <= py <= max(vy, wy)
-                and on_segment(p, poly[i - 1], poly[i])):
-            return True
-        if below[i - 1] != below[i]:
-            if px < lox:
-                inside = not inside  # the crossing lies right of p
-            elif px <= hix:
-                # x where the edge crosses the horizontal through p
-                v, w = poly[i - 1], poly[i]
-                t = (p.y - v.y) / (w.y - v.y)
-                if v.x + t * (w.x - v.x) > p.x:
-                    inside = not inside
-    return inside
+    """Closed membership of a frame point in a polygon of frame points."""
+    _, ((pt, *ring),) = integer_frame([[p, *poly]])
+    return point_in_polygon(pt[0], pt[1], 1, ring)
 
 
 # -- rigid motions on the 30-degree lattice ----------------------------

@@ -8,11 +8,17 @@ needing both, or a mixed a + b*sqrt3 coordinate, is refused with
 GeomError.  Each polygon is validated once there.  normalize rewrites
 a region as the overlay sweep's interior-disjoint convex pieces, taken
 as built (_pieces); the area is s times theirs.  Nothing is rounded.
+
+contains_segment runs on the region's integer frame (primitives.
+integer_frame): the common denominator D and every vertex as an int
+pair, built on first use and kept, so a region that is only decoded,
+measured or drawn never pays for it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 from .overlay import overlay
 from .primitives import (
@@ -21,13 +27,16 @@ from .primitives import (
     Segment2,
     _bbox,
     _bbox_touch,
-    point_in_polygon_closed,
+    integer_frame,
+    point_in_polygon,
+    ratio_sorted,
+    reduced,
     segment_hits,
     HIT_OVERLAP,
     HIT_POINT,
     validate_simple_polygon,
 )
-from .scalar import SQRT3_FLOAT, ExactScalar, _Q, rational
+from .scalar import SQRT3_FLOAT, ExactScalar, rational
 
 
 class Region2:
@@ -38,7 +47,7 @@ class Region2:
     come from overlay's pieces through _pieces and carry their area.
     """
 
-    __slots__ = ("polygons", "sqrt3", "_area")
+    __slots__ = ("polygons", "sqrt3", "_area", "_ints")
 
     def __init__(self, polygons):
         polys, sqrt3 = _to_frame(polygons)
@@ -108,7 +117,7 @@ def _to_frame(polygons, sqrt3=None):
 
 
 def _set(r, polygons, sqrt3, area):
-    for name, value in zip(Region2.__slots__, (polygons, sqrt3, area)):
+    for name, value in zip(Region2.__slots__, (polygons, sqrt3, area, None)):
         object.__setattr__(r, name, value)
 
 
@@ -130,34 +139,48 @@ def region_area(a: Region2) -> ExactScalar:
     return normalize(a)._area
 
 
+def _integer_view(a: Region2):
+    """(D, int polygons, their double boxes in frame units), made once."""
+    if a._ints is None:
+        D, polys = integer_frame(a.polygons)
+        boxes = [_bbox([(x / D, y / D) for x, y in poly]) for poly in polys]
+        object.__setattr__(a, "_ints", (D, polys, boxes))
+    return a._ints
+
+
 def contains_segment(a: Region2, s: Segment2) -> bool:
     """True iff the whole closed segment lies in the closed region.
 
-    s is given in the region's frame.  Exact: split s at every boundary
-    crossing, then each open piece is entirely in or out, decided at its
-    rational-parameter midpoint, against the polygons whose boxes hold it.
+    s is given in the region's frame.  Exact, on ints: put s and the
+    region in one integer frame, split s at every boundary hit, then each
+    open piece is entirely in or out, decided at its midpoint, against
+    the polygons whose boxes hold it.
     """
-    d = s.q - s.p
+    D, polys, boxes = _integer_view(a)
+    E, ((p, q),) = integer_frame([[s.p, s.q]])
+    L = math.lcm(D, E)
+    k, j = L // D, L // E
+    p, q = (p[0] * j, p[1] * j), (q[0] * j, q[1] * j)
     # candidate parameters: segment ends plus every boundary hit; only
     # polygons near the segment can contribute hits or contain its points
-    ts = {_Q(0), _Q(1)}
-    sb = _bbox((s.p, s.q))
-    near = [(p, box) for p in a.polygons if _bbox_touch(sb, box := _bbox(p))]
+    sb = _bbox([(p[0] / L, p[1] / L), (q[0] / L, q[1] / L)])
+    near = [([(x * k, y * k) for x, y in poly] if k > 1 else poly, box)
+            for poly, box in zip(polys, boxes) if _bbox_touch(sb, box)]
+    ts = {(0, 1), (1, 1)}
     for poly, _ in near:
         for v, w in zip(poly, poly[1:] + poly[:1]):
-            if not _bbox_touch(sb, _bbox((v, w))):
-                continue
-            hit = segment_hits(s.p, s.q, v, w)
+            hit = segment_hits(p, q, v, w)
             if hit[0] == HIT_POINT:
-                ts.add(hit[1])
+                ts.add(reduced(*hit[1]))
             elif hit[0] == HIT_OVERLAP:
-                ts.update(hit[1])
-    order = sorted(ts)
-    for i in range(len(order) - 1):
-        mid = (order[i] + order[i + 1]) / 2
-        pt = Point2(s.p.x + d.x * mid, s.p.y + d.y * mid)
-        fx, fy = float(pt.x), float(pt.y)
-        if not any(point_in_polygon_closed(pt, poly) for poly, box in near
+                ts.update(reduced(*t) for t in hit[1])
+    order = ratio_sorted(ts)
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    for (n0, d0), (n1, d1) in zip(order, order[1:]):
+        n, m = n0 * d1 + n1 * d0, 2 * d0 * d1  # the midpoint parameter n/m
+        x, y = p[0] * m + dx * n, p[1] * m + dy * n
+        fx, fy = x / (m * L), y / (m * L)
+        if not any(point_in_polygon(x, y, m, poly) for poly, box in near
                    if _bbox_touch(box, (fx, fx, fy, fy))):
             return False
     return True

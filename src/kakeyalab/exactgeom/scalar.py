@@ -1,9 +1,11 @@
-"""Exact numbers: plain rationals in the hot path, a + b*sqrt3 at its edges.
+"""Exact numbers: rationals for frame points, a + b*sqrt3 at the boundary.
 
 Each region is held in one frame (u, y), x = s*u with s in {1, sqrt3}
-(see region.py), so the overlay sweep, polygon validation and segment
-containment compute on rationals only: _Q, which is gmpy2.mpq when
-available and fractions.Fraction otherwise.
+(see region.py), whose coordinates are rationals: _Q, which is
+gmpy2.mpq when available and fractions.Fraction otherwise.  The overlay
+sweep, polygon validation and segment containment scale them to ints
+over one common denominator (primitives.integer_frame) and compute on
+ints; _Q is built again only for the sweep's pieces and areas.
 
 ExactScalar, a + b*sqrt3 with rational a and b, is the value that
 crosses the boundary: coordinates handed to Region2, the eight-integer

@@ -13,9 +13,10 @@ from fractions import Fraction
 import numpy as np
 
 from capsule_fill_oracle import capsule_cells
+from containment_oracle import point_in_polygon_closed
 
 from kakeyalab import boxdim
-from kakeyalab.exactgeom.primitives import Point2, point_in_polygon_closed
+from kakeyalab.exactgeom.primitives import Point2
 from kakeyalab.exactgeom.scalar import rational
 
 

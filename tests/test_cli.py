@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -481,6 +482,27 @@ class TestFieldFile:
         write_field(str(path), field)
         back = read_field(str(path))
         assert back.dim == 2 and back.N == 32 and back.L == 4.0
+        assert np.array_equal(back.data, field.data)
+
+    def test_read_and_write_hold_the_field_once(self, tmp_path):
+        # the write sends the array's own buffer; the read fills one array
+        n = 512
+        size = 16 * n * n
+        field = GridField(2, n, 1.0, np.full((n, n), 1 + 2j))
+        path = tmp_path / "f.bin"
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_field(str(path), field)
+            write_extra = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            back = read_field(str(path))
+            read_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert write_extra < size / 8
+        assert size <= read_peak < size * 9 / 8
         assert np.array_equal(back.data, field.data)
 
     def test_header_is_32_bytes(self, tmp_path):

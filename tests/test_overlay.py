@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from containment_oracle import orient
 from raster_oracle import raster_area
 from slab_oracle import overlay as oracle_overlay
 
@@ -28,14 +29,20 @@ import kakeyalab.exactgeom.overlay as overlay_module
 from kakeyalab.exactgeom import (
     Point2,
     Region2,
+    integer_frame,
     normalize,
-    orient,
     region_area,
     validate_simple_polygon,
 )
 from kakeyalab.exactgeom.overlay import overlay
 from kakeyalab.exactgeom.scalar import SQRT3
-from kakeyalab.perron import PerronSpec, apex_turn, shifted_leaves
+from kakeyalab.perron import (
+    PerronSpec,
+    apex_turn,
+    assemble_kakeya,
+    build_perron_tree,
+    shifted_leaves,
+)
 
 GRID = 4
 SETTINGS = settings(max_examples=150, deadline=None, database=None, derandomize=True)
@@ -117,6 +124,36 @@ def lattice_groups(draw):
 @given(lattice_groups())
 def test_lattice_sets_equal_oracle(groups):
     assert_same_as_oracle(groups)
+
+
+# Pairwise coprime denominators past 2^64 together: 3^41, 5^28, 7^23.
+WIDE = (3 ** 41, 5 ** 28, 7 ** 23)
+
+
+@SETTINGS
+@given(lattice_groups(), st.lists(st.tuples(*[st.sampled_from([-2, -1, 1, 2])] * 2),
+                                  min_size=6, max_size=6))
+def test_wide_denominators_equal_oracle(groups, steps):
+    # each polygon moved by (a / WIDE[i], b / WIDE[i + 1]): near-coincident
+    # edges everywhere, and a common denominator far past 2^64
+    moved, k = [], 0
+    for polys in groups:
+        moved.append([])
+        for poly in polys:
+            (a, b), dx, dy = steps[k], WIDE[k % 3], WIDE[(k + 1) % 3]
+            moved[-1].append([Point2(v.x + F(a, dx), v.y + F(b, dy)) for v in poly])
+            k += 1
+    assert integer_frame([p for polys in moved for p in polys])[0] > 2 ** 64
+    assert_same_as_oracle(moved)
+
+
+def test_kakeya_set_pieces_equal_oracle():
+    # the m=6 set re-unioned from its own pieces: their denominators have
+    # an lcm of 753 bits
+    pieces = assemble_kakeya(build_perron_tree(PerronSpec.default(6))).polygons
+    assert len(pieces) == 3628
+    assert integer_frame(pieces)[0].bit_length() == 753
+    assert_same_as_oracle([[list(p) for p in pieces]])
 
 
 def test_collinear_ties_follow_insertion_order():
@@ -247,7 +284,7 @@ def test_area_adds_over_interior_disjoint_sets(sqrt3, groups, shift):
     if not b:
         b = a
     d = Point2(F(shift[0], 3), F(shift[1], 3))
-    b = [[v + d for v in poly] for poly in b]
+    b = [[Point2(v.x + d.x, v.y + d.y) for v in poly] for poly in b]
     whole = region_area(region(a + b, sqrt3))
     assert whole == region_area(region(a, sqrt3)) + region_area(region(b, sqrt3))
 

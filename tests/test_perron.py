@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from containment_oracle import polygon_area
 from kakeyalab.exactgeom import (
     ExactScalar,
     GeomError,
@@ -17,7 +18,6 @@ from kakeyalab.exactgeom import (
     Segment2,
     ZERO,
     point_in_polygon_closed,
-    polygon_area,
     region_area,
 )
 from kakeyalab.exactgeom import region as region_module
@@ -194,7 +194,7 @@ def _rotated_copy_failures(tree, n_dirs):
 def test_full_circle_failures_match_rotated_copies():
     tree = build_perron_tree(PerronSpec.default(3))
     shifts = list(tree.piece_shifts)
-    shifts[5] = shifts[5] + Point2(F(1, 24), 0)  # x by sqrt3/24
+    shifts[5] = Point2(shifts[5].x + F(1, 24), shifts[5].y)  # x by sqrt3/24
     bad = dataclasses.replace(tree, piece_shifts=tuple(shifts))
     rep = full_circle_coverage(bad, 144)
     assert rep.failed

@@ -1,30 +1,31 @@
 """Segment intersection classification, polygon validation, rigid motions.
 
-The predicates take frame points, pairs of plain rationals; RigidMotion
-maps real coordinates in Q(sqrt3).
+segment_hits and point_in_polygon take int pairs of one integer frame;
+validate_simple_polygon and point_in_polygon_closed take frame points,
+pairs of plain rationals; RigidMotion maps real coordinates in Q(sqrt3).
+tests/containment_oracle.py holds the rational predicates the package
+used before, as the exact reference.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import containment_oracle as oracle
 from kakeyalab.exactgeom import (
     GeomError,
     HIT_NONE,
     HIT_OVERLAP,
     HIT_POINT,
-    ONE,
     Point2,
     RigidMotion,
     SQRT3,
     Segment2,
-    ZERO,
-    ensure_ccw,
-    on_segment,
-    orient,
+    integer_frame,
+    point_in_polygon,
     point_in_polygon_closed,
-    polygon_area,
     segment_hits,
     signed_area2,
     validate_simple_polygon,
@@ -51,15 +52,15 @@ def all_pairs_defect(poly):
         for j in range(i + 1, n):
             a, b = poly[i], poly[(i + 1) % n]
             c, d = poly[j], poly[(j + 1) % n]
-            hit = segment_hits(a, b, c, d)
+            hit = oracle.segment_hits(a, b, c, d)
             if hit[0] == HIT_NONE:
                 continue
             if hit[0] == HIT_OVERLAP:
                 return "edges %d and %d overlap" % (i, j)
             if not (j == i + 1 or (i == 0 and j == n - 1)):
                 return "edges %d and %d cross" % (i, j)
-            ok = ((hit[1] == ONE and hit[2] == ZERO) if j == i + 1
-                  else (hit[1] == ZERO and hit[2] == ONE))
+            ok = ((hit[1] == 1 and hit[2] == 0) if j == i + 1
+                  else (hit[1] == 0 and hit[2] == 1))
             if not ok:
                 return "adjacent edges %d and %d re-touch" % (i, j)
     return None
@@ -81,63 +82,83 @@ def assert_validation_is_exact(poly):
     return want
 
 
+def ratios(*ts):
+    """Segment parameters (n, d) as Fractions."""
+    return tuple(F(*t) for t in ts)
+
+
 class TestSegmentHits:
     def test_proper_crossing(self):
-        hit = segment_hits(P(0, 0), P(2, 2), P(0, 2), P(2, 0))
+        hit = segment_hits((0, 0), (2, 2), (0, 2), (2, 0))
         assert hit[0] == HIT_POINT
-        assert hit[1] == scalar(F(1, 2))
-        assert hit[2] == scalar(F(1, 2))
+        assert ratios(hit[1], hit[2]) == (F(1, 2), F(1, 2))
 
     def test_endpoint_touch(self):
-        hit = segment_hits(P(0, 0), P(1, 1), P(1, 1), P(2, 0))
+        hit = segment_hits((0, 0), (1, 1), (1, 1), (2, 0))
         assert hit[0] == HIT_POINT
-        assert hit[1] == ONE
-        assert hit[2] == ZERO
+        assert ratios(hit[1], hit[2]) == (1, 0)
 
     def test_t_junction(self):
-        hit = segment_hits(P(0, 0), P(2, 0), P(1, 0), P(1, 5))
+        hit = segment_hits((0, 0), (2, 0), (1, 0), (1, 5))
         assert hit[0] == HIT_POINT
-        assert hit[1] == scalar(F(1, 2))
-        assert hit[2] == ZERO
+        assert ratios(hit[1], hit[2]) == (F(1, 2), 0)
 
     def test_skew_miss(self):
-        assert segment_hits(P(0, 0), P(1, 0), P(0, 1), P(1, 2))[0] == HIT_NONE
+        assert segment_hits((0, 0), (1, 0), (0, 1), (1, 2))[0] == HIT_NONE
 
     def test_parallel_offset(self):
-        assert segment_hits(P(0, 0), P(2, 0), P(0, 1), P(2, 1))[0] == HIT_NONE
+        assert segment_hits((0, 0), (2, 0), (0, 1), (2, 1))[0] == HIT_NONE
 
     def test_crossing_beyond_range(self):
         # lines cross at (3, 3) which is outside the first segment
-        assert segment_hits(P(0, 0), P(1, 1), P(3, 0), P(3, 6))[0] == HIT_NONE
+        assert segment_hits((0, 0), (1, 1), (3, 0), (3, 6))[0] == HIT_NONE
 
     def test_collinear_overlap(self):
-        hit = segment_hits(P(0, 0), P(2, 0), P(1, 0), P(3, 0))
+        hit = segment_hits((0, 0), (2, 0), (1, 0), (3, 0))
         assert hit[0] == HIT_OVERLAP
-        t1, t2 = hit[1], hit[2]
-        assert t1 == (scalar(F(1, 2)), ONE)
-        assert t2 == (ZERO, scalar(F(1, 2)))
+        assert ratios(*hit[1]) == (F(1, 2), 1)
+        assert ratios(*hit[2]) == (0, F(1, 2))
 
     def test_collinear_disjoint(self):
-        assert segment_hits(P(0, 0), P(1, 0), P(2, 0), P(3, 0))[0] == HIT_NONE
+        assert segment_hits((0, 0), (1, 0), (2, 0), (3, 0))[0] == HIT_NONE
 
     def test_collinear_endpoint_touch(self):
-        hit = segment_hits(P(0, 0), P(1, 0), P(1, 0), P(2, 0))
+        hit = segment_hits((0, 0), (1, 0), (1, 0), (2, 0))
         assert hit[0] == HIT_POINT
-        assert hit[1] == ONE
-        assert hit[2] == ZERO
+        assert ratios(hit[1], hit[2]) == (1, 0)
+
+    def test_agrees_with_the_rational_oracle(self):
+        # every pair of segments on a coarse grid, all kinds of contact
+        rng = random.Random(2)
+        kinds = set()
+        for _ in range(600):
+            ends = [P(*rng.sample(TICKS, 2)) for _ in range(4)]
+            if ends[0] == ends[1] or ends[2] == ends[3]:
+                continue
+            _, (ints,) = integer_frame([ends])
+            got, want = segment_hits(*ints), oracle.segment_hits(*ends)
+            assert got[0] == want[0]
+            if got[0] == HIT_POINT:
+                assert ratios(got[1], got[2]) == want[1:]
+            elif got[0] == HIT_OVERLAP:
+                assert (ratios(*got[1]), ratios(*got[2])) == want[1:]
+            kinds.add(got[0])
+        assert kinds == {HIT_NONE, HIT_POINT, HIT_OVERLAP}
 
 
 def test_on_segment():
-    assert on_segment(P(1, 1), P(0, 0), P(2, 2))
-    assert on_segment(P(0, 0), P(0, 0), P(2, 2))
-    assert not on_segment(P(3, 3), P(0, 0), P(2, 2))
-    assert not on_segment(P(1, 0), P(0, 0), P(2, 2))
+    # the oracle's closed-segment test, which the differential tests lean on
+    assert oracle.on_segment(P(1, 1), P(0, 0), P(2, 2))
+    assert oracle.on_segment(P(0, 0), P(0, 0), P(2, 2))
+    assert not oracle.on_segment(P(3, 3), P(0, 0), P(2, 2))
+    assert not oracle.on_segment(P(1, 0), P(0, 0), P(2, 2))
 
 
 def test_orient_signs():
-    assert orient(P(0, 0), P(1, 0), P(0, 1)) > 0
-    assert orient(P(0, 0), P(0, 1), P(1, 0)) < 0
-    assert orient(P(0, 0), P(1, 1), P(2, 2)) == 0
+    # the orientation determinant is the sign of twice the signed area
+    assert signed_area2([(0, 0), (1, 0), (0, 1)]) > 0
+    assert signed_area2([(0, 0), (0, 1), (1, 0)]) < 0
+    assert signed_area2([(0, 0), (1, 1), (2, 2)]) == 0
 
 
 def test_degenerate_segment_rejected():
@@ -149,8 +170,8 @@ class TestPolygonValidation:
     def test_square_accepted_and_oriented(self):
         cw = [P(0, 0), P(0, 1), P(1, 1), P(1, 0)]
         out = validate_simple_polygon(cw)
-        assert signed_area2(out) > ZERO
-        assert polygon_area(out) == ONE
+        assert out == cw[::-1]
+        assert oracle.polygon_area(out) == 1
 
     def test_bowtie_rejected(self):
         with pytest.raises(GeomError):
@@ -166,7 +187,7 @@ class TestPolygonValidation:
 
     def test_redundant_collinear_vertex_accepted(self):
         poly = [P(0, 0), P(1, 0), P(2, 0), P(2, 1), P(0, 1)]
-        assert polygon_area(validate_simple_polygon(poly)) == scalar(2)
+        assert oracle.polygon_area(validate_simple_polygon(poly)) == 2
 
     def test_too_few_vertices(self):
         with pytest.raises(GeomError):
@@ -174,7 +195,8 @@ class TestPolygonValidation:
 
     def test_ensure_ccw_flips(self):
         cw = [P(0, 0), P(0, 1), P(1, 0)]
-        assert signed_area2(ensure_ccw(cw)) > ZERO
+        assert validate_simple_polygon(cw) == cw[::-1]
+        assert validate_simple_polygon(cw[::-1]) == cw[::-1]
 
     def test_bbox_filter_reports_what_all_pairs_report(self):
         # Vertices on a coarse Q(sqrt3) grid make touching, collinear and
@@ -241,7 +263,7 @@ class TestPointInPolygon:
         def exact(p, poly):
             inside = False
             for v, w in zip(poly, poly[1:] + poly[:1]):
-                if on_segment(p, v, w):
+                if oracle.on_segment(p, v, w):
                     return True
                 if (v.y <= p.y) != (w.y <= p.y):
                     t = (p.y - v.y) / (w.y - v.y)
@@ -268,8 +290,23 @@ class TestPointInPolygon:
                 q = Point2(base.x + hair * dx, base.y + hair * dy)
                 want = exact(q, poly)
                 assert point_in_polygon_closed(q, poly) == want
+                assert oracle.point_in_polygon_closed(q, poly) == want
                 seen.add((want, dy))
         assert seen == {(w, dy) for w in (True, False) for dy in (-1, 0, 1)}
+
+    def test_homogeneous_points(self):
+        # a point (x/m, y/m) of the polygon's integer frame, m > 1
+        rng = random.Random(3)
+        seen = set()
+        for _ in range(300):
+            poly = [P(rng.choice(TICKS), rng.choice(TICKS)) for _ in range(rng.randint(3, 6))]
+            q = P(F(rng.randint(-2, 30), rng.randint(1, 20)), F(rng.randint(-2, 30), rng.randint(1, 20)))
+            D, (ints,) = integer_frame([poly])
+            m = math.lcm(q.x.denominator, q.y.denominator)
+            want = oracle.point_in_polygon_closed(q, poly)
+            assert point_in_polygon(int(q.x * m * D), int(q.y * m * D), m, ints) == want
+            seen.add(want)
+        assert seen == {True, False}
 
 
 class TestRigidMotion:
@@ -287,9 +324,10 @@ class TestRigidMotion:
         r = RigidMotion.rotation(150, P(2, -1))
         a, b = P(3, F(1, 3)), P(-1, F(5, 7))
         ia, ib = r.apply(a), r.apply(b)
-        d = b - a
-        di = ib - ia
-        assert d.x * d.x + d.y * d.y == di.x * di.x + di.y * di.y
+        def sq(p, q):
+            return (q.x - p.x) * (q.x - p.x) + (q.y - p.y) * (q.y - p.y)
+
+        assert sq(a, b) == sq(ia, ib)
 
     def test_three_times_120_is_identity(self):
         r = RigidMotion.rotation(120, P(0, 1))

@@ -10,7 +10,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import containment_oracle
+from containment_oracle import on_segment, polygon_area, segment_hits
 from raster_oracle import poly_floats, raster_area
 from slab_oracle import overlay as oracle_overlay
 
@@ -29,11 +32,8 @@ from kakeyalab.exactgeom import (
     ZERO,
     contains_segment,
     normalize,
-    on_segment,
     point_in_polygon_closed,
-    polygon_area,
     region_area,
-    segment_hits,
 )
 from kakeyalab.exactgeom.scalar import scalar
 
@@ -66,8 +66,7 @@ def intersect_area(a, b):
 
 
 def shifted(a, dx, dy):
-    d = P(dx, dy)
-    return Region2([[v + d for v in poly] for poly in real(a)])
+    return Region2([[P(v.x + dx, v.y + dy) for v in poly] for poly in real(a)])
 
 
 def rotated(a, motion):
@@ -296,7 +295,7 @@ def test_contains_sub_segments():
     tri = height_one_triangle()
     seg = Segment2(P(0, 1), P(F(1, 4), 0))
     assert contains_segment(tri, seg)
-    d = seg.q - seg.p
+    d = P(seg.q.x - seg.p.x, seg.q.y - seg.p.y)
     for _ in range(10):
         t0 = F(rng.randint(0, 60), 64)
         t1 = F(rng.randint(int(t0 * 64) + 1, 64), 64)
@@ -328,7 +327,7 @@ def exact_contains(a, s):
             elif hit[0] == HIT_OVERLAP:
                 ts.update(hit[1])
     order = sorted(ts)
-    d = s.q - s.p
+    d = P(s.q.x - s.p.x, s.q.y - s.p.y)
     for t0, t1 in zip(order, order[1:]):
         mid = (t0 + t1) / 2
         pt = P(s.p.x + d.x * mid, s.p.y + d.y * mid)
@@ -371,6 +370,63 @@ def test_contains_segment_below_double_resolution():
                     assert contains_segment(region, seg) == want
                     outcomes.add(want)
     assert outcomes == {True, False}
+
+
+LATTICE = 6
+
+
+@st.composite
+def containment_cases(draw):
+    """Lattice boxes and triangles in thirds, and a segment through one of
+    their vertices, along the line of an edge, ending on an edge, or
+    anywhere."""
+    pt = st.tuples(st.integers(0, LATTICE), st.integers(0, LATTICE))
+    polys = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            (x0, y0), (x1, y1) = draw(pt), draw(pt)
+            assume(x0 != x1 and y0 != y1)
+            verts = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+        else:
+            a, b, c = verts = [draw(pt) for _ in range(3)]
+            assume((b[0] - a[0]) * (c[1] - a[1]) != (b[1] - a[1]) * (c[0] - a[0]))
+        polys.append([P(F(x, 3), F(y, 3)) for x, y in verts])
+    edges = [(poly[i - 1], poly[i]) for poly in polys for i in range(len(poly))]
+
+    def on_line(v, w, k):  # v + (k/6)(w - v)
+        return P(v.x + F(k, 6) * (w.x - v.x), v.y + F(k, 6) * (w.y - v.y))
+
+    def anywhere():
+        return P(F(draw(st.integers(-3, 3 * LATTICE + 3)), 9),
+                 F(draw(st.integers(-3, 3 * LATTICE + 3)), 9))
+
+    kind = draw(st.sampled_from(["vertex", "edge", "end", "free"]))
+    if kind == "vertex":
+        v = draw(st.sampled_from([v for poly in polys for v in poly]))
+        a = anywhere()
+        b = P(2 * v.x - a.x, 2 * v.y - a.y)
+    elif kind == "edge":
+        v, w = draw(st.sampled_from(edges))
+        a, b = (on_line(v, w, k) for k in draw(st.lists(
+            st.integers(-3, 9), min_size=2, max_size=2, unique=True)))
+    else:
+        v, w = draw(st.sampled_from(edges))
+        a = anywhere()
+        b = on_line(v, w, draw(st.integers(0, 6))) if kind == "end" else anywhere()
+    assume(a != b)
+    return polys, Segment2(a, b)
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(case=containment_cases(), sqrt3=st.booleans())
+def test_contains_segment_equals_rational_oracle(case, sqrt3):
+    # the integer-frame test against the rational one it replaced, on the
+    # region as given (overlapping polygons) and on its normalized pieces
+    polys, seg = case
+    s = SQRT3 if sqrt3 else ONE
+    region = Region2([[Point2(s * v.x, v.y) for v in poly] for poly in polys])
+    for r in (region, normalize(region)):
+        assert contains_segment(r, seg) == containment_oracle.contains_segment(r, seg)
 
 
 def test_degenerate_polygon_rejected_with_diagnostic():
