@@ -18,6 +18,7 @@ import numpy as np
 
 from ..exactgeom.region import Region2
 from ..spectral import GridField, SpectralError
+from ..spectral.grid import check_samples
 
 __all__ = [
     "CliError",
@@ -61,8 +62,10 @@ def read_field(path: str) -> GridField:
         # GridField's own rules, checked before n ** dim is formed
         if dim not in (1, 2):
             raise CliError(f"{path}: dim must be 1 or 2, got {dim}")
-        if n < 8 or n & (n - 1):
-            raise CliError(f"{path}: N must be a power of two >= 8, got {n}")
+        try:
+            check_samples(n)
+        except SpectralError as exc:
+            raise CliError(f"{path}: {exc}") from exc
         want = 16 * n ** dim
         found = os.fstat(fh.fileno()).st_size - _HEADER.size
         if found != want:

@@ -12,8 +12,6 @@ from .scalar import ExactScalar, HALF, INV_SQRT3, ONE, SQRT3, ZERO, rational
 from .primitives import (
     GeomError,
     Point2,
-    ORIGIN,
-    RigidMotion,
     Segment2,
     HIT_NONE,
     HIT_OVERLAP,
@@ -41,10 +39,8 @@ __all__ = [
     "HIT_POINT",
     "INV_SQRT3",
     "ONE",
-    "ORIGIN",
     "Point2",
     "Region2",
-    "RigidMotion",
     "SQRT3",
     "Segment2",
     "ZERO",

@@ -16,13 +16,12 @@ lowest and the highest change are re-walked.  Each maximal covered run
 whose bounding lines differ is a trapezoid, merged across slabs while
 both lines continue.  Pieces and area are exact.
 
-A starting edge is placed by exact heights at the slab ends.  One
-certified float filter keeps exact arithmetic off the crossing search,
-with a margin of 1e-13 of magnitude against rounding near 1e-15: a
-double crossing abscissa with a propagated error bound drops the pairs
-that cannot cross inside both spans and accepts the pairs that certainly
-do; the rest compare exact abscissas with spans.  The exact abscissa of
-each accepted crossing is still formed, as the breakpoint key.
+A starting edge is placed by exact heights at the slab ends.  Every
+crossing is decided exactly: each pair of edges whose boxes touch has
+its lines' crossing abscissa formed as an int ratio and compared with
+both spans.  Doubles only cull boxes and pre-sort breakpoints
+(ratio_sorted); both are int quotients, correctly rounded hence
+monotone, so a double box touches whenever the exact box does.
 
 Exact work is on ints.  Inputs are simple polygons of frame points,
 plain rationals (u, y), validated where they enter (Region2); the sweep
@@ -45,9 +44,6 @@ import numpy as np
 from .primitives import Point2, integer_frame, ratio_sorted, reduced, signed_area2
 from .scalar import _Q
 
-_MARGIN = 1e-13
-_TINY = 1e-280
-
 
 class _Edge:
     __slots__ = ("px", "py", "qx", "qy", "a", "b", "k", "line_id", "w",
@@ -63,14 +59,6 @@ class _Edge:
         self.a, self.b, self.k = a // g, b // g, k // g  # Y = (a X + b) / k
         self.w = w  # winding weight: +1 if its polygon lies above the edge
         self.top = None  # key of the gap this edge tops in the current slab
-
-
-def _crossing(e: _Edge, f: _Edge):
-    """(n, d) with d >= 0: the lines of e and f meet at X = n/d; d = 0 if
-    they are parallel."""
-    d = e.a * f.k - f.a * e.k
-    n = f.b * e.k - e.b * f.k
-    return (-n, -d) if d < 0 else (n, d)
 
 
 class _Chain:
@@ -299,45 +287,13 @@ def _runs(acts, cr):
     return runs
 
 
-def _span_filter(i, js, fs, fb, ms, mb, span):
-    """Masks (sure, unsure) over js: does edge i cross edge j inside both spans?
-
-    fs, fb: double slopes and intercepts, ms, mb: their rounding scales;
-    span: left and right bounds certainly inside, then certainly outside,
-    each edge's x span.  Pairs in neither mask cannot cross inside both.
-    """
-    num = fb[js] - fb[i]
-    den = fs[i] - fs[js]
-    en = (mb[js] + mb[i]) * _MARGIN + _TINY
-    ed = (ms[js] + ms[i]) * _MARGIN + _TINY
-    ad = np.abs(den)
-    ok = ad > ed
-    with np.errstate(all="ignore"):
-        fx = num / den
-        err = (np.abs(num) * ed + ad * en) / (ad * (ad - ed)) + np.abs(fx) * _MARGIN
-    xl = fx - err
-    xh = fx + err
-    in_l, in_r, out_l, out_r = span
-    sure = ok & (xl > in_l[i]) & (xh < in_r[i]) & (xl > in_l[js]) & (xh < in_r[js])
-    out = ok & ((xh < out_l[i]) | (xl > out_r[i]) | (xh < out_l[js]) | (xl > out_r[js]))
-    return sure, ~(sure | out)
-
-
 def _collect_crossings(edges, xs_seen, D):
-    """Add both edges of every crossing inside two spans to xs_seen[x].
-
-    The doubles are those of the input's frame, each an int quotient
-    (correctly rounded, as float() of a rational is)."""
-    minx, maxx, ya, yb, fs, fb, lid = np.array([
-        (e.px / D, e.qx / D, e.py / D, e.qy / D, e.a / e.k, e.b / (e.k * D), e.line_id)
-        for e in edges]).T
+    """Add both edges of every crossing inside two spans to xs_seen[x]."""
+    minx, maxx, ya, yb, lid = np.array([
+        (e.px / D, e.qx / D, e.py / D, e.qy / D, e.line_id) for e in edges]).T
     miny = np.minimum(ya, yb)
     maxy = np.maximum(ya, yb)
-    ms, mb = np.abs(fs), np.abs(fb)  # the scales of their rounding
-    el = np.abs(minx) * _MARGIN + _TINY
-    er = np.abs(maxx) * _MARGIN + _TINY
-    span = (minx + el, maxx - er, minx - el, maxx + er)
-    for i, ei in enumerate(edges[:-1]):
+    for i, e in enumerate(edges[:-1]):
         j0 = i + 1
         js = j0 + np.nonzero(
             (minx[j0:] <= maxx[i])
@@ -346,14 +302,14 @@ def _collect_crossings(edges, xs_seen, D):
             & (maxy[j0:] >= miny[i])
             & (lid[j0:] != lid[i])
         )[0]
-        if js.size == 0:
-            continue
-        sure, unsure = _span_filter(i, js, fs, fb, ms, mb, span)
-        for j in js[sure].tolist():
-            ej = edges[j]
-            xs_seen.setdefault(reduced(*_crossing(ei, ej)), []).extend((ei, ej))
-        for j in js[unsure].tolist():
-            ej = edges[j]
-            n, d = _crossing(ei, ej)
-            if d and ei.px * d < n < ei.qx * d and ej.px * d < n < ej.qx * d:
-                xs_seen.setdefault(reduced(n, d), []).extend((ei, ej))
+        a, b, k, px, qx = e.a, e.b, e.k, e.px, e.qx
+        for j in js.tolist():
+            f = edges[j]
+            d = a * f.k - f.a * k
+            if not d:
+                continue  # parallel lines
+            n = f.b * k - b * f.k  # the lines meet at X = n/d
+            if d < 0:
+                n, d = -n, -d
+            if px * d < n < qx * d and f.px * d < n < f.qx * d:
+                xs_seen.setdefault(reduced(n, d), []).extend((e, f))

@@ -1,4 +1,4 @@
-"""Points, segments, rigid motions, and exact incidence predicates.
+"""Points, segments, and exact incidence predicates.
 
 Polygons and segments arrive as Point2s of plain rationals (frame
 points, see Point2).  The predicates compute in an integer frame:
@@ -14,10 +14,9 @@ touches whenever the exact box does.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cmp_to_key
 
-from .scalar import ExactScalar, HALF, ONE, ZERO, rational
+from .scalar import ExactScalar, rational
 
 
 class GeomError(ValueError):
@@ -29,8 +28,8 @@ class Point2:
 
     In a region, a frame point: rationals (u, y), x = s*u for the
     region's s in {1, sqrt3}, which signs, orders and segment parameters
-    do not depend on.  At the boundary (Region2's input, RigidMotion) it
-    holds real ExactScalar coordinates.
+    do not depend on.  At the boundary (Region2's input, covering_segment
+    for a rational abscissa) it holds real ExactScalar coordinates.
     """
 
     __slots__ = ("x", "y")
@@ -49,9 +48,6 @@ class Point2:
 
     def __repr__(self):
         return "Point2(%s, %s)" % (self.x, self.y)
-
-
-ORIGIN = Point2(0, 0)
 
 
 class Segment2:
@@ -241,46 +237,3 @@ def point_in_polygon_closed(p: Point2, poly) -> bool:
     _, ((pt, *ring),) = integer_frame([[p, *poly]])
     return point_in_polygon(pt[0], pt[1], 1, ring)
 
-
-# -- rigid motions on the 30-degree lattice ----------------------------
-
-_H3 = ExactScalar(0, Fraction(1, 2))  # sqrt3/2
-
-
-class RigidMotion:
-    """Rotation by a multiple of 30 degrees about a center, in Q(sqrt3)^2.
-
-    Only these rotations keep Q(sqrt3) coordinates closed; any other angle
-    is rejected.  apply takes and returns real coordinates, not frame
-    points: its results are ExactScalar pairs, in general mixed ones.
-    """
-
-    __slots__ = ("angle_deg", "center", "_cos", "_sin")
-
-    def __init__(self, angle_deg: int = 0, center: Point2 = ORIGIN):
-        if angle_deg % 30 != 0:
-            raise GeomError(
-                "rotation angle %r is not a multiple of 30 degrees" % (angle_deg,)
-            )
-        self.angle_deg = angle_deg % 360
-        self.center = center
-        c, s = ((ONE, ZERO), (_H3, HALF), (HALF, _H3))[self.angle_deg % 90 // 30]
-        for _ in range(self.angle_deg // 90):
-            c, s = -s, c
-        self._cos, self._sin = c, s
-
-    @classmethod
-    def rotation(cls, angle_deg: int, center: Point2 = ORIGIN) -> "RigidMotion":
-        return cls(angle_deg, center)
-
-    def apply(self, p: Point2) -> Point2:
-        c, s = self._cos, self._sin
-        dx = p.x - self.center.x
-        dy = p.y - self.center.y
-        return Point2(
-            self.center.x + c * dx - s * dy,
-            self.center.y + s * dx + c * dy,
-        )
-
-    def __repr__(self):
-        return "RigidMotion(angle_deg=%d, center=%r)" % (self.angle_deg, self.center)

@@ -30,8 +30,6 @@ from .multipliers import (
 from .packets import (
     FreqRect,
     WavePacket,
-    make_packet,
-    packet_mass_fraction,
     required_samples,
 )
 
@@ -48,8 +46,6 @@ __all__ = [
     "partial_integral_1d",
     "FreqRect",
     "WavePacket",
-    "make_packet",
-    "packet_mass_fraction",
     "required_samples",
     "FeffermanReport",
     "fefferman_experiment",

@@ -113,8 +113,9 @@ def _norm_and_filtered(blocks, N: int, L: float, p: float):
             fhat[np.ix_(rows, cols)] *= sym
         norms.append(lp_norm(_inverse_into(GridField(2, N, N / L, fhat), fhat), p))
     mag = np.abs(fhat)
-    b = N // _HEATMAP_BINS
-    heat = mag.reshape(_HEATMAP_BINS, b, _HEATMAP_BINS, b).mean(axis=(1, 3))
+    bins = min(_HEATMAP_BINS, N)
+    b = N // bins
+    heat = mag.reshape(bins, b, bins, b).mean(axis=(1, 3))
     return norms[0], norms[1], heat
 
 

@@ -29,6 +29,12 @@ class SpectralError(ValueError):
     """Raised for invalid grids, multipliers, or packet parameters."""
 
 
+def check_samples(n: int) -> None:
+    """Samples per axis must be a power of two, at least 8."""
+    if n < 8 or n & (n - 1):
+        raise SpectralError(f"N must be a power of two >= 8, got {n}")
+
+
 @dataclass(frozen=True)
 class GridField:
     """Complex samples on a periodic grid: N per axis, period L."""
@@ -41,24 +47,14 @@ class GridField:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise SpectralError(f"dim must be 1 or 2, got {self.dim}")
-        n = self.N
-        if n < 8 or n & (n - 1) != 0:
-            raise SpectralError(f"N must be a power of two >= 8, got {n}")
+        check_samples(self.N)
         if not (math.isfinite(self.L) and self.L > 0):
             raise SpectralError(f"period must be positive, got {self.L}")
         d = np.asarray(self.data, dtype=complex)
-        want = (n,) * self.dim
+        want = (self.N,) * self.dim
         if d.shape != want:
             raise SpectralError(f"data shape {d.shape}, expected {want}")
         object.__setattr__(self, "data", d)
-
-    @property
-    def cell(self) -> float:
-        return self.L / self.N
-
-    @property
-    def nyquist(self) -> float:
-        return self.N / (2.0 * self.L)
 
 
 def freq_coords(f: GridField) -> np.ndarray:

@@ -15,13 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridField, SpectralError, dft_inverse
+from .grid import SpectralError, check_samples
 
 __all__ = [
     "FreqRect",
     "WavePacket",
-    "make_packet",
-    "packet_mass_fraction",
     "packet_symbol_block",
     "required_samples",
 ]
@@ -67,14 +65,6 @@ class WavePacket:
             raise SpectralError("translation must be a finite 2-vector")
         object.__setattr__(self, "y", v)
 
-    @property
-    def dual_tangential(self) -> float:
-        return 1.0 / self.theta.r
-
-    @property
-    def dual_radial(self) -> float:
-        return 1.0 / self.theta.r ** 2
-
 
 def required_samples(r: float, L: float) -> int:
     """Smallest valid N for period L: the Nyquist frequency must clear
@@ -84,6 +74,7 @@ def required_samples(r: float, L: float) -> int:
 
 
 def _check_grid(r: float, N: int, L: float) -> None:
+    check_samples(N)
     min_period = 4.0 / r ** 2
     if L < min_period * (1.0 - 1e-12):
         raise SpectralError(
@@ -124,31 +115,3 @@ def packet_symbol_block(theta: FreqRect, y: np.ndarray, N: int, L: float):
     phase = np.exp((freqs[ix][:, None] * y[0] + freqs[iy][None, :] * y[1])
                    * (-2j * math.pi))
     return ix, iy, sym * phase
-
-
-def make_packet(p: WavePacket, N: int, L: float) -> GridField:
-    """Spatial packet field for p on the N-point, period-L torus."""
-    _check_grid(p.theta.r, N, L)
-    fhat = np.zeros((N, N), dtype=complex)
-    ix, iy, block = packet_symbol_block(p.theta, p.y, N, L)
-    fhat[np.ix_(ix, iy)] = block
-    return dft_inverse(GridField(2, N, N / L, fhat))
-
-
-def packet_mass_fraction(field: GridField, p: WavePacket, scale: float = 3.0) -> float:
-    """Fraction of the field's L^2 mass inside the scale-enlarged dual
-    rectangle centred at the packet's translation, on the torus."""
-    x = np.arange(field.N) * (field.L / field.N)
-    dx = np.remainder(x - p.y[0] + field.L / 2, field.L) - field.L / 2
-    dy = np.remainder(x - p.y[1] + field.L / 2, field.L) - field.L / 2
-    t_hat = p.theta.tangent
-    n_hat = p.theta.normal
-    u = dx[:, None] * t_hat[0] + dy[None, :] * t_hat[1]
-    v = dx[:, None] * n_hat[0] + dy[None, :] * n_hat[1]
-    inside = ((np.abs(u) <= scale * p.dual_tangential / 2)
-              & (np.abs(v) <= scale * p.dual_radial / 2))
-    mass = np.abs(field.data) ** 2
-    total = mass.sum()
-    if total == 0.0:
-        raise SpectralError("field has no mass")
-    return float(mass[inside].sum() / total)

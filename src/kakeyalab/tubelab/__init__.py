@@ -29,12 +29,9 @@ from .core import (
     family_from_json,
     family_to_json,
     family_total_volume,
-    points_in_tube,
-    segment_distance,
     tube_volume,
 )
 from .generate import (
-    direction_chord,
     generate_directions,
     generate_family,
     parallel_lines_family,
@@ -52,9 +49,6 @@ __all__ = [
     "family_bbox",
     "family_to_json",
     "family_from_json",
-    "points_in_tube",
-    "segment_distance",
-    "direction_chord",
     "generate_directions",
     "generate_family",
     "parallel_lines_family",

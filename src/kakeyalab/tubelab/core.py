@@ -26,8 +26,6 @@ __all__ = [
     "family_bbox",
     "family_to_json",
     "family_from_json",
-    "points_in_tube",
-    "segment_distance",
 ]
 
 # |omega| may drift from 1 by accumulated rounding; anything worse than
@@ -211,18 +209,6 @@ def in_tube(p, a, w, length, delta):
     for r, wd in zip(rel, w):
         np.subtract(r, t * wd, out=r)  # in place: rel becomes the perpendicular part
     return (t >= 0.0) & (t <= length) & (_axis_dot(rel, rel) <= delta * delta)
-
-
-def points_in_tube(pts: np.ndarray, tube: Tube) -> np.ndarray:
-    """Boolean mask: which rows of pts lie in the closed tube."""
-    return in_tube(np.asarray(pts, dtype=float).T, tube.a, tube.omega,
-                   tube.length, tube.delta)
-
-
-def segment_distance(p1, q1, p2, q2) -> float:
-    """Minimal distance between segments [p1,q1] and [p2,q2]."""
-    rows = [np.asarray(v, float)[None] for v in (p1, q1, p2, q2)]
-    return float(_segment_distance_batch(*rows)[0])
 
 
 def _segment_distance_batch(p1, q1, p2, q2) -> np.ndarray:

@@ -17,17 +17,10 @@ from ..rng import make_rng
 from .core import Tube, TubeError, TubeFamily
 
 __all__ = [
-    "direction_chord",
     "generate_directions",
     "generate_family",
     "parallel_lines_family",
 ]
-
-def direction_chord(u: np.ndarray, v: np.ndarray) -> float:
-    """Chord distance with antipodal identification."""
-    u = np.asarray(u, float)
-    v = np.asarray(v, float)
-    return min(float(np.linalg.norm(u - v)), float(np.linalg.norm(u + v)))
 
 
 # Relative padding on the separation target.  Spacings are computed
@@ -158,9 +151,13 @@ def _tree_segment_tube(theta: float, delta: float, tree) -> Tube:
     The tree's own fan realises line angles in [60, 120) degrees; the
     other two thirds come from the 120/240 degree rotations about the
     apex, exactly as in the three-sector assembly of the full set.
+    Each segment end is (a + sqrt3*u, y) with rational a, u and y: the
+    frame point (u, y) turns by apex_turn, and a by the rotation's
+    linear part alone, to (-a/2, +-sqrt3*a/2).
     """
-    from ..exactgeom import RigidMotion, Segment2
-    from ..perron import APEX, BASE_HALF, covering_segment
+    from ..exactgeom import Point2
+    from ..exactgeom.scalar import SQRT3_FLOAT
+    from ..perron import BASE_HALF, apex_turn, covering_segment
 
     deg = math.degrees(theta % math.pi)
     if 60.0 <= deg < 120.0:
@@ -173,11 +170,15 @@ def _tree_segment_tube(theta: float, delta: float, tree) -> Tube:
     t = math.tan(math.radians(sector_deg - 90.0))
     bh = float(BASE_HALF) * (1.0 - 1e-14)
     seg, _ = covering_segment(tree, Fraction(min(max(t, -bh), bh)))
-    if turn:
-        motion = RigidMotion.rotation(turn, APEX)
-        seg = Segment2(motion.apply(seg.p), motion.apply(seg.q))
-    p = np.array([float(seg.p.x), float(seg.p.y)])
-    q = np.array([float(seg.q.x), float(seg.q.y)])
+    ends = []
+    for end in (seg.p, seg.q):
+        a = end.x.a
+        f = apex_turn(Point2(end.x.b, end.y.a), turn)
+        ra, rb = (a, 0) if not turn else (-a / 2, (a if turn == 120 else -a) / 2)
+        # the doubles of (ra + sqrt3*f.x, f.y + sqrt3*rb), as float(ExactScalar)
+        ends.append(np.array([float(ra) + float(f.x) * SQRT3_FLOAT,
+                              float(f.y) + float(rb) * SQRT3_FLOAT]))
+    p, q = ends
     w = q - p
     w /= np.linalg.norm(w)
     return Tube(2, p, w, delta)

@@ -244,6 +244,29 @@ class TestFeffermanGrid:
         assert "need N >= 2048" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_grid_below_the_heat_map_bins(self, tmp_path):
+        # r = 0.5 gets the minimal grid N = 64, fewer samples than the
+        # 128 heat map bins: the map takes one bin per sample
+        out, svg = tmp_path / "f.csv", tmp_path / "heat.svg"
+        assert dispatch(["fefferman", "--r", "0.5", "--out", str(out),
+                         "--heatmap", str(svg)]) == 0
+        assert int(next(csv.DictReader(io.StringIO(out.read_text())))["N"]) == 64
+        assert '<rect width="64" height="64" fill="#ffffff"/>' in svg.read_text()
+
+    def test_grid_not_a_power_of_two_refused_before_allocating(self, tmp_path, capsys):
+        # N = 3000 clears the Nyquist bound; its spectrum alone would take 144 MB
+        out = tmp_path / "f.csv"
+        tracemalloc.start()
+        try:
+            code = dispatch(["fefferman", "--r", "0.125", "--grid", "3000", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "N must be a power of two >= 8, got 3000" in capsys.readouterr().err
+        assert peak < 16 * 3000 ** 2 / 20
+        assert not out.exists()
+
 
 class TestManifest:
     def test_digests_recomputable(self, tmp_path):

@@ -1,10 +1,12 @@
-"""Golden exact outputs: the tree and set bytes for m = 1..6, and the
-exact Perron areas for m = 7 and 8.
+"""Golden exact outputs: the tree and set bytes for m = 1..6, the
+exact Perron areas for m = 7 and 8, and perron-base tube families.
 
 Each digest is the sha256 of what `perron --m k` or `kakeya --m k` writes
 with `--out` and `--svg`; the areas are `tree.area().to_ints()`.  Any
 change to the exact core that moves a piece, a vertex or an area shows
-here.
+here.  The perron-base digests are of family_to_json: their tubes run
+along covering segments turned about the apex, so they pin the turn's
+doubles too.
 """
 
 import hashlib
@@ -13,6 +15,7 @@ import pytest
 
 from kakeyalab.cli.main import dispatch
 from kakeyalab.perron import PerronSpec, build_perron_tree
+from kakeyalab.tubelab import family_to_json, generate_family
 
 # (subcommand, m) -> (sha256 of the JSON, sha256 of the SVG)
 DIGESTS = {
@@ -44,6 +47,13 @@ DIGESTS = {
 
 AREAS = {7: (0, 1, 40157, 476280), 8: (0, 1, 27119, 340200)}
 
+# (log2 1/delta, tree_levels) -> sha256 of the perron-base family's JSON
+FAMILIES = {
+    (5, 6): "037085a6e000b187ce76b698963ff1a3f0763e742e683056021085b29f4e9076",
+    (6, 6): "d7540b7f703da7d4298b52bc5d6ee3470892cc9e5a48c55b6559202eb9121692",
+    (7, 4): "b062f91099ad40b6f8a64bd0f6cb6afa8d57bb65e3ebca10bddb89d87dc3a26f",
+}
+
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -59,3 +69,9 @@ def test_output_bytes(tmp_path, cmd, m):
 @pytest.mark.parametrize("m", sorted(AREAS))
 def test_deep_tree_areas(m):
     assert build_perron_tree(PerronSpec.default(m)).area().to_ints() == AREAS[m]
+
+
+@pytest.mark.parametrize("k,levels", sorted(FAMILIES))
+def test_perron_base_family_bytes(k, levels):
+    fam = generate_family(2.0 ** -k, 2, "perron-base", tree_levels=levels)
+    assert hashlib.sha256(family_to_json(fam).encode()).hexdigest() == FAMILIES[k, levels]

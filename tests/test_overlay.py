@@ -13,11 +13,9 @@ Last, properties of Region2's union and area on the same random sets,
 in both frames, against each other and against an independent raster.
 """
 
-import contextlib
 import math
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -25,7 +23,6 @@ from containment_oracle import orient
 from raster_oracle import raster_area
 from slab_oracle import overlay as oracle_overlay
 
-import kakeyalab.exactgeom.overlay as overlay_module
 from kakeyalab.exactgeom import (
     Point2,
     Region2,
@@ -176,7 +173,7 @@ def sliver_fans():
 
     At a slab midpoint their heights differ by less than the rounding of
     doubles at that magnitude (a third of the double comparisons there
-    get the sign wrong), so only the certified margins keep the order.
+    get the sign wrong), so only exact comparisons keep the order.
     """
     apex_x, apex_y = 10 ** 6 + F(1, 3), F(1, 7)
     slopes = [1 + F(k, 3 * 10 ** 12) for k in range(8)]
@@ -189,47 +186,11 @@ def sliver_fans():
     return fans
 
 
-@contextlib.contextmanager
-def exact_paths():
-    """Route the crossing triage to exact code."""
-    calls = {"span": 0}
-
-    def exact_span(i, js, *arrays):
-        calls["span"] += 1
-        return np.zeros(len(js), dtype=bool), np.ones(len(js), dtype=bool)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(overlay_module, "_span_filter", exact_span)
-        yield calls
-
-
-def assert_filters_exact(groups):
-    """The filtered and the exact crossing search agree; returns how many
-    times the exact one ran."""
-    filtered = overlay(groups)
-    with exact_paths() as calls:
-        exact = overlay(groups)
-    assert filtered[0] == exact[0]
-    assert filtered[1] == exact[1]
-    return calls["span"]
-
-
 @pytest.mark.parametrize("groups", sliver_fans())
 def test_float_filters_on_sliver_fans(groups):
-    assert assert_filters_exact(groups) > 0
+    # doubles only cull boxes and pre-sort breakpoints; every order and
+    # crossing decision here is exact
     assert_same_as_oracle(groups)
-
-
-def test_float_filters_on_perron_assemblies():
-    for m in range(1, 5):
-        for polys in perron_inputs(m):
-            assert assert_filters_exact([polys]) > 0
-
-
-@SETTINGS
-@given(lattice_groups())
-def test_float_filters_on_lattice_sets(groups):
-    assert_filters_exact(groups)
 
 
 def test_empty_input_and_either_orientation():
@@ -321,8 +282,8 @@ def margin_sets():
     """Two triangles far from the origin whose edges cross at x* + e,
     where x* is an end of one edge's span and |e| is 1e-14 to 1e-16 of
     |x*|: e > 0 puts the crossing inside both spans, e < 0 outside.  Far
-    out, the double crossing errs by more than that, so only _MARGIN
-    keeps the triage from deciding the side on rounding noise."""
+    out, a double crossing abscissa errs by more than that, so only an
+    exact comparison with the span decides the side."""
     sets = []
     for x0, y0 in ((10 ** 6 + F(1, 3), F(2, 7)), (-3 * 10 ** 7 - F(2, 9), 10 ** 5 + F(1, 11))):
         for e in (F(k, 10 ** d) * abs(x0) for d in (14, 16) for k in (-4, -3, -2, -1, 1, 2, 3, 4)):
@@ -341,7 +302,7 @@ def margin_sets():
 
 @pytest.mark.parametrize("groups", margin_sets())
 def test_float_filters_near_the_span_margin(groups):
-    assert_filters_exact(groups)
+    # every pair whose double boxes touch takes the exact span test
     assert_same_as_oracle(groups)
 
 
@@ -374,5 +335,4 @@ def near_end_sets():
 def test_near_end_crossings_below_double_resolution():
     assert float(F(4, 3) - F(2, 10**18)) == float(F(4, 3))
     for groups in near_end_sets():
-        assert_filters_exact(groups)
         assert_same_as_oracle(groups)

@@ -8,13 +8,13 @@ from fractions import Fraction as F
 import pytest
 
 from containment_oracle import polygon_area
+from rotation_oracle import RigidMotion
 from kakeyalab.exactgeom import (
     ExactScalar,
     GeomError,
     INV_SQRT3,
     Point2,
     Region2,
-    RigidMotion,
     Segment2,
     ZERO,
     point_in_polygon_closed,

@@ -2,9 +2,10 @@
 
 segment_hits and point_in_polygon take int pairs of one integer frame;
 validate_simple_polygon and point_in_polygon_closed take frame points,
-pairs of plain rationals; RigidMotion maps real coordinates in Q(sqrt3).
-tests/containment_oracle.py holds the rational predicates the package
-used before, as the exact reference.
+pairs of plain rationals.  tests/containment_oracle.py holds the rational
+predicates the package used before, as the exact reference, and
+tests/rotation_oracle.py the 30-degree rotations of real coordinates in
+Q(sqrt3), checked here as the reference for perron.apex_turn.
 """
 
 import math
@@ -14,13 +15,13 @@ from fractions import Fraction as F
 import pytest
 
 import containment_oracle as oracle
+from rotation_oracle import RigidMotion
 from kakeyalab.exactgeom import (
     GeomError,
     HIT_NONE,
     HIT_OVERLAP,
     HIT_POINT,
     Point2,
-    RigidMotion,
     SQRT3,
     Segment2,
     integer_frame,

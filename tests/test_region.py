@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 import containment_oracle
 from containment_oracle import on_segment, polygon_area, segment_hits
 from raster_oracle import poly_floats, raster_area
+from rotation_oracle import RigidMotion
 from slab_oracle import overlay as oracle_overlay
 
 from kakeyalab.exactgeom import (
@@ -26,7 +27,6 @@ from kakeyalab.exactgeom import (
     ONE,
     Point2,
     Region2,
-    RigidMotion,
     SQRT3,
     Segment2,
     ZERO,

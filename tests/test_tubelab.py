@@ -20,7 +20,6 @@ from kakeyalab.tubelab import (
     TubeFamily,
     TubeIndex,
     Prism,
-    direction_chord,
     essentially_distinct_check,
     family_bbox,
     family_from_json,
@@ -31,8 +30,6 @@ from kakeyalab.tubelab import (
     generate_family,
     kakeya_ratio,
     parallel_lines_family,
-    points_in_tube,
-    segment_distance,
     sticky_check,
     tube_volume,
     union_volume,
@@ -40,6 +37,7 @@ from kakeyalab.tubelab import (
 )
 from kakeyalab.tubelab import checks, generate, volume
 from kakeyalab.tubelab.checks import _prism_count
+from kakeyalab.tubelab.core import _segment_distance_batch, in_tube
 
 from distinct_oracle import essentially_distinct_check as oracle_distinct_check
 from tube_index_oracle import index_arrays as oracle_index_arrays
@@ -51,6 +49,24 @@ def prism_count(prism: Prism, *tubes: Tube) -> int:
     B = np.array([t.b for t in tubes])
     W = np.array([t.omega for t in tubes])
     return _prism_count(prism, A, B, W, tubes[0].delta)
+
+
+def points_in_tube(pts, tube: Tube) -> np.ndarray:
+    """Boolean mask: which rows of pts lie in the closed tube."""
+    return in_tube(np.asarray(pts, dtype=float).T, tube.a, tube.omega,
+                   tube.length, tube.delta)
+
+
+def segment_distance(p1, q1, p2, q2) -> float:
+    """Minimal distance between segments [p1,q1] and [p2,q2]."""
+    rows = [np.asarray(v, float)[None] for v in (p1, q1, p2, q2)]
+    return float(_segment_distance_batch(*rows)[0])
+
+
+def direction_chord(u, v) -> float:
+    """Chord distance with antipodal identification."""
+    u, v = np.asarray(u, float), np.asarray(v, float)
+    return min(float(np.linalg.norm(u - v)), float(np.linalg.norm(u + v)))
 
 
 def overlap_fraction(t1: Tube, t2: Tube, n: int, seed: int) -> float:
