@@ -57,6 +57,7 @@ from ..tubelab import (
     union_volume,
     wolff_axiom_check,
 )
+from ..tubelab.checks import admit_checks
 from .io import (
     CliError,
     emit_report,
@@ -156,9 +157,9 @@ def _tube_family(args):
     return generate_family(args.delta, args.dim, args.placement, seed=args.seed)
 
 
-def _analyze_rows(fam, args) -> list[tuple]:
+def _analyze_rows(fam, names, args) -> list[tuple]:
     rows: list[tuple] = []
-    for name in _split_names(args.checks, _TUBE_CHECKS):
+    for name in names:
         if name == "volume":
             est = union_volume(fam, method=args.method,
                                samples=args.mc_samples,
@@ -210,7 +211,9 @@ def _cmd_tubes(args) -> RunResult:
         return RunResult(parameters=params, seeds={"seed": args.seed},
                          outputs=[args.out],
                          check_passed=True if args.check else None)
-    rows = _analyze_rows(fam, args)
+    names = _split_names(args.checks, _TUBE_CHECKS)
+    admit_checks(fam, names)  # every refusal before the first check runs
+    rows = _analyze_rows(fam, names, args)
     text, nans = emit_report(rows, _TUBE_SCHEMA)
     _write_text(args.out, text)
     verdicts = [row[-1] for row in rows]

@@ -25,6 +25,7 @@ from .core import (
 )
 
 __all__ = [
+    "admit_checks",
     "PairOverlap",
     "DistinctReport",
     "essentially_distinct_check",
@@ -84,6 +85,21 @@ class DistinctReport:
 _MAX_PAIRS = 1 << 24
 
 
+def admit_checks(fam: TubeFamily, names) -> None:
+    """Raise the TubeError of the first named check that would refuse fam
+    (sticky on its default scale ladder), before any check does work."""
+    n = len(fam)
+    for name in names:
+        if name == "distinct" and n * (n - 1) // 2 > _MAX_PAIRS:
+            raise TubeError(f"{n:,} tubes make {n * (n - 1) // 2:,} pairs, "
+                            f"over the limit of {_MAX_PAIRS:,}")
+        if name == "wolff" and fam.dim != 3:
+            raise TubeError("the prism occupancy check is three-dimensional only")
+        if name == "sticky" and abs(fam.delta * 2 ** round(math.log2(1.0 / fam.delta))
+                                    - 1.0) > 1e-9:
+            raise TubeError("the default scale ladder needs a dyadic delta")
+
+
 def _line_share(Ai, Wi, Li, Aj, Wj, cut):
     """Row-wise share of t in [0, L_i] with core_i(t) within cut of line_j:
     the interval where |P + tQ| <= cut, P and Q the parts of a_i - a_j and
@@ -95,6 +111,30 @@ def _line_share(Ai, Wi, Li, Aj, Wj, cut):
     with np.errstate(divide="ignore", invalid="ignore"):  # parallel: +-inf or nan
         half = np.sqrt((cut * cut - _axis_dot(V.T, V.T)) / qa)
     return (np.clip(t0 + half, 0.0, Li) - np.clip(t0 - half, 0.0, Li)) / Li
+
+
+def _live_uniform(rng, q: int, live: np.ndarray, S: int, lo: float, hi: float):
+    """Rows `live` of the q-th of consecutive uniform(lo, hi, (len(live), S))
+    arrays from the start of rng's Philox stream, drawing only those rows.
+
+    A double takes one 64-bit output, so a run of live rows [a, b) starts
+    at output e = (q len(live) + a) S: set the counter to e // 4 with the
+    buffer emptied, discard e % 4 outputs, fill the run.  lo + (hi - lo) U
+    is Generator.uniform's formula, so every bit agrees.
+    """
+    edges = np.flatnonzero(np.diff(live, prepend=False, append=False)).tolist()
+    state = rng.bit_generator.state
+    u, pos = np.empty((int(live.sum()), S)), 0
+    for a, b in zip(edges[::2], edges[1::2]):
+        e = (q * len(live) + a) * S
+        state["state"]["counter"][0], state["buffer_pos"] = e // 4, 4
+        rng.bit_generator.state = state
+        rng.bit_generator.random_raw(e % 4)
+        rng.random(out=u[pos : pos + b - a])
+        pos += b - a
+    u *= hi - lo
+    u += lo
+    return u
 
 
 def essentially_distinct_check(
@@ -109,20 +149,20 @@ def essentially_distinct_check(
     position t lies within delta of core_i(t) and, if in T_j, within delta
     of line_j, so T_j holds at most the share of t with core_i(t) within
     2 delta of line_j (`_line_share`).  Block k of 2^21 / samples_per_pair
-    prefiltered pairs draws for all of them from make_rng(seed, k), so a
-    sampled pair sees the same samples whatever the bound clears;
-    n_sampled counts the pairs sampled.
+    prefiltered pairs draws from make_rng(seed, k) only the rows of its
+    sampled pairs (`_live_uniform`), so a sampled pair sees the same
+    samples whatever the bound clears; n_sampled counts them.
 
     Direction separation by delta does not by itself keep a pair below
     the half-volume line: two length-1 tubes through a common point
     with directions a full delta apart still share about 0.69 of a
     tube, so flags on clustered families are expected and genuine.
     """
+    if samples_per_pair < 1:
+        raise TubeError(f"samples_per_pair must be at least 1, got {samples_per_pair}")
+    admit_checks(fam, ("distinct",))
     tubes = fam.tubes
     n = len(tubes)
-    if n * (n - 1) // 2 > _MAX_PAIRS:
-        raise TubeError(f"{n:,} tubes make {n * (n - 1) // 2:,} pairs, "
-                        f"over the limit of {_MAX_PAIRS:,}")
     d = fam.dim
     A = np.array([t.a for t in tubes])
     W = np.array([t.omega for t in tubes])
@@ -147,23 +187,22 @@ def essentially_distinct_check(
 
     flagged = []
     S = samples_per_pair
-    pair_block = max(1, (1 << 21) // max(S, 1))
+    pair_block = max(1, (1 << 21) // S)
     for bidx, p0 in enumerate(range(0, len(I), pair_block)):
         m = live[p0 : p0 + pair_block]
         bi, bj = I[p0 : p0 + pair_block][m], J[p0 : p0 + pair_block][m]
         rng = make_rng(seed, bidx)
-        size = (len(m), S)
-        t = rng.uniform(0.0, 1.0, size=size)[m] * L[bi][:, None]
+        t = _live_uniform(rng, 0, m, S, 0.0, 1.0) * L[bi][:, None]
         # Per-axis (pairs, S) coordinates of points sampled in tube i.
         pts = [a[:, None] + t * w[:, None] for a, w in zip(A[bi].T, W[bi].T)]
         if d == 2:
             (e1,) = _perp_frame(W[bi])
-            r = fam.delta * rng.uniform(-1.0, 1.0, size=size)[m]
+            r = fam.delta * _live_uniform(rng, 1, m, S, -1.0, 1.0)
             pts = [p + r * e[:, None] for p, e in zip(pts, e1.T)]
         else:
             e1, e2 = _perp_frame(W[bi])
-            rad = fam.delta * np.sqrt(rng.uniform(0.0, 1.0, size=size)[m])
-            ang = rng.uniform(0.0, 2.0 * math.pi, size=size)[m]
+            rad = fam.delta * np.sqrt(_live_uniform(rng, 1, m, S, 0.0, 1.0))
+            ang = _live_uniform(rng, 2, m, S, 0.0, 2.0 * math.pi)
             x, y = rad * np.cos(ang), rad * np.sin(ang)
             pts = [p + x * u[:, None] + y * v[:, None]
                    for p, u, v in zip(pts, e1.T, e2.T)]
@@ -203,32 +242,38 @@ class WolffReport:
         return not self.violations
 
 
-def _prism_count(
-    prism: Prism, A: np.ndarray, B: np.ndarray, W: np.ndarray, delta: float
-) -> int:
-    """Tubes wholly inside the closed prism.
+def _prism_counts(C, H, F, A, B, W, L, delta) -> np.ndarray:
+    """Tubes wholly inside each closed prism p: center C[p], half-extents
+    H[p], axes the rows of F[p].
 
     Along prism axis f the tube bulges delta*sqrt(1-(f.omega)^2) beyond
     its core, so containment is both endpoints clearing every face by
-    that margin.
+    that margin.  A tube inside a box is no longer than its diagonal, so
+    prisms with a diagonal under the shortest tube count 0 untested; the
+    rest are counted in blocks of about 2^13 (prism, tube) pairs.
     """
-    ndw = W @ prism.frame.T
-    margin = delta * np.sqrt(np.maximum(0.0, 1.0 - ndw * ndw))
-    h = prism.half_extents[None, :] + 1e-15
-    ca = np.abs((A - prism.center) @ prism.frame.T) + margin
-    cb = np.abs((B - prism.center) @ prism.frame.T) + margin
-    return int(np.sum((ca <= h).all(axis=1) & (cb <= h).all(axis=1)))
+    h = H + 1e-15
+    counts = np.zeros(len(C), dtype=int)
+    fit = np.flatnonzero(2.0 * np.linalg.norm(h, axis=1) + 1e-9 >= L.min())
+    step = max(1, (1 << 13) // len(A))
+    for p in (fit[p0 : p0 + step] for p0 in range(0, len(fit), step)):
+        Ft = F[p].transpose(0, 2, 1)
+        ndw = W @ Ft
+        margin = delta * np.sqrt(np.maximum(0.0, 1.0 - ndw * ndw))
+        ca, cb = ((np.abs((E - C[p][:, None]) @ Ft) + margin <= h[p][:, None]).all(axis=2)
+                  for E in (A, B))
+        counts[p] = (ca & cb).sum(axis=1)
+    return counts
 
 
 def wolff_axiom_check(
     fam: TubeFamily, n_prisms: int = 2000, seed: int = 0
 ) -> WolffReport:
     """Prism occupancy axiom: no prism R contains more than |R|/delta^2
-    tubes.  Checks seeded random prisms, prisms fitted to the family's
-    principal axes, and the slab around the unit z=0 square.
+    tubes.  Checks the slab around the unit z=0 square, prisms fitted to
+    the family's principal axes, and seeded random prisms, in that order.
     """
-    if fam.dim != 3:
-        raise TubeError("the prism occupancy check is three-dimensional only")
+    admit_checks(fam, ("wolff",))
     d = fam.delta
     A = np.array([t.a for t in fam.tubes])
     W = np.array([t.omega for t in fam.tubes])
@@ -236,23 +281,9 @@ def wolff_axiom_check(
     B = A + L[:, None] * W
     lo, hi = family_bbox(fam)
 
-    checks: list[PrismCheck] = []
-
-    def add(kind: str, prism: Prism) -> PrismCheck:
-        count = _prism_count(prism, A, B, W, d)
-        bound = prism.volume() / (d * d)
-        row = PrismCheck(kind, count, bound, prism)
-        checks.append(row)
-        return row
-
-    slab = add(
-        "slab",
-        Prism(
-            np.array([0.5, 0.5, 0.0]),
-            np.array([0.5 + d, 0.5 + d, d]),
-            np.eye(3),
-        ),
-    )
+    C, H = np.empty((2, 4 + n_prisms, 3))
+    F = np.empty((4 + n_prisms, 3, 3))
+    C[0], H[0], F[0] = [0.5, 0.5, 0.0], [0.5 + d, 0.5 + d, d], np.eye(3)
 
     mids = 0.5 * (A + B)
     mu = mids.mean(axis=0)
@@ -260,23 +291,26 @@ def wolff_axiom_check(
     _, vecs = np.linalg.eigh(cov)
     frame = vecs.T[::-1]  # leading axis first
     spread = np.abs((mids - mu) @ frame.T).max(axis=0) + d + 1e-9
-    for thin in range(3):
-        half = spread.copy()
-        if thin:
-            half[-thin:] = np.maximum(2.0 * d, 1e-6)
-        add("fitted", Prism(mu, half, frame))
+    C[1:4], H[1:4], F[1:4] = mu, spread, frame  # then thin on the last 1, 2 axes
+    H[2, 2:] = H[3, 1:] = max(2.0 * d, 1e-6)
 
     rng = make_rng(seed, 0)
     span = float(np.linalg.norm(hi - lo)) / 2.0
-    for _ in range(n_prisms):
-        center = rng.uniform(0.0, 1.0, size=3) * (hi - lo) + lo
-        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        half = np.exp(rng.uniform(math.log(d), math.log(max(span, 2 * d)), size=3))
-        add("random", Prism(center, half, q))
+    for k in range(4, 4 + n_prisms):
+        C[k] = rng.uniform(0.0, 1.0, size=3) * (hi - lo) + lo
+        F[k] = rng.normal(size=(3, 3))
+        H[k] = np.exp(rng.uniform(math.log(d), math.log(max(span, 2 * d)), size=3))
+    F[4:] = np.linalg.qr(F[4:])[0]
 
-    violations = tuple(c for c in checks if c.count > c.bound)
-    max_ratio = max(c.ratio for c in checks)
-    return WolffReport(len(checks), violations, slab, max_ratio)
+    counts = _prism_counts(C, H, F, A, B, W, L, d)
+    bounds = np.prod(2.0 * H, axis=1) / (d * d)
+    kinds = ["slab"] + ["fitted"] * 3 + ["random"] * n_prisms
+
+    def check(k: int) -> PrismCheck:
+        return PrismCheck(kinds[k], int(counts[k]), float(bounds[k]), Prism(C[k], H[k], F[k]))
+
+    violations = tuple(check(k) for k in np.flatnonzero(counts > bounds))
+    return WolffReport(len(C), violations, check(0), float((counts / bounds).max()))
 
 
 @dataclass(frozen=True)
@@ -313,17 +347,14 @@ def fatten(fam: TubeFamily, rho: float) -> FattenResult:
     ka = np.empty((0, fam.dim))
     kf = [np.empty((0, fam.dim)) for _ in frames]
     for i in range(len(tubes)):
-        if kept:
-            diff_m = np.linalg.norm(kw - W[i], axis=1)
-            diff_p = np.linalg.norm(kw + W[i], axis=1)
-            dir_close = np.minimum(diff_m, diff_p) < rho
-            off = A[i] - ka
-            pos = np.abs(_axis_dot(off.T, kf[0].T))
-            for f in kf[1:]:
-                pos = np.maximum(pos, np.abs(_axis_dot(off.T, f.T)))
-            close = np.flatnonzero(dir_close & (pos < rho))
-        else:
-            close = np.empty(0, dtype=int)
+        diff_m = np.linalg.norm(kw - W[i], axis=1)
+        diff_p = np.linalg.norm(kw + W[i], axis=1)
+        dir_close = np.minimum(diff_m, diff_p) < rho
+        off = A[i] - ka
+        pos = np.abs(_axis_dot(off.T, kf[0].T))
+        for f in kf[1:]:
+            pos = np.maximum(pos, np.abs(_axis_dot(off.T, f.T)))
+        close = np.flatnonzero(dir_close & (pos < rho))
         if close.size:
             assign.append(int(close[0]))
         else:
@@ -374,9 +405,8 @@ def sticky_check(
     about (rho/delta)^2 tubes, within the factor c_bound.
     """
     if rhos is None:
+        admit_checks(fam, ("sticky",))
         k = round(math.log2(1.0 / fam.delta))
-        if abs(fam.delta * 2**k - 1.0) > 1e-9:
-            raise TubeError("the default scale ladder needs a dyadic delta")
         rhos = [fam.delta * 2**s for s in range(k + 1)]
     rows = []
     for rho in rhos:

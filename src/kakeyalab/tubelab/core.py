@@ -177,9 +177,6 @@ class Prism:
         object.__setattr__(self, "half_extents", h)
         object.__setattr__(self, "frame", f)
 
-    def volume(self) -> float:
-        return float(np.prod(2.0 * self.half_extents))
-
 
 @dataclass(frozen=True)
 class VolumeEstimate:

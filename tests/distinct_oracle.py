@@ -4,8 +4,9 @@ essentially-distinct check.
 This is the check the package used before it cleared pairs by a
 closed-form bound: every pair that passes the core-distance prefilter
 is sampled, in blocks of 2^21 / samples_per_pair pairs, block k drawing
-from make_rng(seed, k).  The package still draws every block in full,
-so each pair it samples sees the same samples here.
+its uniform arrays in full from make_rng(seed, k).  The package draws
+only the rows of the pairs it samples, at the same Philox counters, so
+each pair it samples sees the same samples here.
 """
 
 import math

@@ -188,10 +188,10 @@ class TestCheckBranches:
 class TestEarlyRefusal:
     """Inputs that would stall or crash a run exit 2 at once, with an error line."""
 
-    def refused(self, capsys, argv):
+    def refused(self, capsys, argv, seconds=1.0):
         started = time.perf_counter()
         assert dispatch(argv) == 2
-        assert time.perf_counter() - started < 1.0
+        assert time.perf_counter() - started < seconds
         return capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [
@@ -202,6 +202,23 @@ class TestEarlyRefusal:
     def test_heisenberg_bad_delta(self, tmp_path, capsys, flags):
         out = tmp_path / "h.csv"
         assert self.refused(capsys, ["heisenberg", *flags, "--out", str(out)]).startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        # the default checks: distinct refuses this family (sticky would too)
+        (["--delta", "0.011", "--dim", "3", "--placement", "random"],
+         "51,854 tubes make 1,344,392,731 pairs, over the limit of 16,777,216"),
+        (["--delta", "0.125", "--checks", "volume,wolff"],
+         "the prism occupancy check is three-dimensional only"),
+        (["--delta", "0.1", "--dim", "3", "--checks", "volume,sticky"],
+         "the default scale ladder needs a dyadic delta"),
+    ])
+    def test_tube_checks_admitted_before_any_runs(self, tmp_path, capsys, flags, message):
+        # 2e7 volume samples would take tens of seconds if volume ran first
+        out = tmp_path / "r.csv"
+        err = self.refused(capsys, ["tubes", "analyze", *flags, "--mc-samples", "20000000",
+                                    "--out", str(out)], seconds=2.0)
+        assert err == f"error: {message}\n"
         assert not out.exists()
 
     def test_field_header_checked_before_sizing(self, tmp_path, capsys):

@@ -36,19 +36,28 @@ from kakeyalab.tubelab import (
     wolff_axiom_check,
 )
 from kakeyalab.tubelab import checks, generate, volume
-from kakeyalab.tubelab.checks import _prism_count
 from kakeyalab.tubelab.core import _segment_distance_batch, in_tube
 
+import prism_oracle
 from distinct_oracle import essentially_distinct_check as oracle_distinct_check
 from tube_index_oracle import index_arrays as oracle_index_arrays
 
 
+def tube_arrays(tubes):
+    """Anchors, far ends, directions and lengths, as the checks stack them."""
+    return (np.array([t.a for t in tubes]), np.array([t.b for t in tubes]),
+            np.array([t.omega for t in tubes]), np.array([t.length for t in tubes]))
+
+
+def prism_counts(prisms, tubes) -> list[int]:
+    """Tubes wholly inside each prism, counted by the Wolff check's kernel."""
+    C, H, F = (np.array([getattr(p, k) for p in prisms])
+               for k in ("center", "half_extents", "frame"))
+    return checks._prism_counts(C, H, F, *tube_arrays(tubes), tubes[0].delta).tolist()
+
+
 def prism_count(prism: Prism, *tubes: Tube) -> int:
-    """Tubes wholly inside the prism, counted by the Wolff check's kernel."""
-    A = np.array([t.a for t in tubes])
-    B = np.array([t.b for t in tubes])
-    W = np.array([t.omega for t in tubes])
-    return _prism_count(prism, A, B, W, tubes[0].delta)
+    return prism_counts([prism], tubes)[0]
 
 
 def points_in_tube(pts, tube: Tube) -> np.ndarray:
@@ -840,6 +849,38 @@ class TestDistinctAgainstOracle:
             assert got.n_sampled <= want.n_sampled
 
 
+class TestLiveUniform:
+    """Counter-addressed draws equal the whole-block draw's live rows, bit
+    for bit, also for S not a multiple of 4 (run offsets off the Philox
+    4-output boundary), at live shares of 0, 1 and in between."""
+
+    BOUNDS = {"2-D": ((0.0, 1.0), (-1.0, 1.0)),
+              "3-D": ((0.0, 1.0), (0.0, 1.0), (0.0, 2.0 * math.pi))}
+
+    @pytest.mark.parametrize("S", [1, 63, 64, 65])
+    @pytest.mark.parametrize("share", [0.0, 0.02, 0.5, 0.97, 1.0])
+    @pytest.mark.parametrize("arrays", list(BOUNDS))
+    def test_rows_equal_whole_block(self, S, share, arrays):
+        n = 517
+        live = np.random.default_rng(S).random(n) < share
+        if 0.0 < share < 1.0:
+            live[[0, 1, 200, -1]] = True, False, True, True  # runs at both ends
+        rng = make_rng(11, 4)
+        got = [checks._live_uniform(rng, q, live, S, lo, hi)
+               for q, (lo, hi) in enumerate(self.BOUNDS[arrays])]
+        rng = make_rng(11, 4)
+        want = [rng.uniform(lo, hi, size=(n, S))[live] for lo, hi in self.BOUNDS[arrays]]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (live.sum(), S)
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("S", [0, -3])
+    def test_samples_per_pair_below_one_refused(self, S):
+        with pytest.raises(TubeError, match=f"samples_per_pair must be at least 1, got {S}"):
+            essentially_distinct_check(generate_family(1 / 8, 2, "bush"), samples_per_pair=S)
+
+
 class TestLineBound:
     """A pair the distinct check clears without sampling never overlaps
     by more than half, checked by an independent sampler."""
@@ -947,6 +988,59 @@ class TestWolff:
         assert rep.slab.ratio >= 10.0
         assert any(v.kind == "slab" for v in rep.violations)
         assert not rep.ok
+
+
+class TestWolffAgainstOracle:
+    """The batched, culled prism count equals the per-prism count of
+    `tests/prism_oracle.py` on every prism, and the report is the same."""
+
+    @staticmethod
+    def key(c):
+        p = c.prism
+        return (c.kind, c.count, c.bound, p.center.tobytes(), p.half_extents.tobytes(),
+                p.frame.tobytes())
+
+    def assert_report_equal(self, fam, n_prisms, seed):
+        got = wolff_axiom_check(fam, n_prisms, seed)
+        want = prism_oracle.wolff_axiom_check(fam, n_prisms, seed)
+        assert got.n_checked == want.n_checked == n_prisms + 4
+        assert got.max_ratio == want.max_ratio and type(got.max_ratio) is float
+        assert self.key(got.slab) == self.key(want.slab)
+        assert [self.key(c) for c in got.violations] == [self.key(c) for c in want.violations]
+        every = prism_oracle.prism_checks(fam, n_prisms, seed)
+        assert prism_counts([c.prism for c in every], fam.tubes) == [c.count for c in every]
+        return every
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 13])
+    def test_slab(self, seed):
+        every = self.assert_report_equal(parallel_lines_family(1 / 32), 2000, seed)
+        assert sum(c.count > 0 for c in every) >= 20  # not all culled or empty
+
+    def test_no_random_prisms(self):
+        every = self.assert_report_equal(parallel_lines_family(1 / 16), 0, 0)
+        assert [c.kind for c in every] == ["slab", "fitted", "fitted", "fitted"]
+
+    def test_mixed_lengths_about_the_cull(self):
+        # Tubes along cube diagonals, lengths 1/4 to 1: a cube of half-extent
+        # h holds the diagonal tube of length l when l <= 2 sqrt 3 (h - c delta),
+        # c = sqrt(2/3) from the face margins.  Cubes around the shortest
+        # tube sit just below and just above its cull line 2 sqrt 3 h = l.
+        delta = 1e-6
+        diag = np.ones(3) / math.sqrt(3.0)
+        lengths = (0.25, 0.5, 0.5, 1.0)
+        tubes = [Tube(3, [0.1 * k, 0.0, 0.0] - 0.5 * l * diag, diag, delta, l)
+                 for k, l in enumerate(lengths)]
+        fam = TubeFamily(delta, tuple(tubes))
+        prisms = [Prism([0.1 * k, 0.0, 0.0], [h] * 3, np.eye(3))
+                  for k, l in enumerate(lengths)
+                  for h in (l / (2 * math.sqrt(3.0)) + s * delta
+                            for s in (-1e-3, 1e-3, 0.8, 0.82, 2.0))]
+        A, B, W, L = tube_arrays(tubes)
+        want = [prism_oracle.prism_count(p, A, B, W, delta) for p in prisms]
+        assert prism_counts(prisms, tubes) == want
+        assert want[:5] == [0, 0, 0, 1, 1]
+        self.assert_report_equal(fam, 3000, 5)
+        self.assert_report_equal(generate_family(1 / 8, 3, "random", seed=3), 2000, 1)
 
 
 class TestFatten:
