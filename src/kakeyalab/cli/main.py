@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -50,6 +50,7 @@ from ..tubelab import (
     family_from_json,
     family_to_json,
     family_total_volume,
+    generate_directions,
     generate_family,
     kakeya_ratio,
     parallel_lines_family,
@@ -81,6 +82,7 @@ class RunResult:
     outputs: list = field(default_factory=list)
     check_passed: bool | None = None
     nan_cells: int = 0
+    estimate: dict | None = None
 
 
 def _write_text(path: str, text: str) -> None:
@@ -198,8 +200,14 @@ def _analyze_rows(fam, names, args) -> list[tuple]:
 
 
 def _cmd_tubes(args) -> RunResult:
-    if args.mode == "analyze" and args.method == "monte-carlo":
-        admit_samples(args.mc_samples)
+    if args.mode == "analyze":
+        if args.method == "monte-carlo":
+            admit_samples(args.mc_samples)
+        names = _split_names(args.checks, _TUBE_CHECKS)
+        # one tube per net direction; perron-base in 3-D has its own refusal
+        if args.placement != "parallel-lines" and (args.placement, args.dim) != ("perron-base", 3):
+            n = len(generate_directions(args.delta, args.dim))
+            admit_checks(n, args.dim, args.delta, names)  # before any tube is built
     fam = _tube_family(args)
     params = {"mode": args.mode, "dim": fam.dim, "delta": args.delta,
               "placement": args.placement, "checks": args.checks,
@@ -211,8 +219,7 @@ def _cmd_tubes(args) -> RunResult:
         return RunResult(parameters=params, seeds={"seed": args.seed},
                          outputs=[args.out],
                          check_passed=True if args.check else None)
-    names = _split_names(args.checks, _TUBE_CHECKS)
-    admit_checks(fam, names)  # every refusal before the first check runs
+    admit_checks(len(fam), fam.dim, fam.delta, names)  # every refusal before the first check runs
     rows = _analyze_rows(fam, names, args)
     text, nans = emit_report(rows, _TUBE_SCHEMA)
     _write_text(args.out, text)
@@ -352,7 +359,7 @@ def _cmd_dim(args) -> RunResult:
     return RunResult(
         parameters={"in": args.infile, "deltas": args.deltas,
                     "epsilon": args.epsilon},
-        outputs=[args.out], check_passed=check, nan_cells=nans)
+        outputs=[args.out], check_passed=check, nan_cells=nans, estimate=asdict(est))
 
 
 # Each subcommand: (help, ((flag, add_argument keywords), ...), handler).
@@ -509,6 +516,8 @@ def dispatch(argv) -> int:
         "flags": {"check": bool(args.check), "config": args.config,
                   "nan_cells": result.nan_cells},
     }
+    if result.estimate is not None:
+        manifest["estimate"] = result.estimate
     _write_text(result.outputs[0] + ".manifest.json",
                 json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     if args.check and not result.check_passed:

@@ -85,18 +85,17 @@ class DistinctReport:
 _MAX_PAIRS = 1 << 24
 
 
-def admit_checks(fam: TubeFamily, names) -> None:
-    """Raise the TubeError of the first named check that would refuse fam
-    (sticky on its default scale ladder), before any check does work."""
-    n = len(fam)
+def admit_checks(n: int, dim: int, delta: float, names) -> None:
+    """Raise the TubeError of the first named check that would refuse a
+    family of n tubes of width delta in dim dimensions (sticky on its
+    default scale ladder), before any check does work."""
     for name in names:
         if name == "distinct" and n * (n - 1) // 2 > _MAX_PAIRS:
             raise TubeError(f"{n:,} tubes make {n * (n - 1) // 2:,} pairs, "
                             f"over the limit of {_MAX_PAIRS:,}")
-        if name == "wolff" and fam.dim != 3:
+        if name == "wolff" and dim != 3:
             raise TubeError("the prism occupancy check is three-dimensional only")
-        if name == "sticky" and abs(fam.delta * 2 ** round(math.log2(1.0 / fam.delta))
-                                    - 1.0) > 1e-9:
+        if name == "sticky" and abs(delta * 2 ** round(math.log2(1.0 / delta)) - 1.0) > 1e-9:
             raise TubeError("the default scale ladder needs a dyadic delta")
 
 
@@ -160,7 +159,7 @@ def essentially_distinct_check(
     """
     if samples_per_pair < 1:
         raise TubeError(f"samples_per_pair must be at least 1, got {samples_per_pair}")
-    admit_checks(fam, ("distinct",))
+    admit_checks(len(fam), fam.dim, fam.delta, ("distinct",))
     tubes = fam.tubes
     n = len(tubes)
     d = fam.dim
@@ -273,7 +272,7 @@ def wolff_axiom_check(
     tubes.  Checks the slab around the unit z=0 square, prisms fitted to
     the family's principal axes, and seeded random prisms, in that order.
     """
-    admit_checks(fam, ("wolff",))
+    admit_checks(len(fam), fam.dim, fam.delta, ("wolff",))
     d = fam.delta
     A = np.array([t.a for t in fam.tubes])
     W = np.array([t.omega for t in fam.tubes])
@@ -405,7 +404,7 @@ def sticky_check(
     about (rho/delta)^2 tubes, within the factor c_bound.
     """
     if rhos is None:
-        admit_checks(fam, ("sticky",))
+        admit_checks(len(fam), fam.dim, fam.delta, ("sticky",))
         k = round(math.log2(1.0 / fam.delta))
         rhos = [fam.delta * 2**s for s in range(k + 1)]
     rows = []

@@ -508,6 +508,62 @@ class TestCapsuleFill:
             assert list(curve.volumes) == want
 
 
+@pytest.fixture(params=[0, math.inf], ids=["sorted", "dense"])
+def forced_count(request, monkeypatch):
+    """Force one strip count on every strip: at 0 cells per span every
+    strip is counted from its sorted steps, at infinity from its dense
+    difference array."""
+    monkeypatch.setattr(boxdim, "_SPARSE_CELLS_PER_SPAN", request.param)
+
+
+@pytest.mark.usefixtures("forced_count")
+class TestStripFillForced(TestStripFill):
+    """TestStripFill with each strip count forced on every strip."""
+
+
+@pytest.mark.usefixtures("forced_count")
+class TestCapsuleFillForced(TestCapsuleFill):
+    """TestCapsuleFill with each strip count forced on every strip."""
+
+
+class TestSortedCount:
+    """The sorted count against np.add.at + cumsum + count_nonzero."""
+
+    @staticmethod
+    def dense_count(at, step, cells):
+        diff = np.zeros(cells, dtype=np.int32)
+        np.add.at(diff, at, step)
+        return int(np.count_nonzero(np.cumsum(diff)))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_steps(self, seed):
+        # lines of nx + 1 slots, each holding spans [a, b) as +1 at a and
+        # -1 at b <= nx, or as winding pairs of either sign; positions
+        # drawn from a few values so that many coincide, and a = b spans
+        # whose steps cancel on one cell
+        rng = np.random.default_rng(seed)
+        nx, lines = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+        n = int(rng.integers(0, 30))
+        line = rng.integers(0, lines, n)
+        a = rng.integers(0, nx + 1, n)
+        b = np.where(rng.random(n) < 0.2, a, rng.integers(a, nx + 1))
+        base = line * (nx + 1)
+        at = np.concatenate([base + a, base + b])
+        sign = rng.choice([1, -1], n)
+        step = np.concatenate([sign, -sign])
+        keys = 2 * at + (step > 0)
+        cells = lines * (nx + 1)
+        assert boxdim._sorted_count(keys, cells) == self.dense_count(at, step, cells)
+
+    def test_edge_cases(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert boxdim._sorted_count(empty, 12) == 0
+        # a span ending at a line's last slot nx = 5, and a cancelling pair
+        at, step = np.array([2, 5, 8, 8]), np.array([1, -1, 1, -1])
+        assert boxdim._sorted_count(2 * at + (step > 0), 12) == 3
+        assert self.dense_count(at, step, 12) == 3
+
+
 class TestAdmission:
     """Every scale is checked against its grid cap before any is filled."""
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import kakeyalab
+from kakeyalab.boxdim import minkowski_estimate, neighborhood_volume_curve
 from kakeyalab.cli import (
     CliError,
     dispatch,
@@ -213,13 +214,26 @@ class TestEarlyRefusal:
         (["--delta", "0.1", "--dim", "3", "--checks", "volume,sticky"],
          "the default scale ladder needs a dyadic delta"),
     ])
-    def test_tube_checks_admitted_before_any_runs(self, tmp_path, capsys, flags, message):
-        # 2e7 volume samples would take tens of seconds if volume ran first
+    def test_tube_checks_admitted_before_any_runs(self, tmp_path, capsys, monkeypatch,
+                                                  flags, message):
+        # 2e7 volume samples would take tens of seconds if volume ran first,
+        # and each family is refused from its net's size before it is built
+        def build(*args, **kwargs):
+            raise AssertionError("the family was built")
+
+        monkeypatch.setattr(sys.modules["kakeyalab.cli.main"], "generate_family", build)
         out = tmp_path / "r.csv"
         err = self.refused(capsys, ["tubes", "analyze", *flags, "--mc-samples", "20000000",
                                     "--out", str(out)], seconds=2.0)
         assert err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_perron_base_in_3d_refused_by_its_own_rule(self, tmp_path, capsys):
+        # the 3-D net at 0.011 is over the pair limit, but the placement
+        # rule is the refusal that names the fault
+        err = self.refused(capsys, ["tubes", "analyze", "--delta", "0.011", "--dim", "3",
+                                    "--placement", "perron-base", "--out", str(tmp_path / "r.csv")])
+        assert err == "error: perron-base placement is two-dimensional only\n"
 
     def test_field_header_checked_before_sizing(self, tmp_path, capsys):
         # 32 bytes claiming dim 2^20 and N = 2^32 - 1: 16 * N ** dim would
@@ -630,6 +644,22 @@ class TestDimInputs:
         out = capsys.readouterr().out
         assert re.search(r"^dimension \d\.\d{3} over deltas \[0\.0625, 0\.03125\], ",
                          out, re.M)
+
+    def test_manifest_records_the_estimate(self, tmp_path):
+        tree_path, out = tmp_path / "t.json", tmp_path / "d.csv"
+        assert dispatch(["perron", "--m", "4", "--out", str(tree_path)]) == 0
+        assert dispatch(["dim", "--in", str(tree_path), "--deltas", "2^-3..2^-6",
+                         "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "d.csv.manifest.json").read_text())
+        curve = neighborhood_volume_curve(tree_from_json(tree_path.read_text()).region,
+                                          [2.0 ** -k for k in range(3, 7)])
+        est = minkowski_estimate(curve, 2)
+        assert manifest["estimate"] == {
+            "dimension": est.dimension, "residual": est.residual,
+            "delta_range": [0.0625, 0.03125], "local_slopes": list(est.local_slopes),
+            "uncertainty": est.uncertainty}
+        assert "estimate" not in json.loads(
+            (tmp_path / "t.json.manifest.json").read_text())
 
     def test_reads_family_json(self, tmp_path):
         fam_path = tmp_path / "fam.json"

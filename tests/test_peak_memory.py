@@ -10,11 +10,14 @@ The Fefferman step at r = 1/16 works on N = 4096, where one complex
 N x N array is 256 MiB: its bound is two of them.  The dense path it
 replaced peaked at about 805 MiB.  The m=6 tree curve down to
 delta = 2^-12 peaked at about 450 MiB with the whole-grid region fill,
-at about 98 MiB with the strip-wise disc-dilation fill, and at about
-38 MiB since regions share the tubes' row-span capsule fill.  The
-capsule fill of the delta = 2^-8 bush down to 2^-8 peaked at about
-63 MiB with the whole grid and per-tube boxes, and at about 212 MiB
-with row spans taken all at once instead of in blocks.  The union volume
+at about 98 MiB with the strip-wise disc-dilation fill, at about
+38 MiB since regions share the tubes' row-span capsule fill, and at
+about 43 MiB since its sparse strips of 2^20 cells count their sorted
+steps.  The capsule fill of the delta = 2^-8 bush down to 2^-8 peaked
+at about 63 MiB with the whole grid and per-tube boxes, at about
+212 MiB with row spans taken all at once instead of in blocks, at
+about 37 MiB with strips of 2^18 cells and at about 40 MiB with strips
+of 2^20.  The union volume
 of the delta = 2^-9 bush peaked at about 142 MiB when the tube index was
 built one tube at a time, most of it the index's whole-family gap
 temporaries; built in blocks of walk points it peaks at about 82 MiB.
