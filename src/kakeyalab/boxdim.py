@@ -378,10 +378,7 @@ def neighborhood_volume_curve(shape, deltas) -> BoxCountCurve:
         lengths = np.hypot(D[:, 0], D[:, 1])
         W, width = D / lengths[:, None], 0.0
     elif isinstance(shape, TubeFamily):
-        A = np.array([t.a for t in shape.tubes])
-        W = np.array([t.omega for t in shape.tubes])
-        lengths = np.array([t.length for t in shape.tubes])
-        width = shape.delta
+        A, W, lengths, width = shape.anchors, shape.omegas, shape.lengths, shape.delta
     else:
         A = np.asarray(shape, dtype=float)
         if A.ndim != 2 or A.shape[1] not in (2, 3) or len(A) == 0:

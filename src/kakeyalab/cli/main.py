@@ -59,6 +59,7 @@ from ..tubelab import (
     wolff_axiom_check,
 )
 from ..tubelab.checks import admit_checks
+from ..tubelab.volume import admit_grid
 from .io import (
     CliError,
     emit_report,
@@ -203,6 +204,8 @@ def _cmd_tubes(args) -> RunResult:
     if args.mode == "analyze":
         if args.method == "monte-carlo":
             admit_samples(args.mc_samples)
+        else:  # parallel lines are 3-D whatever --dim says
+            admit_grid(args.grid_res, 3 if args.placement == "parallel-lines" else args.dim)
         names = _split_names(args.checks, _TUBE_CHECKS)
         # one tube per net direction; perron-base in 3-D has its own refusal
         if args.placement != "parallel-lines" and (args.placement, args.dim) != ("perron-base", 3):

@@ -21,7 +21,6 @@ from .checks import (
 )
 from .core import (
     Prism,
-    Tube,
     TubeError,
     TubeFamily,
     VolumeEstimate,
@@ -29,7 +28,6 @@ from .core import (
     family_from_json,
     family_to_json,
     family_total_volume,
-    tube_volume,
 )
 from .generate import (
     generate_directions,
@@ -39,12 +37,10 @@ from .generate import (
 from .volume import TubeIndex, kakeya_ratio, union_volume
 
 __all__ = [
-    "Tube",
     "TubeFamily",
     "Prism",
     "VolumeEstimate",
     "TubeError",
-    "tube_volume",
     "family_total_volume",
     "family_bbox",
     "family_to_json",

@@ -15,7 +15,6 @@ import numpy as np
 from ..rng import make_rng
 from .core import (
     Prism,
-    Tube,
     TubeError,
     TubeFamily,
     _axis_dot,
@@ -160,12 +159,8 @@ def essentially_distinct_check(
     if samples_per_pair < 1:
         raise TubeError(f"samples_per_pair must be at least 1, got {samples_per_pair}")
     admit_checks(len(fam), fam.dim, fam.delta, ("distinct",))
-    tubes = fam.tubes
-    n = len(tubes)
-    d = fam.dim
-    A = np.array([t.a for t in tubes])
-    W = np.array([t.omega for t in tubes])
-    L = np.array([t.length for t in tubes])
+    n, d = len(fam), fam.dim
+    A, W, L = fam.anchors, fam.omegas, fam.lengths
     B = A + L[:, None] * W
     cut = 2.0 * fam.delta + 1e-12
 
@@ -274,9 +269,7 @@ def wolff_axiom_check(
     """
     admit_checks(len(fam), fam.dim, fam.delta, ("wolff",))
     d = fam.delta
-    A = np.array([t.a for t in fam.tubes])
-    W = np.array([t.omega for t in fam.tubes])
-    L = np.array([t.length for t in fam.tubes])
+    A, W, L = fam.anchors, fam.omegas, fam.lengths
     B = A + L[:, None] * W
     lo, hi = family_bbox(fam)
 
@@ -335,17 +328,13 @@ def fatten(fam: TubeFamily, rho: float) -> FattenResult:
     """
     if rho < fam.delta:
         raise TubeError(f"rho must be at least delta, got {rho} < {fam.delta}")
-    tubes = fam.tubes
-    W = np.array([t.omega for t in tubes])
-    A = np.array([t.a for t in tubes])
-    frames = _perp_frame(W)
-
+    A, W, L = fam.anchors, fam.omegas, fam.lengths
+    rows = (W, A, *_perp_frame(W))
+    held = [np.empty_like(r) for r in rows]  # row m of each: the m-th kept tube's
     kept: list[int] = []
     assign: list[int] = []
-    kw = np.empty((0, fam.dim))
-    ka = np.empty((0, fam.dim))
-    kf = [np.empty((0, fam.dim)) for _ in frames]
-    for i in range(len(tubes)):
+    for i in range(len(fam)):
+        kw, ka, *kf = (h[:len(kept)] for h in held)
         diff_m = np.linalg.norm(kw - W[i], axis=1)
         diff_p = np.linalg.norm(kw + W[i], axis=1)
         dir_close = np.minimum(diff_m, diff_p) < rho
@@ -357,17 +346,12 @@ def fatten(fam: TubeFamily, rho: float) -> FattenResult:
         if close.size:
             assign.append(int(close[0]))
         else:
+            for h, r in zip(held, rows):
+                h[len(kept)] = r[i]
             assign.append(len(kept))
             kept.append(i)
-            kw = np.vstack([kw, W[i]])
-            ka = np.vstack([ka, A[i]])
-            kf = [np.vstack([f, fr[i]]) for f, fr in zip(kf, frames)]
-    fat = tuple(
-        Tube(fam.dim, tubes[i].a, tubes[i].omega, rho, tubes[i].length) for i in kept
-    )
-    return FattenResult(
-        TubeFamily(rho, fat, fam.placement_tag), tuple(kept), tuple(assign)
-    )
+    return FattenResult(TubeFamily(rho, A[kept], W[kept], L[kept], fam.placement_tag),
+                        tuple(kept), tuple(assign))
 
 
 @dataclass(frozen=True)

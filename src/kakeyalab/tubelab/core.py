@@ -3,8 +3,10 @@
 A tube is the closed delta-neighbourhood of a core segment, without end
 caps: points a + t*omega + v with 0 <= t <= len and v perpendicular to
 omega, |v| <= delta.  `in_tube` is the one membership test for that
-set.  Families carry a common scale and a tag recording how they were
-placed.
+set.  A family is three read-only arrays, anchors and omegas (n, dim)
+and lengths (n,), at one common scale delta, with a tag recording how
+it was placed.  Its JSON wire format keeps one {a, omega, len} record
+per tube.
 """
 
 from __future__ import annotations
@@ -16,12 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Tube",
     "TubeFamily",
     "Prism",
     "VolumeEstimate",
     "TubeError",
-    "tube_volume",
     "family_total_volume",
     "family_bbox",
     "family_to_json",
@@ -37,93 +37,62 @@ class TubeError(ValueError):
     """Raised for invalid tube or family parameters."""
 
 
-def _as_vec(x, dim: int, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
-    if v.shape != (dim,):
-        raise TubeError(f"{name} must be a {dim}-vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise TubeError(f"{name} must be finite")
-    return v
-
-
 @dataclass(frozen=True)
-class Tube:
-    """Closed delta-tube around the segment from a to a + length*omega."""
+class TubeFamily:
+    """Finite family of tubes at one common scale: tube i is the closed
+    delta-tube around the segment from anchors[i] to
+    anchors[i] + lengths[i] * omegas[i]."""
 
-    dim: int
-    a: np.ndarray
-    omega: np.ndarray
     delta: float
-    length: float = 1.0
+    anchors: np.ndarray
+    omegas: np.ndarray
+    lengths: np.ndarray
+    placement_tag: str = ""
 
     def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise TubeError(f"dim must be 2 or 3, got {self.dim}")
-        object.__setattr__(self, "a", _as_vec(self.a, self.dim, "anchor"))
-        omega = _as_vec(self.omega, self.dim, "omega")
-        if abs(float(np.linalg.norm(omega)) - 1.0) > UNIT_TOL:
+        try:
+            A, W, L = (np.array(x, dtype=float) for x in (self.anchors, self.omegas, self.lengths))
+        except ValueError as exc:  # ragged rows, or entries that are not numbers
+            raise TubeError(f"tubes must be rows of numbers of one dimension: {exc}") from exc
+        if not A.size:
+            raise TubeError("a family needs at least one tube")
+        if A.ndim != 2 or A.shape[1] not in (2, 3):
+            raise TubeError(f"anchors must be an (n, 2) or (n, 3) array, got shape {A.shape}")
+        if W.shape != A.shape or L.shape != A.shape[:1]:
+            raise TubeError(f"anchors {A.shape}, omegas {W.shape} and lengths {L.shape} "
+                            "must agree in shape")
+        if not all(np.isfinite(v).all() for v in (A, W, L)):
+            raise TubeError("anchors, omegas and lengths must be finite")
+        if (np.abs(np.linalg.norm(W, axis=1) - 1.0) > UNIT_TOL).any():
             raise TubeError("omega must be a unit vector (within 1e-12)")
-        object.__setattr__(self, "omega", omega)
         # Radius 1 is admitted so coarsening a family all the way up
         # remains expressible; generation entry points stay below 1.
         if not (0.0 < self.delta <= 1.0):
             raise TubeError(f"delta must lie in (0, 1], got {self.delta}")
-        if not (self.length > 0.0):
-            raise TubeError(f"length must be positive, got {self.length}")
-
-    @property
-    def b(self) -> np.ndarray:
-        """Far endpoint of the core segment."""
-        return self.a + self.length * self.omega
-
-    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.minimum(self.a, self.b) - self.delta
-        hi = np.maximum(self.a, self.b) + self.delta
-        return lo, hi
-
-
-def tube_volume(tube: Tube) -> float:
-    """Lebesgue volume of the tube (no end caps)."""
-    if tube.dim == 2:
-        return 2.0 * tube.delta * tube.length
-    return math.pi * tube.delta**2 * tube.length
-
-
-@dataclass(frozen=True)
-class TubeFamily:
-    """Finite family of tubes at one common scale."""
-
-    delta: float
-    tubes: tuple[Tube, ...]
-    placement_tag: str = ""
-
-    def __post_init__(self):
-        tubes = tuple(self.tubes)
-        if not tubes:
-            raise TubeError("a family needs at least one tube")
-        dims = {t.dim for t in tubes}
-        if len(dims) != 1:
-            raise TubeError("all tubes in a family must share a dimension")
-        for t in tubes:
-            if t.delta != self.delta:
-                raise TubeError("all tubes must use the family scale delta")
-        object.__setattr__(self, "tubes", tubes)
+        if not (L > 0.0).all():
+            raise TubeError(f"lengths must be positive, got {L.min()}")
+        for name, v in (("anchors", A), ("omegas", W), ("lengths", L)):
+            v.flags.writeable = False
+            object.__setattr__(self, name, v)
 
     @property
     def dim(self) -> int:
-        return self.tubes[0].dim
+        return self.anchors.shape[1]
 
     def __len__(self) -> int:
-        return len(self.tubes)
+        return len(self.lengths)
 
 
 def family_total_volume(fam: TubeFamily) -> float:
-    return sum(tube_volume(t) for t in fam.tubes)
+    """Sum of the tube volumes (no end caps), added left to right."""
+    cross = 2.0 * fam.delta if fam.dim == 2 else math.pi * fam.delta**2
+    return sum((cross * fam.lengths).tolist())
 
 
 def family_bbox(fam: TubeFamily) -> tuple[np.ndarray, np.ndarray]:
-    los, his = zip(*(t.bbox() for t in fam.tubes))
-    return np.min(los, axis=0), np.max(his, axis=0)
+    B = fam.anchors + fam.lengths[:, None] * fam.omegas
+    return (np.minimum(fam.anchors, B).min(axis=0) - fam.delta,
+            np.maximum(fam.anchors, B).max(axis=0) + fam.delta)
 
 
 def family_to_json(fam: TubeFamily) -> str:
@@ -132,23 +101,20 @@ def family_to_json(fam: TubeFamily) -> str:
         "dim": fam.dim,
         "delta": fam.delta,
         "placement_tag": fam.placement_tag,
-        "tubes": [
-            {"a": list(t.a), "omega": list(t.omega), "len": t.length}
-            for t in fam.tubes
-        ],
+        "tubes": [{"a": a, "omega": w, "len": length} for a, w, length in
+                  zip(fam.anchors.tolist(), fam.omegas.tolist(), fam.lengths.tolist())],
     }
     return json.dumps(doc, separators=(",", ":"), sort_keys=True)
 
 
 def family_from_json(text: str) -> TubeFamily:
     doc = json.loads(text)
-    dim = int(doc["dim"])
-    delta = float(doc["delta"])
-    tubes = tuple(
-        Tube(dim, rec["a"], rec["omega"], delta, float(rec["len"]))
-        for rec in doc["tubes"]
-    )
-    return TubeFamily(delta, tubes, str(doc["placement_tag"]))
+    recs = doc["tubes"]
+    fam = TubeFamily(float(doc["delta"]), [r["a"] for r in recs], [r["omega"] for r in recs],
+                     [r["len"] for r in recs], str(doc["placement_tag"]))
+    if fam.dim != int(doc["dim"]):
+        raise TubeError(f"a {doc['dim']}-D family has {fam.dim}-vector tubes")
+    return fam
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from ..rng import make_rng
-from .core import Tube, TubeError, TubeFamily
+from .core import TubeError, TubeFamily
 
 __all__ = [
     "generate_directions",
@@ -127,26 +127,25 @@ def generate_family(
     the requested direction.
     """
     dirs = generate_directions(delta, dim)
-    if placement == "bush":
-        tubes = [Tube(dim, np.zeros(dim), w, delta) for w in dirs]
-    elif placement == "random":
+    anchors = np.zeros_like(dirs)
+    if placement == "random":
         anchors = _random_ball(make_rng(seed, 0), len(dirs), dim)
-        tubes = [Tube(dim, a, w, delta) for a, w in zip(anchors, dirs)]
     elif placement == "perron-base":
         if dim != 2:
             raise TubeError("perron-base placement is two-dimensional only")
         from ..perron import PerronSpec, build_perron_tree
 
         tree = build_perron_tree(PerronSpec.default(tree_levels))
-        tubes = [_tree_segment_tube(float(math.atan2(w[1], w[0])), delta, tree)
-                 for w in dirs]
-    else:
+        anchors, dirs = zip(*(_tree_segment_tube(float(math.atan2(w[1], w[0])), tree)
+                              for w in dirs))
+    elif placement != "bush":
         raise TubeError(f"unknown placement {placement!r}")
-    return TubeFamily(delta, tuple(tubes), placement)
+    return TubeFamily(delta, anchors, dirs, np.ones(len(dirs)), placement)
 
 
-def _tree_segment_tube(theta: float, delta: float, tree) -> Tube:
-    """Unit tube along the tracked segment of tree at line angle theta.
+def _tree_segment_tube(theta: float, tree) -> tuple[np.ndarray, np.ndarray]:
+    """Anchor and direction of the unit tube along the tracked segment of
+    tree at line angle theta.
 
     The tree's own fan realises line angles in [60, 120) degrees; the
     other two thirds come from the 120/240 degree rotations about the
@@ -181,7 +180,7 @@ def _tree_segment_tube(theta: float, delta: float, tree) -> Tube:
     p, q = ends
     w = q - p
     w /= np.linalg.norm(w)
-    return Tube(2, p, w, delta)
+    return p, w
 
 
 # Most tubes parallel_lines_family builds: delta = 1/128.
@@ -201,12 +200,9 @@ def parallel_lines_family(delta: float) -> TubeFamily:
     if n * n > _MAX_TUBES:
         raise TubeError(f"parallel lines at 1/delta = {n} make {n * n:,} tubes, "
                         f"over the limit of {_MAX_TUBES:,}")
-    tubes = []
-    for j in range(1, n + 1):
-        a = np.array([delta * j, 0.0, 0.0])
-        for k in range(1, n + 1):
-            b = np.array([delta * k, 1.0, 0.0])
-            chord = b - a
-            length = float(np.linalg.norm(chord))
-            tubes.append(Tube(3, a, chord / length, delta, length))
-    return TubeFamily(delta, tuple(tubes), "parallel-lines")
+    x = delta * np.arange(1, n + 1)
+    zeros = np.zeros(n * n)
+    anchors = np.stack([np.repeat(x, n), zeros, zeros], axis=1)
+    chords = np.stack([np.tile(x, n), np.ones(n * n), zeros], axis=1) - anchors
+    lengths = np.linalg.norm(chords, axis=1)
+    return TubeFamily(delta, anchors, chords / lengths[:, None], lengths, "parallel-lines")

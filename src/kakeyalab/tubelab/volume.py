@@ -23,7 +23,7 @@ from .core import (
     in_tube,
 )
 
-__all__ = ["union_volume", "kakeya_ratio", "TubeIndex"]
+__all__ = ["union_volume", "kakeya_ratio", "TubeIndex", "admit_grid"]
 
 
 # Candidate (point, tube) pairs tested per batch of a query; the
@@ -32,6 +32,15 @@ _PAIR_BATCH = 1 << 15
 # Core walk points per block of the index build: a block's neighbour
 # keys, their sort and the gap temporaries stay a few MiB.
 _WALK_BLOCK = 1 << 16
+# Most cells a grid estimate fills: the cap boxdim puts on a family's grid.
+_MAX_GRID_CELLS = 1 << 27
+
+
+def admit_grid(resolution: int, dim: int) -> None:
+    """Refuse a grid of more than _MAX_GRID_CELLS cells, before any is allocated."""
+    if resolution ** dim > _MAX_GRID_CELLS:
+        raise TubeError(f"a {dim}-D grid at resolution {resolution:,} has "
+                        f"{resolution ** dim:,} cells, over the limit of {_MAX_GRID_CELLS:,}")
 
 
 class TubeIndex:
@@ -47,9 +56,9 @@ class TubeIndex:
         self.dim = fam.dim
         self.delta = fam.delta
         # Per-axis columns: 1-D gathers are several times cheaper than rows.
-        self.anchors = np.array([t.a for t in fam.tubes]).T.copy()
-        self.omegas = np.array([t.omega for t in fam.tubes]).T.copy()
-        self.lengths = np.array([t.length for t in fam.tubes])
+        self.anchors = fam.anchors.T.copy()
+        self.omegas = fam.omegas.T.copy()
+        self.lengths = fam.lengths
         self.lo, self.hi = family_bbox(fam)
         span = float(np.max(self.hi - self.lo))
         # Cells no finer than a tube width; at most 2^18 of them.
@@ -207,6 +216,7 @@ def union_volume(
     if method == "grid":
         if resolution < 2:
             raise TubeError("resolution must be at least 2")
+        admit_grid(resolution, fam.dim)
         return _grid_volume(fam, resolution)
     raise TubeError(f"unknown method {method!r}")
 

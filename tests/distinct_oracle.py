@@ -19,12 +19,9 @@ from kakeyalab.tubelab.core import _segment_distance_batch, in_tube
 
 
 def essentially_distinct_check(fam, samples_per_pair=64, seed=0):
-    tubes = fam.tubes
-    n = len(tubes)
+    n = len(fam)
     d = fam.dim
-    A = np.array([t.a for t in tubes])
-    W = np.array([t.omega for t in tubes])
-    L = np.array([t.length for t in tubes])
+    A, W, L = fam.anchors, fam.omegas, fam.lengths
     B = A + L[:, None] * W
     cut = 2.0 * fam.delta + 1e-12
 

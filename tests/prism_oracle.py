@@ -33,9 +33,7 @@ def prism_count(prism, A, B, W, delta):
 def prism_checks(fam, n_prisms=2000, seed=0):
     """Every prism the Wolff check examines, in order, with its count."""
     d = fam.delta
-    A = np.array([t.a for t in fam.tubes])
-    W = np.array([t.omega for t in fam.tubes])
-    L = np.array([t.length for t in fam.tubes])
+    A, W, L = fam.anchors, fam.omegas, fam.lengths
     B = A + L[:, None] * W
     lo, hi = family_bbox(fam)
 

@@ -49,7 +49,6 @@ from kakeyalab.spectral import (
     single_packet_ratio,
 )
 from kakeyalab.tubelab import (
-    Tube,
     TubeFamily,
     essentially_distinct_check,
     generate_family,
@@ -159,13 +158,9 @@ def _dyadic_fixture(delta):
     # parallel vertical tubes anchored on the full delta-grid: greedy
     # coarsening tiles the anchors into exact (rho/delta)^2 blocks
     n = round(1.0 / delta)
-    ez = np.array([0.0, 0.0, 1.0])
-    tubes = [
-        Tube(3, np.array([delta * j, delta * k, 0.0]), ez, delta)
-        for j in range(1, n + 1)
-        for k in range(1, n + 1)
-    ]
-    return TubeFamily(delta, tuple(tubes), "dyadic-fixture")
+    anchors = [[delta * j, delta * k, 0.0] for j in range(1, n + 1) for k in range(1, n + 1)]
+    return TubeFamily(delta, anchors, [[0.0, 0.0, 1.0]] * n * n, np.ones(n * n),
+                      "dyadic-fixture")
 
 
 def test_criterion_06_sticky_checker():

@@ -400,8 +400,7 @@ class TestStripFill:
 
 
 def capsule_arrays(fam):
-    return (np.array([t.a for t in fam.tubes]), np.array([t.omega for t in fam.tubes]),
-            np.array([t.length for t in fam.tubes]))
+    return fam.anchors, fam.omegas, fam.lengths
 
 
 def random_segments(seed, dim, kind):

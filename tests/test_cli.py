@@ -114,6 +114,30 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("edit", [
+        lambda obj: obj["tubes"][0].update(a=[0.0, 0.0]),
+        lambda obj: obj["tubes"][0].update(omega=[0.0, 0.0, 2.0]),
+        lambda obj: obj["tubes"][0].update(a=[float("nan"), 0.0, 0.0]),
+        lambda obj: obj["tubes"][0].update(len=0.0),
+        lambda obj: obj.update(delta=1.5),
+        lambda obj: obj.update(tubes=[]),
+        lambda obj: obj["tubes"][0].pop("len"),
+        lambda obj: obj.update(dim=2),  # every tube a 3-vector
+    ], ids=["2-vector-anchor", "non-unit-omega", "nan-anchor", "zero-len", "delta-1.5",
+            "no-tubes", "no-len-key", "dim-2-of-3-vectors"])
+    def test_malformed_family_file_is_exit_2(self, tmp_path, capsys, edit):
+        src = tmp_path / "f.json"
+        assert dispatch(["tubes", "gen", "--dim", "3", "--delta", "0.25",
+                         "--out", str(src)]) == 0
+        obj = json.loads(src.read_text())
+        edit(obj)
+        src.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert dispatch(["dim", "--in", str(src), "--deltas", "2^-2..2^-5",
+                         "--out", str(tmp_path / "d.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_check_failure_is_exit_3(self, tmp_path):
         # a segment's neighborhood volume decays too fast for the
         # dimension-2 lower bound, so --check must reject it
@@ -730,7 +754,7 @@ class TestTubesPaths:
         fam = family_from_json(out.read_text())
         assert fam.dim == 3
         assert len(fam) == len(generate_directions(0.25, 3))
-        assert all(t.a @ t.a <= 1.0 and t.omega[2] >= 0.0 for t in fam.tubes)
+        assert (np.sum(fam.anchors ** 2, axis=1) <= 1.0).all() and (fam.omegas[:, 2] >= 0.0).all()
 
 
 def test_module_entry_point_runs_quietly():

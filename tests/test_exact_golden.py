@@ -6,7 +6,10 @@ with `--out` and `--svg`; the areas are `tree.area().to_ints()`.  Any
 change to the exact core that moves a piece, a vertex or an area shows
 here.  The perron-base digests are of family_to_json: their tubes run
 along covering segments turned about the apex, so they pin the turn's
-doubles too.
+doubles too.  The other placements' digests pin the family wire format,
+and the `tubes analyze` report digests pin the doubles of the family's
+total volume (a left-to-right sum of per-tube volumes), its bounding
+box and the parallel-lines chord norms.
 """
 
 import hashlib
@@ -15,7 +18,7 @@ import pytest
 
 from kakeyalab.cli.main import dispatch
 from kakeyalab.perron import PerronSpec, build_perron_tree
-from kakeyalab.tubelab import family_to_json, generate_family
+from kakeyalab.tubelab import family_to_json, generate_family, parallel_lines_family
 
 # (subcommand, m) -> (sha256 of the JSON, sha256 of the SVG)
 DIGESTS = {
@@ -54,6 +57,26 @@ FAMILIES = {
     (7, 4): "b062f91099ad40b6f8a64bd0f6cb6afa8d57bb65e3ebca10bddb89d87dc3a26f",
 }
 
+# (placement, dim, log2 1/delta, seed) -> sha256 of the family's JSON
+PLACED = {
+    ("bush", 2, 5, 0): "51ca970f1cd58ddcf0daaa4533dd437b7e1844f1cf6f15602e0a1e7aef7312be",
+    ("bush", 3, 3, 0): "d1730c861e2e88f8d2f8d1c8fde9cc1f3de927e6b54a3dcf26b2b3ed3bb4cd79",
+    ("random", 2, 5, 7): "1b43e2485df6430b3d52f8d9787df6605696a06f2c74010a81aa49636d53ecd2",
+    ("random", 3, 3, 7): "125385daa6168f02dedc30ffc11d04899a4b626ac1a351fae570cb3737571b91",
+    ("parallel-lines", 3, 3, 0): "f10a29fb6b4239ccecf77c533fd249af1fd05c8ab49f93ee84fe11a6ec5cc703",
+}
+
+# `tubes analyze` flags -> sha256 of the report CSV
+REPORTS = {
+    "parallel-lines-1/8": (
+        ["--delta", "0.125", "--placement", "parallel-lines",
+         "--checks", "volume,distinct,wolff,sticky"],
+        "a868ed58ec35e54edc122dd4fb6d01ec4d1751cc5e2bf43e630c48605b8dfbc5"),
+    "bush-2^-5-grid": (
+        ["--delta", "0.03125", "--method", "grid"],
+        "6daaf672a7ebb487f527e3952bb051fde4d275b33ff9b4fca19e99200dfd63c4"),
+}
+
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -75,3 +98,18 @@ def test_deep_tree_areas(m):
 def test_perron_base_family_bytes(k, levels):
     fam = generate_family(2.0 ** -k, 2, "perron-base", tree_levels=levels)
     assert hashlib.sha256(family_to_json(fam).encode()).hexdigest() == FAMILIES[k, levels]
+
+
+@pytest.mark.parametrize("placement,dim,k,seed", sorted(PLACED), ids=lambda v: str(v))
+def test_placed_family_bytes(placement, dim, k, seed):
+    fam = (parallel_lines_family(2.0 ** -k) if placement == "parallel-lines"
+           else generate_family(2.0 ** -k, dim, placement, seed=seed))
+    assert hashlib.sha256(family_to_json(fam).encode()).hexdigest() == PLACED[placement, dim, k, seed]
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_tubes_report_bytes(tmp_path, name):
+    flags, digest = REPORTS[name]
+    out = tmp_path / "r.csv"
+    assert dispatch(["tubes", "analyze", *flags, "--out", str(out)]) == 0
+    assert sha256(out) == digest

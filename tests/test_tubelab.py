@@ -15,7 +15,6 @@ from kakeyalab.cli import dispatch
 from kakeyalab.rng import make_rng
 from kakeyalab.tubelab import (
     DistinctReport,
-    Tube,
     TubeError,
     TubeFamily,
     TubeIndex,
@@ -31,7 +30,6 @@ from kakeyalab.tubelab import (
     kakeya_ratio,
     parallel_lines_family,
     sticky_check,
-    tube_volume,
     union_volume,
     wolff_axiom_check,
 )
@@ -43,27 +41,45 @@ from distinct_oracle import essentially_distinct_check as oracle_distinct_check
 from tube_index_oracle import index_arrays as oracle_index_arrays
 
 
-def tube_arrays(tubes):
-    """Anchors, far ends, directions and lengths, as the checks stack them."""
-    return (np.array([t.a for t in tubes]), np.array([t.b for t in tubes]),
-            np.array([t.omega for t in tubes]), np.array([t.length for t in tubes]))
+def family(delta, *tubes, tag=""):
+    """Family of (anchor, omega) tubes of length 1 and (anchor, omega,
+    length) tubes."""
+    A, W, L = zip(*((a, w, *rest, 1.0)[:3] for a, w, *rest in tubes))
+    return TubeFamily(delta, A, W, L, tag)
 
 
-def prism_counts(prisms, tubes) -> list[int]:
+def subfamily(fam, rows):
+    """The tubes of fam at the given row indices, in that order."""
+    return TubeFamily(fam.delta, fam.anchors[rows], fam.omegas[rows], fam.lengths[rows],
+                      fam.placement_tag)
+
+
+def tube_rows(fam):
+    """(anchor, omega, length) of each tube, for tests that walk a family."""
+    return list(zip(fam.anchors, fam.omegas, fam.lengths))
+
+
+def tube_arrays(fam):
+    """Anchors, far ends, directions and lengths, as the checks use them."""
+    A, W, L = fam.anchors, fam.omegas, fam.lengths
+    return A, A + L[:, None] * W, W, L
+
+
+def prism_counts(prisms, fam) -> list[int]:
     """Tubes wholly inside each prism, counted by the Wolff check's kernel."""
     C, H, F = (np.array([getattr(p, k) for p in prisms])
                for k in ("center", "half_extents", "frame"))
-    return checks._prism_counts(C, H, F, *tube_arrays(tubes), tubes[0].delta).tolist()
+    return checks._prism_counts(C, H, F, *tube_arrays(fam), fam.delta).tolist()
 
 
-def prism_count(prism: Prism, *tubes: Tube) -> int:
-    return prism_counts([prism], tubes)[0]
+def prism_count(prism: Prism, fam) -> int:
+    return prism_counts([prism], fam)[0]
 
 
-def points_in_tube(pts, tube: Tube) -> np.ndarray:
-    """Boolean mask: which rows of pts lie in the closed tube."""
-    return in_tube(np.asarray(pts, dtype=float).T, tube.a, tube.omega,
-                   tube.length, tube.delta)
+def points_in_tube(pts, fam, i=0) -> np.ndarray:
+    """Boolean mask: which rows of pts lie in the closed tube i of fam."""
+    return in_tube(np.asarray(pts, dtype=float).T, fam.anchors[i], fam.omegas[i],
+                   fam.lengths[i], fam.delta)
 
 
 def segment_distance(p1, q1, p2, q2) -> float:
@@ -78,17 +94,17 @@ def direction_chord(u, v) -> float:
     return min(float(np.linalg.norm(u - v)), float(np.linalg.norm(u + v)))
 
 
-def overlap_fraction(t1: Tube, t2: Tube, n: int, seed: int) -> float:
-    """Fraction of t1's volume inside t2, by rejection sampling.
+def overlap_fraction(fam, i: int, j: int, n: int, seed: int) -> float:
+    """Fraction of tube i's volume inside tube j, by rejection sampling.
 
     Deliberately shares no code with the library check: PCG stream,
     square-then-reject disc sampling, scalar membership arithmetic.
     """
     rng = np.random.default_rng(seed)
-    w = np.asarray(t1.omega)
-    if t1.dim == 2:
+    w = fam.omegas[i]
+    if fam.dim == 2:
         frame = [np.array([-w[1], w[0]])]
-        xy = rng.uniform(-t1.delta, t1.delta, size=(n, 1))
+        xy = rng.uniform(-fam.delta, fam.delta, size=(n, 1))
     else:
         seed_axis = np.zeros(3)
         seed_axis[np.argmin(np.abs(w))] = 1.0
@@ -97,20 +113,21 @@ def overlap_fraction(t1: Tube, t2: Tube, n: int, seed: int) -> float:
         frame = [e1, np.cross(w, e1)]
         kept = []
         while sum(len(k) for k in kept) < n:
-            xy = rng.uniform(-t1.delta, t1.delta, size=(2 * n, 2))
-            kept.append(xy[np.einsum("ij,ij->i", xy, xy) <= t1.delta**2])
+            xy = rng.uniform(-fam.delta, fam.delta, size=(2 * n, 2))
+            kept.append(xy[np.einsum("ij,ij->i", xy, xy) <= fam.delta**2])
         xy = np.concatenate(kept)[:n]
-    t = rng.uniform(0.0, t1.length, size=n)
-    pts = np.asarray(t1.a) + t[:, None] * w
+    t = rng.uniform(0.0, fam.lengths[i], size=n)
+    pts = fam.anchors[i] + t[:, None] * w
     for k, e in enumerate(frame):
         pts = pts + xy[:, k : k + 1] * e
-    return float(points_in_tube(pts, t2).mean())
+    return float(points_in_tube(pts, fam, j).mean())
 
 
-def line_share(t1: Tube, t2: Tube) -> float:
-    """The distinct check's bound on the share of t1 inside t2."""
-    rows = [np.array([v]) for v in (t1.a, t1.omega, t1.length, t2.a, t2.omega)]
-    return float(checks._line_share(*rows, 2.0 * t1.delta + 1e-12)[0])
+def line_share(fam, i: int, j: int) -> float:
+    """The distinct check's bound on the share of tube i inside tube j."""
+    A, W, L = fam.anchors, fam.omegas, fam.lengths
+    return float(checks._line_share(A[[i]], W[[i]], L[[i]], A[[j]], W[[j]],
+                                    2.0 * fam.delta + 1e-12)[0])
 
 
 def make_dyadic_fixture(delta: float) -> TubeFamily:
@@ -121,37 +138,42 @@ def make_dyadic_fixture(delta: float) -> TubeFamily:
     uniform: the canonical sticky example.
     """
     n = round(1.0 / delta)
-    ez = np.array([0.0, 0.0, 1.0])
-    tubes = [
-        Tube(3, np.array([delta * j, delta * k, 0.0]), ez, delta)
-        for j in range(1, n + 1)
-        for k in range(1, n + 1)
-    ]
-    return TubeFamily(delta, tuple(tubes), "dyadic-fixture")
+    anchors = [[delta * j, delta * k, 0.0] for j in range(1, n + 1) for k in range(1, n + 1)]
+    return TubeFamily(delta, anchors, [[0.0, 0.0, 1.0]] * n * n, np.ones(n * n),
+                      "dyadic-fixture")
 
 
 class TestTubeBasics:
     def test_volume_formulas(self):
-        assert tube_volume(Tube(2, [0, 0], [1, 0], 0.25, 2.0)) == 2 * 0.25 * 2.0
-        t3 = Tube(3, [0, 0, 0], [0, 0, 1], 0.1, 0.5)
-        assert tube_volume(t3) == pytest.approx(math.pi * 0.01 * 0.5, rel=1e-15)
+        assert family_total_volume(family(0.25, ([0, 0], [1, 0], 2.0))) == 2 * 0.25 * 2.0
+        fam3 = family(0.1, ([0, 0, 0], [0, 0, 1], 0.5))
+        assert family_total_volume(fam3) == pytest.approx(math.pi * 0.01 * 0.5, rel=1e-15)
+        # per-tube volumes, added left to right
+        fam = family(0.1, *(([0, 0], [1, 0], length) for length in (0.3, 0.7, 1.1)))
+        assert family_total_volume(fam) == (2 * 0.1 * 0.3 + 2 * 0.1 * 0.7) + 2 * 0.1 * 1.1
 
     def test_validation(self):
-        with pytest.raises(TubeError):
-            Tube(2, [0, 0], [1, 1], 0.1)  # not unit
-        with pytest.raises(TubeError):
-            Tube(2, [0, 0], [1, 0], 0.0)
-        with pytest.raises(TubeError):
-            Tube(2, [0, 0], [1, 0], 1.5)
-        with pytest.raises(TubeError):
-            Tube(3, [0, 0], [1, 0, 0], 0.1)  # anchor dim mismatch
-        with pytest.raises(TubeError):
-            Tube(2, [0, 0], [1, 0], 0.1, length=0.0)
+        with pytest.raises(TubeError, match="unit vector"):
+            family(0.1, ([0, 0], [1, 1]))  # not unit
+        with pytest.raises(TubeError, match="delta must lie in"):
+            family(0.0, ([0, 0], [1, 0]))
+        with pytest.raises(TubeError, match="delta must lie in"):
+            family(1.5, ([0, 0], [1, 0]))
+        with pytest.raises(TubeError, match="must agree in shape"):
+            family(0.1, ([0, 0], [1, 0, 0]))  # anchor dim mismatch
+        with pytest.raises(TubeError, match="lengths must be positive"):
+            family(0.1, ([0, 0], [1, 0], 0.0))
+        with pytest.raises(TubeError, match="must be finite"):
+            family(0.1, ([0, np.nan], [1, 0]))
+        with pytest.raises(TubeError, match="must be finite"):
+            family(0.1, ([0, 0], [1, 0], np.inf))
+        with pytest.raises(TubeError, match=r"\(n, 2\) or \(n, 3\) array, got shape \(1, 4\)"):
+            family(0.1, ([0, 0, 0, 0], [1, 0, 0, 0]))
         # radius 1 is the admitted ceiling (coarsest fattening scale)
-        Tube(2, [0, 0], [1, 0], 1.0)
+        family(1.0, ([0, 0], [1, 0]))
 
     def test_membership_no_end_caps(self):
-        t = Tube(2, [0.0, 0.0], [1.0, 0.0], 0.1, 1.0)
+        t = family(0.1, ([0.0, 0.0], [1.0, 0.0], 1.0))
         pts = np.array(
             [
                 [0.5, 0.099],   # inside
@@ -165,16 +187,25 @@ class TestTubeBasics:
         )
         want = [True, False, False, False, True, True, True]
         assert points_in_tube(pts, t).tolist() == want
-        assert TubeIndex(TubeFamily(0.1, (t,))).contains(pts).tolist() == want
+        assert TubeIndex(t).contains(pts).tolist() == want
 
     def test_family_validation(self):
-        t = Tube(2, [0, 0], [1, 0], 0.1)
-        with pytest.raises(TubeError):
-            TubeFamily(0.2, (t,))  # scale mismatch
-        with pytest.raises(TubeError):
-            TubeFamily(0.1, ())
-        with pytest.raises(TubeError):
-            TubeFamily(0.1, (t, Tube(3, [0, 0, 0], [0, 0, 1], 0.1)))
+        with pytest.raises(TubeError, match="at least one tube"):
+            TubeFamily(0.1, [], [], [])
+        with pytest.raises(TubeError, match="one dimension"):
+            family(0.1, ([0, 0], [1, 0]), ([0, 0, 0], [0, 0, 1]))  # mixed dimensions
+        with pytest.raises(TubeError, match="must agree in shape"):
+            TubeFamily(0.1, [[0, 0]], [[1, 0]], [1.0, 1.0])  # a length too many
+
+    def test_fields_are_read_only_copies(self):
+        anchors = np.zeros((2, 2))
+        fam = TubeFamily(0.1, anchors, [[1, 0], [0, 1]], [1, 2])
+        for field in (fam.anchors, fam.omegas, fam.lengths):
+            with pytest.raises(ValueError, match="read-only"):
+                field[0] = 0.5
+        anchors[0, 0] = 0.5  # the caller's array stays writable and apart
+        assert fam.anchors[0, 0] == 0.0
+        assert fam.lengths.dtype == np.float64 and fam.dim == 2 and len(fam) == 2
 
 
 class TestSegmentDistance:
@@ -300,13 +331,13 @@ class TestPlacements:
         assert fam.placement_tag == "bush"
         assert len(fam) == len(generate_directions(0.1, 3))
         origin = np.zeros((1, 3))
-        for t in fam.tubes:
-            assert np.array_equal(t.a, np.zeros(3))
-            assert points_in_tube(origin, t)[0]
+        assert np.array_equal(fam.anchors, np.zeros((len(fam), 3)))
+        for i in range(len(fam)):
+            assert points_in_tube(origin, fam, i)[0]
 
     def test_random_anchors_in_ball(self):
         fam = generate_family(0.05, 2, "random", seed=9)
-        radii = [float(np.linalg.norm(t.a)) for t in fam.tubes]
+        radii = [float(np.linalg.norm(a)) for a in fam.anchors]
         assert max(radii) <= 1.0
         # genuinely spread out, not clumped at the centre
         assert np.std(radii) > 0.05
@@ -330,8 +361,8 @@ class TestPlacements:
         fam = generate_family(1 / 8, 2, "perron-base", tree_levels=3)
         dirs = generate_directions(1 / 8, 2)
         assert len(fam) == len(dirs)
-        for t, w in zip(fam.tubes, dirs):
-            assert direction_chord(t.omega, w) < 1e-9
+        for omega, w in zip(fam.omegas, dirs):
+            assert direction_chord(omega, w) < 1e-9
 
     def test_perron_base_stays_near_tree(self):
         """Tube union against a grid oracle for the dilated tree region.
@@ -394,13 +425,13 @@ class TestParallelLines:
         assert len(fam) == 256
         assert fam.dim == 3
         assert fam.placement_tag == "parallel-lines"
-        for t in fam.tubes:
-            assert t.a[1] == 0.0 and t.a[2] == 0.0
-            end = t.b
+        for a, w, length in tube_rows(fam):
+            assert a[1] == 0.0 and a[2] == 0.0
+            end = a + length * w
             assert end[1] == pytest.approx(1.0, abs=1e-12)
             assert end[2] == 0.0
-            assert t.length == pytest.approx(
-                math.hypot(end[0] - t.a[0], 1.0), rel=1e-12
+            assert length == pytest.approx(
+                math.hypot(end[0] - a[0], 1.0), rel=1e-12
             )
 
     def test_non_integer_scale_rejected(self):
@@ -424,14 +455,15 @@ class TestSizeGuard:
 
     def test_distinct_pairs_refused_before_allocating(self, monkeypatch):
         # the same tube repeated, so no family of this size is generated
-        t = Tube(3, [0, 0, 0], [1, 0, 0], 1 / 256)
+        big, over = (TubeFamily(1 / 256, np.zeros((n, 3)), np.tile([1.0, 0.0, 0.0], (n, 1)),
+                                np.ones(n)) for n in (65_536, 5_794))
         monkeypatch.setattr(checks, "np", self.NoNumpy())
         with pytest.raises(TubeError, match=r"65,536 tubes make 2,147,450,880 pairs"):
-            essentially_distinct_check(TubeFamily(1 / 256, (t,) * 65_536))
+            essentially_distinct_check(big)
         # 5,793 tubes make 16,776,528 pairs, within the 2^24 limit
         with pytest.raises(TubeError, match=r"5,794 tubes make 16,782,321 pairs, "
                                             r"over the limit of 16,777,216"):
-            essentially_distinct_check(TubeFamily(1 / 256, (t,) * 5_794))
+            essentially_distinct_check(over)
 
     def test_direction_nets_refused_before_allocating(self, monkeypatch):
         # 2^17 directions at most: 3-D delta = 2^-7 and 2-D 2^-15 are admitted
@@ -461,6 +493,36 @@ class TestSizeGuard:
                                              r"over the limit of 1,073,741,824"):
             union_volume(fam, samples=2**30 + 1)
 
+    def test_grid_refused_before_allocating(self, monkeypatch):
+        # 2^27 cells at most: 512^3 and 11,585^2 are admitted
+        volume.admit_grid(512, 3)
+        volume.admit_grid(11_585, 2)
+        fam = generate_family(0.25, 3, "bush")
+        monkeypatch.setattr(volume, "np", self.NoNumpy())
+        with pytest.raises(TubeError, match=r"a 3-D grid at resolution 513 has 135,005,697 "
+                                            r"cells, over the limit of 134,217,728"):
+            union_volume(fam, "grid", resolution=513)
+        with pytest.raises(TubeError, match=r"a 2-D grid at resolution 11,586 has "
+                                            r"134,235,396 cells"):
+            union_volume(generate_family(0.25, 2, "bush"), "grid", resolution=11_586)
+
+    @pytest.mark.parametrize("flags", [
+        ["--delta", "0.25", "--dim", "3", "--grid-res", "1000000"],
+        # parallel lines are 3-D under the default --dim 2: 600^2 cells would pass
+        ["--delta", "0.125", "--placement", "parallel-lines", "--grid-res", "600"],
+    ])
+    def test_grid_cli_exits_2(self, tmp_path, capsys, monkeypatch, flags):
+        for module in (generate, volume):
+            monkeypatch.setattr(module, "np", self.NoNumpy())
+        out = tmp_path / "grid.csv"
+        argv = ["tubes", "analyze", *flags, "--checks", "volume", "--method", "grid",
+                "--out", str(out)]
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a 3-D grid at resolution ")
+        assert err.endswith(" cells, over the limit of 134,217,728\n")
+        assert not out.exists()
+
     def test_mc_samples_cli_exits_2(self, tmp_path, capsys, monkeypatch):
         for module in (generate, volume, rng_module):
             monkeypatch.setattr(module, "np", self.NoNumpy())
@@ -483,9 +545,8 @@ class TestSizeGuard:
 
 class TestUnionVolume:
     def test_single_tube_grid_and_mc(self):
-        t = Tube(3, [0, 0, 0], [1, 0, 0], 0.125, 1.0)
-        fam = TubeFamily(0.125, (t,))
-        truth = tube_volume(t)
+        fam = family(0.125, ([0, 0, 0], [1, 0, 0], 1.0))
+        truth = math.pi * 0.125**2
         g = union_volume(fam, "grid", resolution=96)
         assert g.method == "grid" and g.resolution == 96
         assert abs(g.value - truth) <= g.std_error + 1e-12
@@ -495,12 +556,8 @@ class TestUnionVolume:
 
     def test_disjoint_tubes_additive(self):
         delta = 0.1
-        tubes = (
-            Tube(3, [0, 0, 0], [1, 0, 0], delta),
-            Tube(3, [0, 0, 1], [1, 0, 0], delta),
-            Tube(3, [0, 1, 0], [1, 0, 0], delta),
-        )
-        fam = TubeFamily(delta, tubes)
+        fam = family(delta, ([0, 0, 0], [1, 0, 0]), ([0, 0, 1], [1, 0, 0]),
+                     ([0, 1, 0], [1, 0, 0]))
         total = family_total_volume(fam)
         g = union_volume(fam, "grid", resolution=128)
         lo, hi = family_bbox(fam)
@@ -511,7 +568,7 @@ class TestUnionVolume:
     def test_union_between_max_and_sum(self):
         fam = generate_family(0.15, 2, "random", seed=21)
         est = union_volume(fam, "monte-carlo", samples=400_000, seed=4)
-        biggest = max(tube_volume(t) for t in fam.tubes)
+        biggest = 2.0 * fam.delta * fam.lengths.max()
         assert est.value + 4 * est.std_error >= biggest
         assert est.value - 4 * est.std_error <= family_total_volume(fam)
 
@@ -558,8 +615,8 @@ class TestTubeIndex:
     def brute_force(fam, pts):
         # every tube, no index: the union of the public predicate
         out = np.zeros(len(pts), dtype=bool)
-        for tube in fam.tubes:
-            out |= points_in_tube(pts, tube)
+        for i in range(len(fam)):
+            out |= points_in_tube(pts, fam, i)
         return out
 
     @pytest.mark.parametrize("make", [
@@ -575,11 +632,11 @@ class TestTubeIndex:
         rng = make_rng(11, 0)
         lo, hi = family_bbox(fam)
         pts = [rng.uniform(lo, hi, size=(20_000, fam.dim))]
-        for tube in fam.tubes[::max(1, len(fam.tubes) // 64)]:
-            normal = np.linalg.svd(tube.omega[None, :])[2][-1]
-            t = rng.uniform(0.0, tube.length, size=(40, 1))
+        for a, w, length in tube_rows(fam)[::max(1, len(fam) // 64)]:
+            normal = np.linalg.svd(w[None, :])[2][-1]
+            t = rng.uniform(0.0, length, size=(40, 1))
             r = fam.delta * (1.0 + rng.choice([-1e-9, 1e-9], size=(40, 1)))
-            pts.append(tube.a + t * tube.omega + r * normal)
+            pts.append(a + t * w + r * normal)
         pts = np.vstack(pts)
         got = index.contains(pts)
         want = self.brute_force(fam, pts)
@@ -600,10 +657,10 @@ class TestTubeIndex:
         pts = []
         for k in crowded:
             for m in index.members[index.starts[k]:index.starts[k + 1]]:
-                tube = fam.tubes[m]
-                t = rng.uniform(0.0, tube.length, size=(24, 1))
-                core = tube.a + t * tube.omega
-                normal = np.cross(tube.omega, [0.0, 0.0, 1.0])
+                a, w, length = tube_rows(fam)[m]
+                t = rng.uniform(0.0, length, size=(24, 1))
+                core = a + t * w
+                normal = np.cross(w, [0.0, 0.0, 1.0])
                 side = rng.choice([-1.0, 1.0], size=(24, 1))
                 r = fam.delta * (1.0 + rng.choice([-1e-9, 1e-9], size=(24, 1)))
                 pts += [core + side * r * [0.0, 0.0, 1.0], core + side * r * normal]
@@ -627,9 +684,8 @@ class TestTubeIndex:
         d = 1 / 64
         length = 8 * d  # h = 2 d, so the fan's anchor is a cell centre
         phis = np.radians(np.linspace(-30.0, 30.0, n_fan))
-        fan = [Tube(2, [0.0, 0.0], [-np.cos(p), np.sin(p)], d, length) for p in phis]
-        probe = Tube(2, [0.8 * d, -2 * d], [0.0, 1.0], d, 4 * d)
-        fam = TubeFamily(d, tuple(fan) + (probe,))
+        fan = [([0.0, 0.0], [-np.cos(p), np.sin(p)], length) for p in phis]
+        fam = family(d, *fan, ([0.8 * d, -2 * d], [0.0, 1.0], 4 * d))
         index = TubeIndex(fam)
         cell = int(index._cell_ids(np.zeros((1, 2)))[0])
         bucket = index.members[index.starts[cell]:index.starts[cell + 1]]
@@ -639,8 +695,8 @@ class TestTubeIndex:
         got = index.contains(pts)
         want = self.brute_force(fam, pts)
         assert np.array_equal(got, want)
-        only_probe = points_in_tube(pts, probe) & ~self.brute_force(
-            TubeFamily(d, tuple(fan)), pts)
+        only_probe = points_in_tube(pts, fam, n_fan) & ~self.brute_force(
+            family(d, *fan), pts)
         assert only_probe.sum() > 100 and got[only_probe].all()
 
     @staticmethod
@@ -654,8 +710,8 @@ class TestTubeIndex:
             for j in range(0, 12, 3):
                 a = np.full(dim, (2 * j + 1) / 64)
                 a[axis] = 0.0
-                tubes.append(Tube(dim, a, np.eye(dim)[axis], d, 0.75))
-        return TubeFamily(d, tuple(tubes))
+                tubes.append((a, np.eye(dim)[axis], 0.75))
+        return family(d, *tubes)
 
     FAMILIES = {
         "bush-2^-7": lambda: generate_family(2.0 ** -7, 2, "bush"),
@@ -666,13 +722,13 @@ class TestTubeIndex:
         "random-3d": lambda: generate_family(1 / 16, 3, "random", seed=5),
         "parallel-lines-1/16": lambda: parallel_lines_family(1 / 16),
         "parallel-lines-1/32": lambda: parallel_lines_family(1 / 32),
-        "single": lambda: TubeFamily(0.01, (Tube(2, [0.1, 0.2], [0.6, 0.8], 0.01),)),
+        "single": lambda: family(0.01, ([0.1, 0.2], [0.6, 0.8])),
         "cell-walls-2d": lambda: TestTubeIndex.on_cell_walls(2),
         "cell-walls-3d": lambda: TestTubeIndex.on_cell_walls(3),
         # delta is below the ulp of 1, so the core ends on the hi face
-        "hi-face": lambda: TubeFamily(1e-20, (Tube(2, [0, 0], [1, 0], 1e-20),)),
-        "shorter-than-h/2": lambda: TubeFamily(0.05, (
-            Tube(3, [0, 0, 0], [0, 0, 1], 0.05), Tube(3, [0.3, 0.3, 0.3], [1, 0, 0], 0.05, 0.01))),
+        "hi-face": lambda: family(1e-20, ([0, 0], [1, 0])),
+        "shorter-than-h/2": lambda: family(
+            0.05, ([0, 0, 0], [0, 0, 1]), ([0.3, 0.3, 0.3], [1, 0, 0], 0.01)),
     }
 
     @pytest.mark.parametrize("name", FAMILIES)
@@ -688,8 +744,8 @@ class TestTubeIndex:
     def test_edge_families_hit_their_edge(self):
         walls = TubeIndex(self.on_cell_walls(3))
         assert walls.h == 1 / 32 and (walls.lo == -1 / 64).all()
-        assert all(((t.a - walls.lo) / walls.h % 1 == 0).sum() == 2
-                   for t in self.on_cell_walls(3).tubes)  # on a cell edge
+        assert all(((a - walls.lo) / walls.h % 1 == 0).sum() == 2
+                   for a in self.on_cell_walls(3).anchors)  # on a cell edge
         clip = TubeIndex(self.FAMILIES["hi-face"]())
         assert clip.hi[0] == 1.0 and (1.0 - clip.lo[0]) / clip.h == clip.shape[0]
         short = TubeIndex(self.FAMILIES["shorter-than-h/2"]())
@@ -711,47 +767,36 @@ class TestTubeIndex:
         index = TubeIndex(fam)
         buckets = index.buckets
         assert sum(len(b) for b in buckets.values()) == len(index.members)
-        for i, tube in enumerate(fam.tubes):
-            core = tube.a + np.linspace(0.0, tube.length, 9)[:, None] * tube.omega
+        for i, (a, w, length) in enumerate(tube_rows(fam)):
+            core = a + np.linspace(0.0, length, 9)[:, None] * w
             for cell in index._cell_ids(core):
                 assert i in buckets[int(cell)]
 
 
 class TestEssentiallyDistinct:
     def test_identical_tubes_flagged(self):
-        t = Tube(3, [0, 0, 0], [1, 0, 0], 0.1)
-        fam = TubeFamily(0.1, (t, Tube(3, [0, 0, 0], [1, 0, 0], 0.1)))
+        fam = family(0.1, ([0, 0, 0], [1, 0, 0]), ([0, 0, 0], [1, 0, 0]))
         rep = essentially_distinct_check(fam, samples_per_pair=128, seed=0)
         assert not rep.ok
         assert rep.flagged[0].estimate == 1.0
 
     def test_far_pairs_skip_sampling(self):
-        tubes = (
-            Tube(2, [0, 0], [1, 0], 0.05),
-            Tube(2, [0, 5], [1, 0], 0.05),
-        )
-        rep = essentially_distinct_check(TubeFamily(0.05, tubes))
+        rep = essentially_distinct_check(family(0.05, ([0, 0], [1, 0]), ([0, 5], [1, 0])))
         assert rep.n_pairs == 1 and rep.n_sampled == 0 and rep.ok
 
     def test_touching_parallel_not_flagged(self):
         delta = 0.1
-        tubes = (
-            Tube(3, [0, 0, 0], [1, 0, 0], delta),
-            Tube(3, [0, 2 * delta, 0], [1, 0, 0], delta),
-        )
-        rep = essentially_distinct_check(TubeFamily(delta, tubes), 256, seed=1)
+        fam = family(delta, ([0, 0, 0], [1, 0, 0]), ([0, 2 * delta, 0], [1, 0, 0]))
+        rep = essentially_distinct_check(fam, 256, seed=1)
         assert rep.n_sampled == 1 and rep.ok
 
     def test_orthogonal_crossing_not_flagged(self):
         delta = 0.05
-        tubes = (
-            Tube(2, [-0.5, 0], [1, 0], delta),
-            Tube(2, [0, -0.5], [0, 1], delta),
-        )
+        fam = family(delta, ([-0.5, 0], [1, 0]), ([0, -0.5], [0, 1]))
         # Line 2 stays within 2 delta of core 1 for 4 delta of its unit
         # length, so the line bound clears the pair without sampling.
-        assert line_share(*tubes) == pytest.approx(4 * delta)
-        rep = essentially_distinct_check(TubeFamily(delta, tubes), 256, seed=1)
+        assert line_share(fam, 0, 1) == pytest.approx(4 * delta)
+        rep = essentially_distinct_check(fam, 256, seed=1)
         assert rep.n_sampled == 0 and rep.ok
 
     def test_shared_anchor_minimal_separation_flagged(self):
@@ -763,13 +808,10 @@ class TestEssentiallyDistinct:
         w1 = (0.0, 1.0, 0.0)
         w2 = (math.sin(theta), math.cos(theta), 0.0)
         assert direction_chord(np.array(w1), np.array(w2)) == pytest.approx(delta)
-        fam = TubeFamily(
-            delta,
-            (Tube(3, [0, 0, 0], w1, delta), Tube(3, [0, 0, 0], w2, delta)),
-        )
+        fam = family(delta, ([0, 0, 0], w1), ([0, 0, 0], w2))
         rep = essentially_distinct_check(fam, samples_per_pair=512, seed=3)
         assert len(rep.flagged) == 1
-        assert overlap_fraction(fam.tubes[0], fam.tubes[1], 1 << 16, 9) > 0.6
+        assert overlap_fraction(fam, 0, 1, 1 << 16, 9) > 0.6
 
     def test_separation_dominating_radius_clean(self):
         # The honest form of the distinctness guarantee: once direction
@@ -777,17 +819,15 @@ class TestEssentiallyDistinct:
         # length-1 pair is below delta/sin(theta) ~ 1/4 everywhere, even
         # for the worst anchors (a bush).
         dirs = generate_directions(1 / 2, 3)
-        tubes = tuple(Tube(3, [0.0, 0.0, 0.0], w, 1 / 8) for w in dirs)
-        rep = essentially_distinct_check(
-            TubeFamily(1 / 8, tubes, "bush"), samples_per_pair=64, seed=5
-        )
+        fam = TubeFamily(1 / 8, np.zeros_like(dirs), dirs, np.ones(len(dirs)), "bush")
+        rep = essentially_distinct_check(fam, samples_per_pair=64, seed=5)
         assert rep.n_sampled > 0
         assert rep.ok
 
     def test_pinned_seeded_flags(self):
         # Two pair blocks of 32 pairs; the flags were recorded before the
         # sampler moved to per-axis arrays and the shared tube kernel.
-        fam = TubeFamily(1 / 8, parallel_lines_family(1 / 8).tubes[:10])
+        fam = subfamily(parallel_lines_family(1 / 8), slice(10))
         rep = essentially_distinct_check(fam, samples_per_pair=1 << 16, seed=4)
         # All 45 pairs pass the core-distance prefilter and fill the two
         # blocks; the line bound clears 7 of them before sampling.
@@ -817,7 +857,7 @@ class TestEssentiallyDistinct:
         assert 0 < len(flags) < 1e-4 * n_pairs
         confirmed = 0
         for k, (fam, pair) in enumerate(flags):
-            est = overlap_fraction(fam.tubes[pair.i], fam.tubes[pair.j], 8192, k)
+            est = overlap_fraction(fam, pair.i, pair.j, 8192, k)
             assert est > 0.4
             confirmed += est > 0.5
         assert confirmed >= 0.9 * len(flags)
@@ -892,12 +932,13 @@ class TestLineBound:
         """Sampled overlap of each ordered pair within 2 delta that a
         two-tube distinct check does not sample."""
         out = []
-        for k, (ti, tj) in enumerate(itertools.permutations(fam.tubes, 2)):
-            if segment_distance(ti.a, ti.b, tj.a, tj.b) > 2 * fam.delta:
+        A, B, _, _ = tube_arrays(fam)
+        for k, (i, j) in enumerate(itertools.permutations(range(len(fam)), 2)):
+            if segment_distance(A[i], B[i], A[j], B[j]) > 2 * fam.delta:
                 continue
-            if essentially_distinct_check(TubeFamily(fam.delta, (ti, tj))).n_sampled:
+            if essentially_distinct_check(subfamily(fam, [i, j])).n_sampled:
                 continue
-            out.append(overlap_fraction(ti, tj, 4096, seed * 100_003 + k))
+            out.append(overlap_fraction(fam, i, j, 4096, seed * 100_003 + k))
         return np.array(out)
 
     @staticmethod
@@ -908,9 +949,8 @@ class TestLineBound:
         for _ in range(24):
             w = np.eye(dim)[0] + 2 * delta * rng.normal(size=dim)
             a = 0.6 * delta * rng.normal(size=dim) - rng.uniform(0, 0.3) * w
-            tubes.append(Tube(dim, a, w / np.linalg.norm(w), delta,
-                              rng.uniform(0.5, 1.5)))
-        return TubeFamily(delta, tuple(tubes))
+            tubes.append((a, w / np.linalg.norm(w), rng.uniform(0.5, 1.5)))
+        return family(delta, *tubes)
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -928,22 +968,22 @@ class TestLineBound:
         delta = 1 / 16
         ex, side = np.eye(dim)[0], np.eye(dim)[1]
         skew = np.eye(dim)[-1] if dim == 3 else 0 * ex
-        tubes = [Tube(dim, 0 * ex, ex, delta)]
+        tubes = [(0 * ex, ex)]
         for off in (0.0, 0.3, 0.6, 1.0, 1.4, 1.8, 2.0):
             for shift in (0.0, 0.3, 0.6):
-                tubes.append(Tube(dim, shift * ex + off * delta * side, ex, delta))
+                tubes.append((shift * ex + off * delta * side, ex))
         for turn in (1.0, 2.0, 4.0):
             w = ex + turn * delta * side
             w /= np.linalg.norm(w)
             for at in (0.2, 0.35, 0.5, 0.65, 0.8, 1.1):
                 for lift in (0.0, 0.5):
                     a = at * ex + lift * delta * skew - 1.5 * w
-                    tubes.append(Tube(dim, a, w, delta, 3.0))
-        fam = TubeFamily(delta, tuple(tubes))
+                    tubes.append((a, w, 3.0))
+        fam = family(delta, *tubes)
         over = self.cleared_overlaps(fam, dim)
         assert over.max() <= self.LIMIT
         # The set is not vacuous: many of its pairs overlap by more.
-        every = [overlap_fraction(tubes[0], t, 4096, k) for k, t in enumerate(tubes[1:])]
+        every = [overlap_fraction(fam, 0, j, 4096, j - 1) for j in range(1, len(fam))]
         assert sum(o > self.LIMIT for o in every) >= 10
 
 
@@ -955,24 +995,18 @@ class TestWolff:
 
     def test_hand_counted_prism(self):
         delta = 0.1
-        tubes = (
-            Tube(3, [0, 0, 0], [1, 0, 0], delta),
-            Tube(3, [0, 0.2, 0], [1, 0, 0], delta),
-            Tube(3, [0, 3, 0], [1, 0, 0], delta),
-        )
+        tubes = (([0, 0, 0], [1, 0, 0]), ([0, 0.2, 0], [1, 0, 0]), ([0, 3, 0], [1, 0, 0]))
         prism = Prism([0.5, 0.1, 0.0], [0.7, 0.5, 0.3], np.eye(3))
-        assert prism_count(prism, tubes[0]) == 1
-        assert prism_count(prism, tubes[1]) == 1
-        assert prism_count(prism, tubes[2]) == 0
-        assert prism_count(prism, *tubes) == 2
+        assert prism_count(prism, family(delta, tubes[0])) == 1
+        assert prism_count(prism, family(delta, tubes[1])) == 1
+        assert prism_count(prism, family(delta, tubes[2])) == 0
+        assert prism_count(prism, family(delta, *tubes)) == 2
 
     def test_grazing_containment_margin(self):
         delta = 0.125
-        t = Tube(3, [0, 0, 0], [1, 0, 0], delta)
         snug = Prism([0.5, 0.0, 0.0], [0.5, delta, delta], np.eye(3))
-        assert prism_count(snug, t) == 1
-        shifted = Tube(3, [0, 0, 1e-9], [1, 0, 0], delta)
-        assert prism_count(snug, shifted) == 0
+        assert prism_count(snug, family(delta, ([0, 0, 0], [1, 0, 0]))) == 1
+        assert prism_count(snug, family(delta, ([0, 0, 1e-9], [1, 0, 0]))) == 0
 
     def test_random_family_no_violations(self):
         fam = generate_family(1 / 16, 3, "random", seed=13)
@@ -1008,7 +1042,7 @@ class TestWolffAgainstOracle:
         assert self.key(got.slab) == self.key(want.slab)
         assert [self.key(c) for c in got.violations] == [self.key(c) for c in want.violations]
         every = prism_oracle.prism_checks(fam, n_prisms, seed)
-        assert prism_counts([c.prism for c in every], fam.tubes) == [c.count for c in every]
+        assert prism_counts([c.prism for c in every], fam) == [c.count for c in every]
         return every
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 13])
@@ -1028,16 +1062,15 @@ class TestWolffAgainstOracle:
         delta = 1e-6
         diag = np.ones(3) / math.sqrt(3.0)
         lengths = (0.25, 0.5, 0.5, 1.0)
-        tubes = [Tube(3, [0.1 * k, 0.0, 0.0] - 0.5 * l * diag, diag, delta, l)
-                 for k, l in enumerate(lengths)]
-        fam = TubeFamily(delta, tuple(tubes))
+        fam = family(delta, *(([0.1 * k, 0.0, 0.0] - 0.5 * l * diag, diag, l)
+                              for k, l in enumerate(lengths)))
         prisms = [Prism([0.1 * k, 0.0, 0.0], [h] * 3, np.eye(3))
                   for k, l in enumerate(lengths)
                   for h in (l / (2 * math.sqrt(3.0)) + s * delta
                             for s in (-1e-3, 1e-3, 0.8, 0.82, 2.0))]
-        A, B, W, L = tube_arrays(tubes)
+        A, B, W, L = tube_arrays(fam)
         want = [prism_oracle.prism_count(p, A, B, W, delta) for p in prisms]
-        assert prism_counts(prisms, tubes) == want
+        assert prism_counts(prisms, fam) == want
         assert want[:5] == [0, 0, 0, 1, 1]
         self.assert_report_equal(fam, 3000, 5)
         self.assert_report_equal(generate_family(1 / 8, 3, "random", seed=3), 2000, 1)
@@ -1070,13 +1103,14 @@ class TestFatten:
         rho = 2 * delta
         kept = []
         assign = []
-        for i, t in enumerate(fam.tubes):
+        rows = tube_rows(fam)
+        for i, (a, w, _) in enumerate(rows):
             home = None
             for slot, k in enumerate(kept):
-                u = fam.tubes[k]
-                chord = direction_chord(t.omega, u.omega)
-                off = t.a - u.a
-                perp = off - (off @ u.omega) * u.omega
+                u_a, u_w, _ = rows[k]
+                chord = direction_chord(w, u_w)
+                off = a - u_a
+                perp = off - (off @ u_w) * u_w
                 if chord < rho and np.abs(perp[:2]).max() < rho:
                     home = slot
                     break
@@ -1092,12 +1126,13 @@ class TestFatten:
         fam = generate_family(0.1, 2, "random", seed=17)
         rho = 0.3
         res = fatten(fam, rho)
-        ts = res.family.tubes
-        for i in range(len(ts)):
-            for j in range(i + 1, len(ts)):
-                chord = direction_chord(ts[i].omega, ts[j].omega)
-                off = ts[j].a - ts[i].a
-                perp = off - (off @ ts[i].omega) * ts[i].omega
+        A, W = res.family.anchors, res.family.omegas
+        assert res.family.delta == rho and np.array_equal(A, fam.anchors[list(res.kept_indices)])
+        for i in range(len(A)):
+            for j in range(i + 1, len(A)):
+                chord = direction_chord(W[i], W[j])
+                off = A[j] - A[i]
+                perp = off - (off @ W[i]) * W[i]
                 assert not (chord < rho and float(np.abs(perp).max()) < rho)
 
     def test_bush_full_collapse_is_strong(self):
@@ -1156,13 +1191,12 @@ class TestSerialization:
         assert family_to_json(back) == text
         assert back.placement_tag == "random"
         assert len(back) == len(fam)
-        for a, b in zip(fam.tubes, back.tubes):
-            assert np.array_equal(a.a, b.a)
-            assert np.array_equal(a.omega, b.omega)
-            assert a.length == b.length
+        assert np.array_equal(fam.anchors, back.anchors)
+        assert np.array_equal(fam.omegas, back.omegas)
+        assert np.array_equal(fam.lengths, back.lengths)
 
     def test_wire_shape(self):
-        fam = TubeFamily(0.5, (Tube(2, [0, 0], [1, 0], 0.5),), "bush")
+        fam = family(0.5, ([0, 0], [1, 0]), tag="bush")
         doc = json.loads(family_to_json(fam))
         assert set(doc) == {"dim", "delta", "placement_tag", "tubes"}
         assert set(doc["tubes"][0]) == {"a", "omega", "len"}

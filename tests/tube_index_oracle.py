@@ -12,14 +12,14 @@ import math
 
 import numpy as np
 
-from kakeyalab.tubelab.core import Tube, TubeFamily, _axis_dot
+from kakeyalab.tubelab.core import TubeFamily, _axis_dot
 from kakeyalab.tubelab.volume import TubeIndex
 
 
-def _cells_near_tube(index: TubeIndex, t: Tube) -> np.ndarray:
+def _cells_near_tube(index: TubeIndex, a, omega, length) -> np.ndarray:
     step = index.h / 2.0
-    n = int(math.ceil(t.length / step)) + 1
-    pts = t.a[None, :] + np.linspace(0.0, t.length, n)[:, None] * t.omega[None, :]
+    n = int(math.ceil(length / step)) + 1
+    pts = a[None, :] + np.linspace(0.0, length, n)[:, None] * omega[None, :]
     base = np.unique(index._cell_ids(pts))
     base = np.stack(np.unravel_index(base, index.shape), axis=1)
     offs = np.stack(
@@ -32,7 +32,8 @@ def _cells_near_tube(index: TubeIndex, t: Tube) -> np.ndarray:
 
 def index_arrays(index: TubeIndex, fam: TubeFamily) -> tuple[np.ndarray, np.ndarray]:
     """members and starts of the per-tube build on index's lattice."""
-    cells = [_cells_near_tube(index, t).astype(np.int32) for t in fam.tubes]
+    cells = [_cells_near_tube(index, *tube).astype(np.int32)
+             for tube in zip(fam.anchors, fam.omegas, fam.lengths)]
     tube = np.repeat(np.arange(len(cells), dtype=np.int32), [len(c) for c in cells])
     cells = np.concatenate(cells)
     rel = [lo + (ix + 0.5) * index.h - a[tube] for lo, ix, a in
