@@ -50,7 +50,6 @@ from ..tubelab import (
     family_from_json,
     family_to_json,
     family_total_volume,
-    generate_directions,
     generate_family,
     kakeya_ratio,
     parallel_lines_family,
@@ -59,6 +58,7 @@ from ..tubelab import (
     wolff_axiom_check,
 )
 from ..tubelab.checks import admit_checks
+from ..tubelab.generate import family_size
 from ..tubelab.volume import admit_grid
 from .io import (
     CliError,
@@ -89,16 +89,6 @@ class RunResult:
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-
-
-def _split_names(text: str, allowed: tuple[str, ...]) -> list[str]:
-    names = [part.strip() for part in text.split(",") if part.strip()]
-    for name in names:
-        if name not in allowed:
-            raise CliError(f"unknown check {name!r}; allowed: {', '.join(allowed)}")
-    if not names:
-        raise CliError("empty check list")
-    return names
 
 
 def _build_tree(m: int, schedule: str | None):
@@ -154,12 +144,6 @@ _TUBE_CHECKS = ("volume", "distinct", "wolff", "sticky")
 _TUBE_SCHEMA = ("check", "scale", "statistic", "value", "threshold", "verdict")
 
 
-def _tube_family(args):
-    if args.placement == "parallel-lines":
-        return parallel_lines_family(args.delta)
-    return generate_family(args.delta, args.dim, args.placement, seed=args.seed)
-
-
 def _analyze_rows(fam, names, args) -> list[tuple]:
     rows: list[tuple] = []
     for name in names:
@@ -201,17 +185,21 @@ def _analyze_rows(fam, names, args) -> list[tuple]:
 
 
 def _cmd_tubes(args) -> RunResult:
-    if args.mode == "analyze":
-        if args.method == "monte-carlo":
+    if args.mode == "analyze":  # every refusal, from the parameters, before anything is built
+        names = [part.strip() for part in args.checks.split(",") if part.strip()]
+        for name in names:
+            if name not in _TUBE_CHECKS:
+                raise CliError(f"unknown check {name!r}; allowed: {', '.join(_TUBE_CHECKS)}")
+        if not names:
+            raise CliError("empty check list")
+        n, dim = family_size(args.delta, args.dim, args.placement)
+        admit_checks(n, dim, args.delta, names)
+        if "volume" in names and args.method == "monte-carlo":
             admit_samples(args.mc_samples)
-        else:  # parallel lines are 3-D whatever --dim says
-            admit_grid(args.grid_res, 3 if args.placement == "parallel-lines" else args.dim)
-        names = _split_names(args.checks, _TUBE_CHECKS)
-        # one tube per net direction; perron-base in 3-D has its own refusal
-        if args.placement != "parallel-lines" and (args.placement, args.dim) != ("perron-base", 3):
-            n = len(generate_directions(args.delta, args.dim))
-            admit_checks(n, args.dim, args.delta, names)  # before any tube is built
-    fam = _tube_family(args)
+        elif "volume" in names:
+            admit_grid(args.grid_res, dim)
+    fam = (parallel_lines_family(args.delta) if args.placement == "parallel-lines"
+           else generate_family(args.delta, args.dim, args.placement, seed=args.seed))
     params = {"mode": args.mode, "dim": fam.dim, "delta": args.delta,
               "placement": args.placement, "checks": args.checks,
               "method": args.method, "mc_samples": args.mc_samples,
@@ -220,19 +208,14 @@ def _cmd_tubes(args) -> RunResult:
         _write_text(args.out, family_to_json(fam))
         print(f"{len(fam)} tubes ({fam.placement_tag}) -> {args.out}")
         return RunResult(parameters=params, seeds={"seed": args.seed},
-                         outputs=[args.out],
-                         check_passed=True if args.check else None)
-    admit_checks(len(fam), fam.dim, fam.delta, names)  # every refusal before the first check runs
+                         outputs=[args.out], check_passed=True)
     rows = _analyze_rows(fam, names, args)
     text, nans = emit_report(rows, _TUBE_SCHEMA)
     _write_text(args.out, text)
     verdicts = [row[-1] for row in rows]
     print(f"{len(rows)} report rows ({verdicts.count('fail')} fail) -> {args.out}")
-    check = None
-    if args.check:
-        check = "fail" not in verdicts
-    return RunResult(parameters=params, seeds={"seed": args.seed},
-                     outputs=[args.out], check_passed=check, nan_cells=nans)
+    return RunResult(parameters=params, seeds={"seed": args.seed}, outputs=[args.out],
+                     check_passed="fail" not in verdicts, nan_cells=nans)
 
 
 _HEIS_SCHEMA = ("delta", "volume", "std_error", "sum_tube_vol", "count")

@@ -97,7 +97,6 @@ class PerronTree:
     spec: PerronSpec
     region: Region2
     piece_shifts: tuple[Point2, ...]
-    base_triangle: Region2
 
     @property
     def m(self) -> int:
@@ -144,9 +143,7 @@ def build_perron_tree(spec: PerronSpec) -> PerronTree:
     """Run the cut-and-shift and return the exact normalized union."""
     region = _pieces(*overlay([shifted_leaves(spec)]), True)
     shifts = tuple(Point2(s, 0) for s in leaf_shifts(spec))
-    base = Region2.from_polygon(list(BASE_TRIANGLE))
-    return PerronTree(spec=spec, region=region, piece_shifts=shifts,
-                      base_triangle=base)
+    return PerronTree(spec=spec, region=region, piece_shifts=shifts)
 
 
 def covering_segment(tree: PerronTree, t) -> tuple[Segment2, int]:
@@ -313,6 +310,4 @@ def tree_from_json(text: str) -> PerronTree:
         raise GeomError("tree region is not in the sqrt3 frame")
     if len(shifts) != 2 ** spec.m:
         raise GeomError("tree has %d piece shifts, want 2^%d" % (len(shifts), spec.m))
-    base = Region2.from_polygon(list(BASE_TRIANGLE))
-    return PerronTree(spec=spec, region=region, piece_shifts=tuple(shifts),
-                      base_triangle=base)
+    return PerronTree(spec=spec, region=region, piece_shifts=tuple(shifts))

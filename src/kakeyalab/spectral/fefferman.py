@@ -44,7 +44,7 @@ _HEATMAP_BINS = 128
 _ARRAY_BYTES = 1 << 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeffermanReport:
     """Norm comparison for one (r, p) run on the N x N grid of period L,
     with a coarse |Sf| occupancy map for rendering."""

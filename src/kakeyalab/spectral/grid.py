@@ -35,7 +35,7 @@ def check_samples(n: int) -> None:
         raise SpectralError(f"N must be a power of two >= 8, got {n}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridField:
     """Complex samples on a periodic grid: N per axis, period L."""
 

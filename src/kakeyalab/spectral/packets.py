@@ -52,7 +52,7 @@ class FreqRect:
         return np.array([-math.sin(self.angle), math.cos(self.angle)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WavePacket:
     """A frequency rectangle plus the spatial translation of its bump."""
 

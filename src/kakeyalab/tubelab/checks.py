@@ -365,7 +365,8 @@ class StickyScale:
 
 @dataclass(frozen=True)
 class StickyReport:
-    """Per-scale normalized child counts count * (delta/rho)^2.
+    """Per-scale normalized child counts count * (delta/rho)^(dim - 1):
+    count * delta/rho in the plane, count * (delta/rho)^2 in space.
 
     The verdict can depend on the greedy extraction order; kept tubes
     are always extracted in input order here.
@@ -385,7 +386,8 @@ def sticky_check(
     fam: TubeFamily, rhos: list[float] | None = None, c_bound: float = 4.0
 ) -> StickyReport:
     """Sticky test: at every scale rho each kept rho-tube should absorb
-    about (rho/delta)^2 tubes, within the factor c_bound.
+    about (rho/delta)^(dim - 1) tubes, the delta-separated directions
+    within rho of one, within the factor c_bound.
     """
     if rhos is None:
         admit_checks(len(fam), fam.dim, fam.delta, ("sticky",))
@@ -395,7 +397,7 @@ def sticky_check(
     for rho in rhos:
         res = fatten(fam, rho)
         counts = np.bincount(res.assignment, minlength=len(res.kept_indices))
-        norm = counts * (fam.delta / rho) ** 2
+        norm = counts * (fam.delta / rho) ** (fam.dim - 1)
         lo = float(norm.min())
         hi = float(norm.max())
         rows.append(

@@ -37,7 +37,7 @@ class TubeError(ValueError):
     """Raised for invalid tube or family parameters."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TubeFamily:
     """Finite family of tubes at one common scale: tube i is the closed
     delta-tube around the segment from anchors[i] to
@@ -117,7 +117,7 @@ def family_from_json(text: str) -> TubeFamily:
     return fam
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prism:
     """Closed rectangular box: center, orthonormal frame, half-extents.
 

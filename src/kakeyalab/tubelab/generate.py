@@ -17,6 +17,7 @@ from ..rng import make_rng
 from .core import TubeError, TubeFamily
 
 __all__ = [
+    "family_size",
     "generate_directions",
     "generate_family",
     "parallel_lines_family",
@@ -76,6 +77,43 @@ def _directions_3d(rings: list[tuple[float, float, float, int, int]], pole: bool
 
 # Most directions generate_directions builds: 3-D delta = 2^-7 makes 102,847.
 _MAX_DIRECTIONS = 1 << 17
+# Most tubes parallel_lines_family builds: delta = 1/128.
+_MAX_TUBES = 1 << 14
+
+
+def family_size(delta: float, dim: int, placement: str) -> tuple[int, int]:
+    """(tubes, ambient dim) of the family placed at (delta, dim), or the
+    TubeError of the first placement rule or size limit broken, from the
+    parameters alone.  Parallel lines are 3-D whatever dim says."""
+    if placement == "perron-base" and dim != 2:
+        raise TubeError("perron-base placement is two-dimensional only")
+    if not (0.0 < delta < 1.0):
+        raise TubeError(f"delta must lie in (0, 1), got {delta}")
+    if placement == "parallel-lines":
+        n_f = 1.0 / delta
+        n = round(n_f) if math.isfinite(n_f) else 0
+        if n < 2 or abs(n_f - n) > 1e-9:
+            raise TubeError(f"1/delta must be an integer >= 2, got {n_f}")
+        if n * n > _MAX_TUBES:
+            raise TubeError(f"parallel lines at 1/delta = {n} make {n * n:,} tubes, "
+                            f"over the limit of {_MAX_TUBES:,}")
+        return n * n, 3
+    if placement not in ("bush", "random", "perron-base"):
+        raise TubeError(f"unknown placement {placement!r}")
+    if dim not in (2, 3):
+        raise TubeError(f"dim must be 2 or 3, got {dim}")
+    dpad = delta * (1.0 + _PAD)
+    flat = math.pi / (2.0 * math.asin(dpad / 2.0))  # the 2-D count
+    # a 3-D equator alone holds as many, so past the limit its ~1/delta bands are not walked
+    if flat > _MAX_DIRECTIONS and (dim == 3 or math.isinf(flat)):
+        raise TubeError(f"a {dim}-D net at delta = {delta!r} has more directions "
+                        f"than the limit of {_MAX_DIRECTIONS:,}")
+    rings, pole = _rings_3d(dpad) if dim == 3 else ([], False)
+    n = int(flat) if dim == 2 else sum(r[-1] for r in rings) + pole
+    if n > _MAX_DIRECTIONS:
+        raise TubeError(f"a {dim}-D net at delta = {delta!r} has {n:,} directions, "
+                        f"over the limit of {_MAX_DIRECTIONS:,}")
+    return n, dim
 
 
 def generate_directions(delta: float, dim: int) -> np.ndarray:
@@ -85,18 +123,8 @@ def generate_directions(delta: float, dim: int) -> np.ndarray:
     for dim 3 representatives have z >= 0.  Deterministic in (delta, dim).
     A net of more than _MAX_DIRECTIONS is refused before it is built.
     """
-    if not (0.0 < delta < 1.0):
-        raise TubeError(f"delta must lie in (0, 1), got {delta}")
-    if dim not in (2, 3):
-        raise TubeError(f"dim must be 2 or 3, got {dim}")
-    dpad = delta * (1.0 + _PAD)
-    rings, pole = _rings_3d(dpad) if dim == 3 else ([], False)
-    n = (int(math.pi / (2.0 * math.asin(dpad / 2.0))) if dim == 2
-         else sum(r[-1] for r in rings) + pole)
-    if n > _MAX_DIRECTIONS:
-        raise TubeError(f"a {dim}-D net at delta = {delta!r} has {n:,} directions, "
-                        f"over the limit of {_MAX_DIRECTIONS:,}")
-    return _directions_2d(n) if dim == 2 else _directions_3d(rings, pole)
+    n, _ = family_size(delta, dim, "bush")  # a bush has a tube per direction
+    return _directions_2d(n) if dim == 2 else _directions_3d(*_rings_3d(delta * (1.0 + _PAD)))
 
 
 def _random_ball(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -125,21 +153,21 @@ def generate_family(
     perron-base (dim 2 only): cores are tracked segments of the shifted
     tree with `tree_levels` levels, rotated into the sector that holds
     the requested direction.
+    parallel-lines: parallel_lines_family(delta), whatever dim says.
     """
+    family_size(delta, dim, placement)
+    if placement == "parallel-lines":
+        return parallel_lines_family(delta)
     dirs = generate_directions(delta, dim)
     anchors = np.zeros_like(dirs)
     if placement == "random":
         anchors = _random_ball(make_rng(seed, 0), len(dirs), dim)
     elif placement == "perron-base":
-        if dim != 2:
-            raise TubeError("perron-base placement is two-dimensional only")
         from ..perron import PerronSpec, build_perron_tree
 
         tree = build_perron_tree(PerronSpec.default(tree_levels))
         anchors, dirs = zip(*(_tree_segment_tube(float(math.atan2(w[1], w[0])), tree)
                               for w in dirs))
-    elif placement != "bush":
-        raise TubeError(f"unknown placement {placement!r}")
     return TubeFamily(delta, anchors, dirs, np.ones(len(dirs)), placement)
 
 
@@ -183,23 +211,13 @@ def _tree_segment_tube(theta: float, tree) -> tuple[np.ndarray, np.ndarray]:
     return p, w
 
 
-# Most tubes parallel_lines_family builds: delta = 1/128.
-_MAX_TUBES = 1 << 14
-
-
 def parallel_lines_family(delta: float) -> TubeFamily:
     """All tubes joining {(dj, 0, 0)} to {(dk, 1, 0)}, j, k in 1..1/d.
 
     The scale must be an exact reciprocal integer; the family has
     delta^-2 tubes and realises the two-parallel-lines construction.
     """
-    n_f = 1.0 / delta
-    n = round(n_f)
-    if n < 2 or abs(n_f - n) > 1e-9:
-        raise TubeError(f"1/delta must be an integer >= 2, got {n_f}")
-    if n * n > _MAX_TUBES:
-        raise TubeError(f"parallel lines at 1/delta = {n} make {n * n:,} tubes, "
-                        f"over the limit of {_MAX_TUBES:,}")
+    n = math.isqrt(family_size(delta, 3, "parallel-lines")[0])
     x = delta * np.arange(1, n + 1)
     zeros = np.zeros(n * n)
     anchors = np.stack([np.repeat(x, n), zeros, zeros], axis=1)

@@ -30,6 +30,7 @@ from kakeyalab.heisenberg import (
     surface_segment_points,
 )
 from kakeyalab.perron import (
+    BASE_TRIANGLE,
     PerronSpec,
     build_perron_tree,
     direction_coverage,
@@ -79,8 +80,7 @@ def _rational_point(x, y):
 
 def test_criterion_01_exact_triangle_area():
     started = time.perf_counter()
-    tree = build_perron_tree(PerronSpec.default(1))
-    area = region_area(tree.base_triangle)
+    area = region_area(Region2.from_polygon(list(BASE_TRIANGLE)))
     clauses = [("height-1 triangle area equals 1/sqrt(3) exactly",
                 area == ExactScalar(0, Fraction(1, 3)))]
     _verdict(1, "exact areas", clauses, started, 1.0)

@@ -252,6 +252,48 @@ class TestEarlyRefusal:
         assert err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("delta, message", [
+        ("0", "delta must lie in (0, 1), got 0.0"),
+        ("-0.5", "delta must lie in (0, 1), got -0.5"),
+        ("nan", "delta must lie in (0, 1), got nan"),
+        ("inf", "delta must lie in (0, 1), got inf"),
+        ("1e-320", "1/delta must be an integer >= 2, got inf"),  # 1/delta overflows
+    ])
+    def test_parallel_lines_delta_outside_range(self, tmp_path, capsys, delta, message):
+        out = tmp_path / "slab.json"
+        err = self.refused(capsys, ["tubes", "gen", f"--delta={delta}",
+                                    "--placement", "parallel-lines", "--out", str(out)])
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_parallel_lines_pairs_refused_before_building(self, tmp_path, capsys, monkeypatch):
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"np.{name} reached before the pair limit")
+
+        monkeypatch.setattr(sys.modules["kakeyalab.tubelab.generate"], "np", NoNumpy())
+        out = tmp_path / "r.csv"
+        err = self.refused(capsys, ["tubes", "analyze", "--delta", repr(1 / 128),
+                                    "--placement", "parallel-lines", "--checks", "distinct",
+                                    "--out", str(out)])
+        assert err == ("error: 16,384 tubes make 134,209,536 pairs, "
+                       "over the limit of 16,777,216\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--mc-samples", "2000000000"],
+        ["--method", "grid", "--grid-res", "100000"],
+    ])
+    def test_volume_inputs_admitted_only_for_volume(self, tmp_path, capsys, flags):
+        # no sample is drawn and no grid filled when volume is not requested
+        out = tmp_path / "r.csv"
+        assert dispatch(["tubes", "analyze", "--delta", "0.25", "--checks", "distinct",
+                         *flags, "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].startswith("distinct,0.25,flagged_pairs,")
+        assert dispatch(["tubes", "analyze", "--delta", "0.25", "--checks", "volume",
+                         *flags, "--out", str(out)]) == 2
+        assert "over the limit of" in capsys.readouterr().err
+
     def test_perron_base_in_3d_refused_by_its_own_rule(self, tmp_path, capsys):
         # the 3-D net at 0.011 is over the pair limit, but the placement
         # rule is the refusal that names the fault

@@ -74,7 +74,7 @@ REPORTS = {
         "a868ed58ec35e54edc122dd4fb6d01ec4d1751cc5e2bf43e630c48605b8dfbc5"),
     "bush-2^-5-grid": (
         ["--delta", "0.03125", "--method", "grid"],
-        "6daaf672a7ebb487f527e3952bb051fde4d275b33ff9b4fca19e99200dfd63c4"),
+        "b3d6ffa57dc92fc71b6f78d9914bf5007403285853db366d23d4f6de9c013dae"),
 }
 
 

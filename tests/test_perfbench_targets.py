@@ -64,10 +64,16 @@ def test_only_outside_polygons_are_validated(monkeypatch):
     targets = [t for t in layers.targets() if t.attr == "validate_simple_polygon"]
     assert len(targets) == 1
     with tracer.Tracer().installed(targets) as tr:
-        perron.assemble_kakeya(perron.build_perron_tree(perron.PerronSpec.default(3)))
-    # the base triangle; the sweep's 16 tree and 110 assembly pieces are
-    # taken as built
-    assert [s.name for s in tr.spans] == ["exactgeom.validate"]
+        tree = perron.build_perron_tree(perron.PerronSpec.default(3))
+        perron.assemble_kakeya(tree)
+    # the sweep's 16 tree and 110 assembly pieces are taken as built
+    assert tr.spans == []
+    text = perron.tree_to_json(tree)
+    with tracer.Tracer().installed(targets) as tr:
+        back = perron.tree_from_json(text)
+    # pieces read from a file are validated, each once
+    assert len(back.region.polygons) == 16
+    assert [s.name for s in tr.spans] == ["exactgeom.validate"] * 16
 
 
 def test_index_counters_ignore_the_candidate_order(monkeypatch):

@@ -25,6 +25,7 @@ from kakeyalab.exactgeom.overlay import overlay
 from kakeyalab.exactgeom.scalar import SQRT3, _Q, scalar
 from kakeyalab.perron import (
     APEX,
+    BASE_TRIANGLE,
     MAX_DEPTH,
     PerronSpec,
     apex_turn,
@@ -78,9 +79,10 @@ def test_zero_schedule_is_identity():
 
 def test_default_schedule_area_non_increasing():
     prev = None
+    triangle = region_area(Region2.from_polygon(list(BASE_TRIANGLE)))
     for m in range(1, 7):
         tree = build_perron_tree(PerronSpec.default(m))
-        assert tree.area() <= region_area(tree.base_triangle)
+        assert tree.area() <= triangle
         if prev is not None:
             assert tree.area() <= prev
         prev = tree.area()
@@ -276,8 +278,8 @@ def test_tree_json_validates_each_piece_once(monkeypatch):
 
     monkeypatch.setattr(region_module, "validate_simple_polygon", counted)
     tree_from_json(blob)
-    # every piece of the region, plus the base triangle
-    assert len(calls) == len(tree.region.polygons) + 1
+    # every piece of the region, once
+    assert len(calls) == len(tree.region.polygons)
 
 
 def test_tree_json_area_comes_from_the_pieces():

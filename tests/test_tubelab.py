@@ -1,14 +1,18 @@
 """Tube family construction, volume estimation, and structural checks."""
 
+import dataclasses
+import importlib
 import itertools
 import json
 import math
+import pkgutil
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kakeyalab
 import kakeyalab.tubelab as tubelab
 from kakeyalab import rng as rng_module
 from kakeyalab.cli import dispatch
@@ -476,6 +480,38 @@ class TestSizeGuard:
         with pytest.raises(TubeError, match=r"2-D net at delta = 1.52587890625e-05 has "
                                             r"205,887 directions"):
             generate_directions(2.0 ** -16, 2)
+
+    @pytest.mark.parametrize("delta, dim, placement, size", [
+        (2.0 ** -7, 3, "bush", (102_847, 3)),
+        (2.0 ** -15, 2, "random", (102_943, 2)),
+        (0.25, 2, "perron-base", (12, 2)),
+        (1 / 128, 2, "parallel-lines", (16_384, 3)),  # 3-D whatever dim says
+    ])
+    def test_family_size_from_parameters(self, monkeypatch, delta, dim, placement, size):
+        fam = generate_family(delta, dim, placement)
+        assert (len(fam), fam.dim) == size
+        monkeypatch.setattr(generate, "np", self.NoNumpy())
+        assert generate.family_size(delta, dim, placement) == size
+
+    @pytest.mark.parametrize("delta, dim, placement, message", [
+        # the placement rule comes before the net's size
+        (2.0 ** -9, 3, "perron-base", "perron-base placement is two-dimensional only"),
+        (0.2, 2, "pinwheel", "unknown placement 'pinwheel'"),
+        (1.5, 2, "bush", r"delta must lie in \(0, 1\), got 1.5"),
+        (1.0, 3, "parallel-lines", r"delta must lie in \(0, 1\), got 1.0"),
+        (0.3, 3, "parallel-lines", "1/delta must be an integer >= 2"),
+        (1e-320, 3, "parallel-lines", "1/delta must be an integer >= 2, got inf"),
+        # the bands of a net this fine would not fit in memory
+        (1e-12, 3, "bush", "a 3-D net at delta = 1e-12 has more directions than "
+                           "the limit of 131,072"),
+        (1e-320, 2, "random", "a 2-D net at delta = 1e-320 has more directions"),
+    ])
+    def test_family_size_refusals(self, monkeypatch, delta, dim, placement, message):
+        monkeypatch.setattr(generate, "np", self.NoNumpy())
+        with pytest.raises(TubeError, match=message):
+            generate.family_size(delta, dim, placement)
+        with pytest.raises(TubeError, match=message):
+            generate_family(delta, dim, placement)
 
     def test_direction_net_cli_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(generate, "np", self.NoNumpy())
@@ -1175,12 +1211,43 @@ class TestSticky:
         rep = sticky_check(make_dyadic_fixture(1 / 8))
         assert "order" in rep.order_note
 
+    def test_plane_counts_use_dim_minus_one(self):
+        # a kept rho-tube of the plane holds about rho/delta net directions:
+        # the 2-D bush is sticky at every scale, with every norm near 1
+        rep = sticky_check(generate_family(2.0 ** -5, 2, "bush"))
+        assert len(rep.scales) == 6 and rep.sticky
+        assert min(s.min_norm for s in rep.scales) == 0.25
+        assert max(s.max_norm for s in rep.scales) == 2.09375
+        # random anchors scatter the coarse tubes' children
+        rep = sticky_check(generate_family(2.0 ** -5, 2, "random", seed=0))
+        assert [s.rho for s in rep.scales if not s.ok] == [0.25, 0.5, 1.0]
+
 
 def test_no_einsum_in_tubelab():
     # einsum's summation order over a 3-wide axis follows numpy's SIMD
     # width, so seeded 3-D results would differ between machines.
     for path in Path(tubelab.__file__).parent.glob("*.py"):
         assert "einsum" not in path.read_text(), path.name
+
+
+def test_array_dataclasses_compare_by_identity():
+    # a generated __eq__ compares ndarray fields with ==, whose truth value
+    # raises, and a generated __hash__ hashes them, which raises too
+    held = set()
+    for info in pkgutil.walk_packages(kakeyalab.__path__, "kakeyalab."):
+        for cls in vars(importlib.import_module(info.name)).values():
+            if dataclasses.is_dataclass(cls) and isinstance(cls, type) and any(
+                    "ndarray" in str(f.type) for f in dataclasses.fields(cls)):
+                assert cls.__eq__ is object.__eq__, cls.__qualname__
+                assert cls.__hash__ is object.__hash__, cls.__qualname__
+                held.add(cls.__qualname__)
+    assert {"TubeFamily", "Prism", "WavePacket", "FeffermanReport", "GridField"} <= held
+
+
+def test_families_compare_by_identity():
+    a, b = generate_family(0.25, 2, "bush"), generate_family(0.25, 2, "bush")
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
 
 
 class TestSerialization:
