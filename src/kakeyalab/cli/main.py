@@ -38,7 +38,6 @@ from ..perron import (
     tree_from_json,
     tree_to_json,
 )
-from ..rng import admit_samples
 from ..spectral import (
     MultiplierSpec,
     apply_multiplier,
@@ -59,7 +58,7 @@ from ..tubelab import (
 )
 from ..tubelab.checks import admit_checks
 from ..tubelab.generate import family_size
-from ..tubelab.volume import admit_grid
+from ..tubelab.volume import admit_volume
 from .io import (
     CliError,
     emit_report,
@@ -194,10 +193,8 @@ def _cmd_tubes(args) -> RunResult:
             raise CliError("empty check list")
         n, dim = family_size(args.delta, args.dim, args.placement)
         admit_checks(n, dim, args.delta, names)
-        if "volume" in names and args.method == "monte-carlo":
-            admit_samples(args.mc_samples)
-        elif "volume" in names:
-            admit_grid(args.grid_res, dim)
+        if "volume" in names:
+            admit_volume(args.method, args.mc_samples, args.grid_res, dim)
     fam = (parallel_lines_family(args.delta) if args.placement == "parallel-lines"
            else generate_family(args.delta, args.dim, args.placement, seed=args.seed))
     params = {"mode": args.mode, "dim": fam.dim, "delta": args.delta,

@@ -10,8 +10,9 @@ packet sum before and after filtering.
 
 One tree covers the 60 degree sector of directions around the vertical,
 which is all the pile-up needs, so every packet lies in that sector.
-A run holds one complex N x N spectrum and one real |f| array (420 MiB
-at r = 1/16, N = 4096); N beyond 16384 is refused before allocating.
+A run holds the spectrum's covered rows and one real N x N |f| array
+(62 and 128 MiB at r = 1/16, N = 4096, where a run peaks at about
+228 MiB); N beyond 16384 is refused before allocating.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from ..parallel import map_ordered
 from ..perron import PerronTree, covering_segment
-from .grid import GridField, SpectralError, _inverse_into, lp_norm
+from .grid import SpectralError
 from .multipliers import MultiplierSpec, multiplier_symbol
 from .packets import (FreqRect, WavePacket, _check_grid, packet_symbol_block,
                       required_samples)
@@ -39,8 +40,13 @@ __all__ = [
 
 _SECTOR = math.pi / 3
 _HEATMAP_BINS = 128
-# Largest N x N complex array a run allocates: N = 16384, r = 1/32 on the
-# minimal grid, where the spectrum and |f| take 24 N^2 bytes = 6 GiB.
+# Columns per axis-0 strip: each strip buffer is 1 MiB at N = 4096.
+# 64-column buffers (4 MiB) ran about 0.1 s faster at r = 1/16 but
+# raised a whole analysis run's peak RSS by about 3.4 MiB.
+_STRIP = 16
+# Limit on one N x N complex array, as the guard's message states; a run
+# allocates none.  It admits N = 16384 (r = 1/32 on the minimal grid),
+# where |f| takes 2 GiB and the spectrum's 4,044 covered rows about 1 GiB.
 _ARRAY_BYTES = 1 << 32
 
 
@@ -97,25 +103,40 @@ def plan_placements(tree: PerronTree, r: float, L: float):
 
 
 def _norm_and_filtered(blocks, N: int, L: float, p: float):
-    """Input norm, then the filtered field's norm and occupancy map; each
-    transform rebuilds the spectrum from the packet blocks and inverts it
-    in place, and the ball symbol touches only the box they cover."""
+    """Input norm, then the filtered field's norm and occupancy map.
+
+    Each transform rebuilds the covered rows of the spectrum from the
+    packet blocks and runs ifftn's two passes in its order on them: the
+    last axis on those rows, then axis 0 in strips of _STRIP columns,
+    each scaled while complex and its |f| written into one real N x N
+    array.  Every 1-D transform is the one ifftn computes, so every |f|
+    sample is the dense path's bit for bit; the skipped rows would only
+    have given zeros their sign.
+    """
     freqs = np.fft.fftfreq(N, d=L / N)
     rows = np.unique(np.concatenate([ix for ix, _, _ in blocks]))
     cols = np.unique(np.concatenate([iy for _, iy, _ in blocks]))
     sym = multiplier_symbol(MultiplierSpec.ball(1.0), [freqs[rows], freqs[cols]])
-    fhat, norms = np.zeros((N, N), dtype=complex), []
-    for filtered in (False, True):
-        fhat[...] = 0
-        for ix, iy, block in blocks:
-            fhat[np.ix_(ix, iy)] += block
-        if filtered:
-            fhat[np.ix_(rows, cols)] *= sym
-        norms.append(lp_norm(_inverse_into(GridField(2, N, N / L, fhat), fhat), p))
-    mag = np.abs(fhat)
+    spec = np.empty((len(rows), N), dtype=complex)
+    strip, out = np.zeros((_STRIP, N), dtype=complex), np.empty((_STRIP, N), dtype=complex)
+    mag, norms = np.empty((N, N)), []
+    scale, w = float(N / L) ** 2, (N / (N / L) / N) ** 2
     bins = min(_HEATMAP_BINS, N)
-    b = N // bins
-    heat = mag.reshape(bins, b, bins, b).mean(axis=(1, 3))
+    for filtered in (False, True):
+        spec[...] = 0
+        for ix, iy, block in blocks:
+            spec[np.ix_(np.searchsorted(rows, ix), iy)] += block
+        if filtered:
+            spec[:, cols] *= sym
+        np.fft.ifft(spec, axis=1, out=spec)
+        for j in range(0, N, _STRIP):  # N is a power of two >= 16
+            strip[:, rows] = spec[:, j:j + _STRIP].T
+            np.fft.ifft(strip, axis=1, out=out)
+            mag[:, j:j + _STRIP] = np.abs(np.multiply(out, scale, out=out)).T
+        if filtered:
+            heat = mag.reshape(bins, N // bins, bins, N // bins).mean(axis=(1, 3))
+        norms.append(float(mag.max()) if p == math.inf
+                     else float(np.power(mag, p, out=mag).sum() * w) ** (1.0 / p))
     return norms[0], norms[1], heat
 
 

@@ -70,13 +70,8 @@ def dft_forward(f: GridField) -> GridField:
 
 def dft_inverse(f: GridField) -> GridField:
     """Inverse of dft_forward; maps a frequency field back to period N/L."""
-    return _inverse_into(f, np.empty_like(f.data))
-
-
-def _inverse_into(f: GridField, out: np.ndarray) -> GridField:
-    """dft_inverse of f written into out, which may be f.data itself."""
-    np.fft.ifftn(f.data, out=out)
-    return GridField(f.dim, f.N, f.N / f.L, np.multiply(out, float(f.L) ** f.dim, out=out))
+    data = np.fft.ifftn(f.data, out=np.empty_like(f.data))
+    return GridField(f.dim, f.N, f.N / f.L, np.multiply(data, float(f.L) ** f.dim, out=data))
 
 
 def lp_norm(f: GridField, p: float) -> float:

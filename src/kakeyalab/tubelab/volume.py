@@ -23,7 +23,7 @@ from .core import (
     in_tube,
 )
 
-__all__ = ["union_volume", "kakeya_ratio", "TubeIndex", "admit_grid"]
+__all__ = ["union_volume", "kakeya_ratio", "TubeIndex", "admit_grid", "admit_volume"]
 
 
 # Candidate (point, tube) pairs tested per batch of a query; the
@@ -37,10 +37,25 @@ _MAX_GRID_CELLS = 1 << 27
 
 
 def admit_grid(resolution: int, dim: int) -> None:
-    """Refuse a grid of more than _MAX_GRID_CELLS cells, before any is allocated."""
+    """Refuse a grid under 2 cells a side or of more than _MAX_GRID_CELLS
+    cells, before any is allocated."""
+    if resolution < 2:
+        raise TubeError("resolution must be at least 2")
     if resolution ** dim > _MAX_GRID_CELLS:
         raise TubeError(f"a {dim}-D grid at resolution {resolution:,} has "
                         f"{resolution ** dim:,} cells, over the limit of {_MAX_GRID_CELLS:,}")
+
+
+def admit_volume(method: str, samples: int, resolution: int, dim: int) -> None:
+    """Refuse union_volume's inputs before any family, sample or grid exists."""
+    if method == "monte-carlo":
+        if samples < 1:
+            raise TubeError("need at least one sample")
+        admit_samples(samples)
+    elif method == "grid":
+        admit_grid(resolution, dim)
+    else:
+        raise TubeError(f"unknown method {method!r}")
 
 
 class TubeIndex:
@@ -208,17 +223,10 @@ def union_volume(
     with the discretization band reported as the error.  monte-carlo:
     hit fraction of uniform box samples, with the binomial std error.
     """
-    if method == "monte-carlo":
-        if samples < 1:
-            raise TubeError("need at least one sample")
-        admit_samples(samples)
-        return _mc_volume(fam, samples, seed)
+    admit_volume(method, samples, resolution, fam.dim)
     if method == "grid":
-        if resolution < 2:
-            raise TubeError("resolution must be at least 2")
-        admit_grid(resolution, fam.dim)
         return _grid_volume(fam, resolution)
-    raise TubeError(f"unknown method {method!r}")
+    return _mc_volume(fam, samples, seed)
 
 
 def kakeya_ratio(fam: TubeFamily, estimate: VolumeEstimate) -> float:

@@ -294,6 +294,22 @@ class TestEarlyRefusal:
                          *flags, "--out", str(out)]) == 2
         assert "over the limit of" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--mc-samples", "0"], "need at least one sample"),
+        (["--method", "grid", "--grid-res", "1"], "resolution must be at least 2"),
+    ])
+    def test_volume_lower_bounds_refused_before_building(self, tmp_path, capsys, monkeypatch,
+                                                          flags, message):
+        def build(*args, **kwargs):
+            raise AssertionError("the family was built")
+
+        monkeypatch.setattr(sys.modules["kakeyalab.cli.main"], "generate_family", build)
+        out = tmp_path / "r.csv"
+        err = self.refused(capsys, ["tubes", "analyze", "--delta", "0.25", "--checks", "volume",
+                                    *flags, "--out", str(out)])
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_perron_base_in_3d_refused_by_its_own_rule(self, tmp_path, capsys):
         # the 3-D net at 0.011 is over the pair limit, but the placement
         # rule is the refusal that names the fault

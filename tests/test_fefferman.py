@@ -116,14 +116,44 @@ def dense_norm_and_filtered(fhat, N, L, p):
     array, transformed and filtered with fresh copies at every step."""
     scale = float(N / L) ** 2
     w = ((N / (N / L)) / N) ** 2
-    field = np.fft.ifftn(fhat) * scale
-    in_norm = float((np.abs(field) ** p).sum() * w) ** (1.0 / p)
+
+    def norm(field):
+        if p == math.inf:
+            return float(np.abs(field).max())
+        return float((np.abs(field) ** p).sum() * w) ** (1.0 / p)
+
+    in_norm = norm(np.fft.ifftn(fhat) * scale)
     freqs = np.fft.fftfreq(N, d=L / N)
     fhat = fhat * ((freqs[:, None] ** 2 + freqs[None, :] ** 2) <= 1.0).astype(float)
     field = np.fft.ifftn(fhat) * scale
-    out_norm = float((np.abs(field) ** p).sum() * w) ** (1.0 / p)
-    heat = np.abs(field).reshape(128, N // 128, 128, N // 128).mean(axis=(1, 3))
-    return in_norm, out_norm, heat
+    bins = min(128, N)
+    heat = np.abs(field).reshape(bins, N // bins, bins, N // bins).mean(axis=(1, 3))
+    return in_norm, norm(field), heat
+
+
+def packet_spectrum(tree, r, N, L):
+    fhat = np.zeros((N, N), dtype=complex)
+    for packet, _ in plan_placements(tree, r, L):
+        ix, iy, block = packet_symbol_block(packet.theta, packet.y, N, L)
+        fhat[np.ix_(ix, iy)] += block
+    return fhat
+
+
+def synthetic_blocks(N, seed):
+    """Seeded blocks on sorted index sets, as packet_symbol_block gives
+    them: one wrapping from row N - 1 to row 0, one over all N rows, a
+    single row, a single column, and two that overlap the others."""
+    rng = np.random.default_rng(seed)
+    shapes = [
+        (np.r_[0:3, N - 2:N], np.arange(1, 6)),
+        (np.arange(N), np.r_[0, N // 2 - 1, N - 1]),
+        (np.array([N // 3]), np.arange(N // 4, N // 2)),
+        (np.arange(2, N - 3), np.array([N // 5])),
+        (np.arange(N // 4, N // 2 + 1), np.arange(0, N, 3)),
+        (np.r_[1, 4, N - 1], np.arange(N - 4, N)),
+    ]
+    return [(ix, iy, rng.standard_normal((len(ix), len(iy)))
+             + 1j * rng.standard_normal((len(ix), len(iy)))) for ix, iy in shapes]
 
 
 class TestBlockPath:
@@ -133,15 +163,39 @@ class TestBlockPath:
     def test_experiment_equals_dense(self, tree, p):
         r = 1 / 8
         N, L = minimal_grid(r)
-        fhat = np.zeros((N, N), dtype=complex)
-        for packet, _ in plan_placements(tree, r, L):
-            ix, iy, block = packet_symbol_block(packet.theta, packet.y, N, L)
-            fhat[np.ix_(ix, iy)] += block
-        want = dense_norm_and_filtered(fhat, N, L, p)
+        want = dense_norm_and_filtered(packet_spectrum(tree, r, N, L), N, L, p)
         rep = fefferman_experiment(tree, r, p)
         assert rep.input_norm == want[0]
         assert rep.output_norm == want[1]
         assert np.array_equal(rep.heatmap, want[2])
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    def test_non_dyadic_scale_equals_dense(self, tree, p):
+        # N / L = 2048 / 576 is not a power of two, so the transform must
+        # be scaled while still complex, before |f| is taken
+        r = 1 / 12
+        N, L = minimal_grid(r)
+        assert N == 2048
+        want = dense_norm_and_filtered(packet_spectrum(tree, r, N, L), N, L, p)
+        rep = fefferman_experiment(tree, r, p)
+        assert rep.input_norm == want[0]
+        assert rep.output_norm == want[1]
+        assert np.array_equal(rep.heatmap, want[2])
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("N, L", [(16, 4.0), (64, 16.0)])
+    def test_synthetic_blocks_equal_dense(self, N, L, p):
+        # N = 16 is one strip, N = 64 four; a strip width that does not
+        # divide N fails on the shapes
+        blocks = synthetic_blocks(N, seed=N)
+        fhat = np.zeros((N, N), dtype=complex)
+        for ix, iy, block in blocks:
+            fhat[np.ix_(ix, iy)] += block
+        want = dense_norm_and_filtered(fhat, N, L, p)
+        got = fefferman._norm_and_filtered(blocks, N, L, p)
+        assert got[0] == want[0]
+        assert got[1] == want[1]
+        assert np.array_equal(got[2], want[2])
 
     @pytest.mark.parametrize("p", [2.0, 4.0])
     def test_single_packet_equals_dense(self, p):

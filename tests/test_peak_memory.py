@@ -7,10 +7,13 @@ program's RUSAGE_SELF, so a child exec'd straight from this (large)
 test process would start at this process's peak: the run is launched
 from a small intermediate interpreter instead.
 The Fefferman step at r = 1/16 works on N = 4096, where one complex
-N x N array is 256 MiB: its bound is two of them.  The dense path it
-replaced peaked at about 805 MiB.  The m=6 tree curve down to
-delta = 2^-12 peaked at about 450 MiB with the whole-grid region fill,
-at about 98 MiB with the strip-wise disc-dilation fill, at about
+N x N array is 256 MiB.  The dense path peaked at about 805 MiB and the
+in-place N x N transform at about 418 MiB; the transform on the covered
+rows, in column strips, peaks at about 228 MiB.  Its bound, 320 MiB,
+fails a run that holds a complex N x N spectrum again beside |f|: that
+array alone is 256 MiB over the interpreter's 30 MiB and |f|'s 128 MiB.
+The m=6 tree curve down to delta = 2^-12 peaked at about 450 MiB with
+the whole-grid region fill, at about 98 MiB with the strip-wise disc-dilation fill, at about
 38 MiB since regions share the tubes' row-span capsule fill, and at
 about 43 MiB since its sparse strips of 2^20 cells count their sorted
 steps.  The capsule fill of the delta = 2^-8 bush down to 2^-8 peaked
@@ -53,7 +56,7 @@ def peak_mib(code: str) -> float:
 def test_fefferman_peak_under_two_arrays():
     peak = peak_mib(TREE + "from kakeyalab.spectral import fefferman_experiment\n"
                     "fefferman_experiment(tree, 1 / 16, 4.0)")
-    assert peak < 512.0, f"fefferman r=1/16 peaked at {peak:.0f} MiB"
+    assert peak < 320.0, f"fefferman r=1/16 peaked at {peak:.0f} MiB"
 
 
 def test_region_curve_peak():
